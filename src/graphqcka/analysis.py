@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 from .keyrates import (KeyRateReport, RoundBatch, akr_n, error_estimates,
                        pairwise_conference_rate)
-from .noise import poisson_mc
+from .noise import poisson_mc_many
 from .routing import ExtractionPlan, network_use_accounting
 
 
@@ -85,28 +85,49 @@ def build_report(ghz_plan: ExtractionPlan | None,
 
 def _mc_uncertainties(ghz_plan, bell_plans, ratio_defined, batches, mc_samples,
                       mc_seed):
+    """Standard deviations of the report's scalars from one Monte Carlo pass.
+
+    The GHZ error estimates and the pairwise conference rate are computed
+    once per resample and shared by every statistic built on them.
+    """
+    nqkd = _once_per_resample(
+        lambda bs: error_estimates(bs["nqkd/type-1"], bs["nqkd/type-2"]))
+    rate_2 = _once_per_resample(lambda bs: pairwise_rates(bell_plans, bs)[1])
     stats = {}
     if ghz_plan is not None:
-        stats["qber"] = lambda bs: error_estimates(
-            bs["nqkd/type-1"], bs["nqkd/type-2"]).qber
-        stats["qx"] = lambda bs: error_estimates(
-            bs["nqkd/type-1"], bs["nqkd/type-2"]).qx
-
-        def stat_akr_n(bs):
-            e = error_estimates(bs["nqkd/type-1"], bs["nqkd/type-2"])
-            return akr_n(e.qber, e.qx)
-        stats["akr_n"] = stat_akr_n
+        stats["qber"] = lambda bs: nqkd(bs).qber
+        stats["qx"] = lambda bs: nqkd(bs).qx
+        stats["akr_n"] = lambda bs: akr_n(nqkd(bs).qber, nqkd(bs).qx)
     if bell_plans:
-        stats["akr_2"] = lambda bs: pairwise_rates(bell_plans, bs)[1]
+        stats["akr_2"] = rate_2
     if ratio_defined:
         def stat_ratio(bs):
-            e = error_estimates(bs["nqkd/type-1"], bs["nqkd/type-2"])
-            r2 = pairwise_rates(bell_plans, bs)[1]
+            e = nqkd(bs)
+            r2 = rate_2(bs)
             if r2 <= 0:
                 raise ValueError("pairwise rate vanished in resample")
             return akr_n(e.qber, e.qx) / r2
         stats["ratio"] = stat_ratio
-    out = {}
-    for name, stat in stats.items():
-        out[name] = poisson_mc(batches, stat, mc_samples, mc_seed).std
-    return out
+    results = poisson_mc_many(batches, stats, mc_samples, mc_seed)
+    return {name: result.std for name, result in results.items()}
+
+
+def _once_per_resample(fn):
+    """fn, evaluated once per resample; its value or its error is reused.
+
+    poisson_mc_many evaluates every statistic on one resample before it
+    builds the next, so remembering the last resample seen is enough.
+    """
+    last = {"batches": None}
+
+    def shared(bs):
+        if last["batches"] is not bs:
+            last["batches"] = bs
+            try:
+                last["value"], last["error"] = fn(bs), None
+            except (ValueError, ZeroDivisionError) as exc:
+                last["value"], last["error"] = None, exc
+        if last["error"] is not None:
+            raise last["error"]
+        return last["value"]
+    return shared

@@ -9,15 +9,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import networks
 from .analysis import build_report
 from .graphstate import GraphState, SizeCapError, to_dense
 from .io import (ParseError, RunConfig, parse_counts, parse_graph,
-                 report_to_json, serialize_graph, sha256_file, write_counts)
+                 report_to_json, sha256_file, write_counts)
 from .keyrates import simulate_protocol
 from .noise import apply_noise, pump_sweep
 from .pauli import from_name
@@ -31,18 +31,17 @@ EXIT_CAP = 5
 
 
 def _load_config(args) -> RunConfig:
-    if args.config:
-        cfg = RunConfig.from_json(args.config)
-    else:
-        cfg = RunConfig(graph=args.graph or "")
-    for name in ("graph", "seed", "out", "protocol", "rounds"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    if getattr(args, "alice", None) is not None:
-        cfg.alice = args.alice
+    cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
+    overrides = {name: getattr(args, name, None)
+                 for name in ("graph", "seed", "out", "protocol", "rounds", "alice")}
+    overrides = {name: val for name, val in overrides.items() if val is not None}
     if getattr(args, "bobs", None):
-        cfg.bobs = tuple(int(b) for b in args.bobs.split(","))
+        try:
+            overrides["bobs"] = tuple(int(b) for b in args.bobs.split(","))
+        except ValueError:
+            raise ParseError(f"--bobs takes comma-separated integer labels, "
+                             f"got {args.bobs!r}") from None
+    cfg = replace(cfg, **overrides)
     if not cfg.graph:
         raise ParseError("no graph file given (--graph or config)")
     return cfg
@@ -57,6 +56,10 @@ def _preparation_frame(graph):
 def _extract_plans(cfg: RunConfig):
     graph = parse_graph(cfg.graph)
     parts = cfg.participants()
+    outside = [p + 1 for p in parts if p not in graph.vertices]
+    if outside:
+        raise ParseError(f"participants {outside} are not vertices 1..{graph.n} "
+                         f"of {cfg.graph}")
     prep = _preparation_frame(graph)
     plans = {}
     if cfg.protocol in ("nqkd", "both"):
@@ -204,7 +207,7 @@ def cmd_analyze(args) -> int:
         for rt, suffix in (("type-1", "type1"), ("type-2", "type2")):
             path = counts_dir / f"{tag}_{suffix}.counts"
             if not path.exists():
-                print(f"missing counts file for setting {key}/{rt}: {path}",
+                print(f"error: missing counts file for setting {key}/{rt}: {path}",
                       file=sys.stderr)
                 return EXIT_MISSING_SETTING
             batch = parse_counts(path)
@@ -212,7 +215,7 @@ def cmd_analyze(args) -> int:
             want = compile_round_settings(plan, rt)
             got = batch.setting.basis_string(range(graph.n))
             if got != want.basis_string(graph.vertices):
-                print(f"{path}: basis {got} does not match plan setting "
+                print(f"error: {path}: basis {got} does not match plan setting "
                       f"{want.basis_string(graph.vertices)}", file=sys.stderr)
                 return EXIT_MISSING_SETTING
             batches[f"{key}/{rt}"] = batch

@@ -56,8 +56,10 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+        if n < 1:
+            raise ValueError(f"vertex count must be at least 1, got {n}")
+        if n > MAX_VERTICES:
+            raise SizeCapError(f"graph has {n} vertices, above the cap of {MAX_VERTICES}")
         masks = {v: 0 for v in range(n)}
         seen = set()
         for u, v in edges:

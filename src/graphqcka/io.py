@@ -10,24 +10,34 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .graphstate import Graph
-from .keyrates import KeyRateReport, RoundBatch
+from .keyrates import KeyRateReport, RoleAssignment, RoundBatch
 from .noise import NoiseModel
 from .routing import RoundSetting
 from . import __version__
 
 
 class ParseError(ValueError):
-    """Malformed input file; message includes the offending line number."""
+    """Malformed input: a file, a config value or a flag.
+
+    Messages about a file name it, and the offending line where there is one.
+    """
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
 
 
 def _content_lines(path: Path) -> list[tuple[int, str]]:
     out = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             out.append((lineno, line))
@@ -45,6 +55,8 @@ def parse_graph(path: str | Path) -> Graph:
         n = int(head)
     except ValueError:
         raise ParseError(f"{path}:{lineno}: expected vertex count, got {head!r}") from None
+    if n < 1:
+        raise ParseError(f"{path}:{lineno}: vertex count must be at least 1, got {n}")
     edges = []
     for lineno, line in lines[1:]:
         parts = line.split()
@@ -130,9 +142,13 @@ def parse_counts(path: str | Path) -> RoundBatch:
 
 @dataclass
 class RunConfig:
-    """Run description mirroring the CLI flags, loadable from JSON."""
+    """Run description mirroring the CLI flags, loadable from JSON.
 
-    graph: str
+    Construction validates every field it can check without the graph and
+    raises ParseError on a malformed value.
+    """
+
+    graph: str = ""
     alice: int | None = None
     bobs: tuple[int, ...] = ()
     protocol: str = "both"
@@ -145,29 +161,76 @@ class RunConfig:
     sweep_powers: tuple[float, float, int] = (5.0, 200.0, 40)
 
     def __post_init__(self):
-        if self.protocol not in ("nqkd", "2qkd", "both"):
-            raise ValueError(f"unknown protocol {self.protocol!r}")
+        if not isinstance(self.bobs, (list, tuple)) or not isinstance(
+                self.sweep_powers, (list, tuple)):
+            raise ParseError("bobs and sweep_powers must be lists")
+        self.bobs = tuple(self.bobs)
+        self.sweep_powers = tuple(self.sweep_powers)
+        checks = (
+            (self.protocol in ("nqkd", "2qkd", "both"),
+             f"unknown protocol {self.protocol!r}"),
+            (all(_is_int(v) for v in (*self.bobs, self.alice)
+                 if v is not None), "alice and bobs must be integer labels"),
+            (len(self.sweep_powers) == 3
+             and all(_is_real(v) for v in self.sweep_powers),
+             "sweep_powers must be [low_mw, high_mw, points]"),
+            (_is_int(self.rounds) and self.rounds >= 1,
+             f"rounds must be a positive integer, got {self.rounds!r}"),
+            (_is_real(self.type2_fraction) and 0.0 < self.type2_fraction < 1.0,
+             f"type2_fraction must be in (0, 1), got {self.type2_fraction!r}"),
+            (self.seed is None or (_is_int(self.seed) and self.seed >= 0),
+             f"seed must be a nonnegative integer, got {self.seed!r}"),
+            (_is_int(self.mc_samples) and self.mc_samples >= 0,
+             f"mc_samples must be a nonnegative integer, got {self.mc_samples!r}"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise ParseError(message)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
-        data = json.loads(Path(path).read_text())
-        cfg = cls(**data)
-        cfg.bobs = tuple(cfg.bobs)
-        cfg.sweep_powers = tuple(cfg.sweep_powers)
-        return cfg
+        path = Path(path)
+        try:
+            data = json.loads(_read_text(path))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ParseError(f"{path}: config must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ParseError(f"{path}: unknown config keys {unknown}")
+        try:
+            return cls(**data)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
     def participants(self) -> tuple[int, ...]:
-        """0-based sorted participant labels."""
+        """0-based sorted participant labels; the roles must be disjoint."""
         if self.alice is None or not self.bobs:
-            raise ValueError("config must set alice and bobs")
-        return tuple(sorted([self.alice - 1] + [b - 1 for b in self.bobs]))
+            raise ParseError("config must set alice and bobs")
+        try:
+            roles = RoleAssignment(self.alice - 1, tuple(b - 1 for b in self.bobs))
+        except ValueError as exc:
+            raise ParseError(f"invalid roles: {exc}") from None
+        return roles.participants
 
     def noise_model(self) -> NoiseModel:
-        kw = dict(self.noise)
-        for ch in ("depolarizing", "dephasing", "bit_flip"):
-            if ch in kw:
-                kw[ch] = {int(k) - 1: float(v) for k, v in kw[ch].items()}
-        return NoiseModel(**kw)
+        try:
+            kw = dict(self.noise)
+            for ch in ("depolarizing", "dephasing", "bit_flip"):
+                if ch in kw:
+                    kw[ch] = {int(k) - 1: float(v) for k, v in kw[ch].items()}
+            return NoiseModel(**kw)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"invalid noise model: {exc}") from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def sha256_file(path: str | Path) -> str:

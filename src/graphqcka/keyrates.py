@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -128,8 +128,13 @@ def pairwise_error(batch: RoundBatch, i: int, j: int) -> float:
 def estimate_qber(batch: RoundBatch) -> ErrorEstimates:
     """QBER with the Alice role chosen to minimize the worst pairwise error.
 
-    Ties are broken by the lowest vertex label.  qx is left at 0 here; use
-    estimate_qx on the type-2 batch and combine via error_estimates.
+    The min-max runs over every pair of the batch's participants.  That is
+    the conference QBER of a GHZ plan, but on a Bell plan that casts several
+    pairs at once it mixes in the cross-pair users, whose bits are
+    uncorrelated, so it gives 0.5 under any noise; marginalize each pair
+    first, as analysis.pairwise_rates does.  Ties are broken by the lowest
+    vertex label.  qx is left at 0 here; use estimate_qx on the type-2 batch
+    and combine via error_estimates.
     """
     parts = batch.participants
     if len(parts) < 2:
@@ -324,7 +329,12 @@ def simulate_protocol(plan: ExtractionPlan, n_rounds: int, seed: int,
 
 def analytic_estimates(plan: ExtractionPlan, state: np.ndarray | None = None,
                        ) -> ErrorEstimates:
-    """Infinite-round QBER/Q_X of a plan on a (possibly noisy) network state."""
+    """Infinite-round QBER/Q_X of a plan on a (possibly noisy) network state.
+
+    The QBER is estimate_qber's min-max over all of the plan's targets, so
+    for a Bell plan that casts several pairs it is 0.5 under any noise; use
+    analysis.pairwise_rates for per-pair rates of such a plan.
+    """
     d1 = outcome_distribution(plan, "type-1", state)
     d2 = outcome_distribution(plan, "type-2", state)
     s1 = compile_round_settings(plan, "type-1")

@@ -15,11 +15,9 @@ from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .graphstate import SizeCapError
-from .keyrates import (RoundBatch, _rotate_density, analytic_estimates, akr_n,
-                       error_estimates, outcome_distribution)
+from .keyrates import RoundBatch, _rotate_density, analytic_estimates, akr_n
 from .pauli import PAULI_MATRICES
 from .routing import ExtractionPlan
 
@@ -216,41 +214,67 @@ class MonteCarloResult:
 def poisson_mc(batches: Mapping[str, RoundBatch],
                statistic: Callable[[Mapping[str, RoundBatch]], float],
                n_samples: int, seed: int) -> MonteCarloResult:
-    """Uncertainty of a counts statistic under independent Poisson resampling.
+    """Uncertainty of one counts statistic under independent Poisson resampling.
+
+    The single-statistic form of poisson_mc_many, which documents the
+    resampling, the rejections and the errors raised.
+    """
+    return poisson_mc_many(batches, {"statistic": statistic}, n_samples, seed)["statistic"]
+
+
+def poisson_mc_many(batches: Mapping[str, RoundBatch],
+                    statistics: Mapping[str, Callable[[Mapping[str, RoundBatch]], float]],
+                    n_samples: int, seed: int) -> dict[str, MonteCarloResult]:
+    """Uncertainties of several counts statistics from one Poisson resampling.
 
     Every count is replaced by a Poisson draw with its observed value as the
-    mean; samples on which the statistic is undefined (e.g. a batch resampled
-    to zero total) are rejected and counted.  Fully deterministic in the seed:
-    draws happen in sorted batch/outcome order, one sample at a time.
-    Raises ValueError when the statistic is undefined at the observed counts
-    or on every sample.
+    mean.  Fully deterministic in the seed: one rng.poisson call draws every
+    resample, each in sorted batch / sorted outcome order, which gives the
+    same draws as drawing one count at a time in that order.  Each resample
+    is built once and every statistic is evaluated on it, in the mapping's
+    order, before the next resample is built.  A statistic that is undefined
+    on a resample (raises ValueError or ZeroDivisionError, e.g. on a batch
+    resampled to zero total) is rejected there, and counted in its own
+    n_rejected; the other statistics keep that resample.
+    Raises ValueError when a statistic is undefined at the observed counts
+    or on every resample.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    try:
-        point = statistic(batches)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError("statistic is undefined at the observed counts") from exc
-    rng = np.random.default_rng(seed)
-    names = sorted(batches)
-    values = []
-    rejected = 0
-    for _ in range(n_samples):
-        resampled = {}
-        for name in names:
-            b = batches[name]
-            counts = {k: int(rng.poisson(c)) for k, c in sorted(b.counts.items())}
-            resampled[name] = RoundBatch(b.setting, b.participants, counts)
+    points = {}
+    for name, statistic in statistics.items():
         try:
-            values.append(statistic(resampled))
-        except (ValueError, ZeroDivisionError):
-            rejected += 1
-    if not values:
-        raise ValueError("all Monte Carlo samples were rejected")
-    arr = np.asarray(values)
-    return MonteCarloResult(point_estimate=float(point), mean=float(arr.mean()),
-                            std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-                            n_samples=n_samples, n_rejected=rejected, seed=seed)
+            points[name] = statistic(batches)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError("statistic is undefined at the observed counts") from exc
+    layout = [(name, sorted(batches[name].counts)) for name in sorted(batches)]
+    lam = np.array([batches[name].counts[k] for name, outcomes in layout
+                    for k in outcomes], dtype=float)
+    draws = np.random.default_rng(seed).poisson(lam, size=(n_samples, lam.size))
+    values: dict[str, list[float]] = {name: [] for name in statistics}
+    for row in draws.tolist():
+        resampled = {}
+        start = 0
+        for name, outcomes in layout:
+            b = batches[name]
+            counts = dict(zip(outcomes, row[start:start + len(outcomes)]))
+            resampled[name] = RoundBatch(b.setting, b.participants, counts)
+            start += len(outcomes)
+        for name, statistic in statistics.items():
+            try:
+                values[name].append(statistic(resampled))
+            except (ValueError, ZeroDivisionError):
+                pass
+    out = {}
+    for name, vals in values.items():
+        if not vals:
+            raise ValueError("all Monte Carlo samples were rejected")
+        arr = np.asarray(vals)
+        out[name] = MonteCarloResult(
+            point_estimate=float(points[name]), mean=float(arr.mean()),
+            std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
+            n_samples=n_samples, n_rejected=n_samples - len(vals), seed=seed)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +313,10 @@ def calibrate_to_targets(plans: Mapping[str, ExtractionPlan],
     conflict.  The result's converged flag says whether the fit met every
     target.
     """
+    # imported here, not with the module: only calibration needs it, and it
+    # takes three times as long to import as graphqcka.cli with numpy
+    from scipy.optimize import least_squares
+
     from .graphstate import GraphState, to_dense
 
     if set(targets) - set(plans):

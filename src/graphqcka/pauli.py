@@ -71,10 +71,6 @@ class LocalClifford:
         assert out_sign in (1, -1)
         return (prod_letter, int(out_sign.real) * sign)
 
-    def then(self, other: "LocalClifford") -> "LocalClifford":
-        """Composition other . self as unitaries (self applied first)."""
-        return compose(other, self)
-
     def inverse(self) -> "LocalClifford":
         return _INVERSES[self]
 
@@ -155,10 +151,6 @@ def from_name(name: str) -> LocalClifford:
         return _BY_NAME[name]
     except KeyError:
         raise ValueError(f"unknown Clifford name {name!r}") from None
-
-
-def from_images(image_of_x: SignedPauli, image_of_z: SignedPauli) -> LocalClifford:
-    return LocalClifford(image_of_x, image_of_z)
 
 
 # Pauli gates as group elements (conjugation flips anticommuting images).

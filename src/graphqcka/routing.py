@@ -50,32 +50,6 @@ NONPARTICIPANT_CAP = 6
 
 
 @dataclass(frozen=True)
-class ExtractionTask:
-    """What to extract: a GHZ over a vertex set or disjoint Bell pairs."""
-
-    kind: str                                   # "ghz" | "bell_multicast"
-    participants: frozenset[int]
-    nonparticipants: frozenset[int]
-    pairs: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("ghz", "bell_multicast"):
-            raise ValueError(f"unknown task kind {self.kind!r}")
-        if self.participants & self.nonparticipants:
-            raise ValueError("participants and nonparticipants must be disjoint")
-        if self.kind == "ghz" and len(self.participants) < 2:
-            raise ValueError("GHZ extraction needs at least 2 participants")
-        if self.kind == "bell_multicast":
-            seen: set[int] = set()
-            for a, b in self.pairs:
-                if a in seen or b in seen or a == b:
-                    raise ValueError("Bell pairs must be disjoint")
-                seen.update((a, b))
-            if seen != set(self.participants):
-                raise ValueError("pairs must cover exactly the participants")
-
-
-@dataclass(frozen=True)
 class RoundSetting:
     """Per-vertex physical measurement bases for one protocol round type."""
 

@@ -1,11 +1,12 @@
 """Report assembly from simulated round batches."""
 
+import numpy as np
 import pytest
 
 from graphqcka import networks
 from graphqcka.analysis import build_report, pairwise_rates
 from graphqcka.graphstate import to_dense
-from graphqcka.keyrates import simulate_protocol
+from graphqcka.keyrates import RoundBatch, akr_n, error_estimates, simulate_protocol
 from graphqcka.noise import NoiseModel, apply_noise
 
 
@@ -19,6 +20,51 @@ def ideal_batches(rounds=4000, seed=3, state=None):
         b1, b2 = simulate_protocol(plan, rounds, seed + 1 + k, state=state)
         batches[f"bell{k}/type-1"], batches[f"bell{k}/type-2"] = b1, b2
     return ghz, bells, batches
+
+
+def noisy_state():
+    vec = to_dense(networks.six_vertex_network_state())
+    model = NoiseModel(white_noise=0.05, depolarizing={2: 0.02})
+    return apply_noise(vec, range(6), model).matrix
+
+
+def scalar_reference(bells, batches, n_samples, seed):
+    """Each statistic resampled on its own, one Poisson count at a time.
+
+    Returns per-statistic standard deviations and rejection counts; this is
+    the loop build_report's single Monte Carlo pass must reproduce exactly.
+    """
+    def nqkd(bs):
+        return error_estimates(bs["nqkd/type-1"], bs["nqkd/type-2"])
+
+    def ratio(bs):
+        r2 = pairwise_rates(bells, bs)[1]
+        if r2 <= 0:
+            raise ValueError("pairwise rate vanished")
+        return akr_n(nqkd(bs).qber, nqkd(bs).qx) / r2
+
+    stats = {"qber": lambda bs: nqkd(bs).qber,
+             "qx": lambda bs: nqkd(bs).qx,
+             "akr_n": lambda bs: akr_n(nqkd(bs).qber, nqkd(bs).qx),
+             "akr_2": lambda bs: pairwise_rates(bells, bs)[1],
+             "ratio": ratio}
+    stds, rejected = {}, {}
+    for name, stat in stats.items():
+        rng = np.random.default_rng(seed)
+        values = []
+        for _ in range(n_samples):
+            resampled = {}
+            for key in sorted(batches):
+                b = batches[key]
+                counts = {k: int(rng.poisson(c)) for k, c in sorted(b.counts.items())}
+                resampled[key] = RoundBatch(b.setting, b.participants, counts)
+            try:
+                values.append(stat(resampled))
+            except (ValueError, ZeroDivisionError):
+                pass
+        stds[name] = float(np.std(values, ddof=1))
+        rejected[name] = n_samples - len(values)
+    return stds, rejected
 
 
 class TestPairwiseRates:
@@ -70,6 +116,19 @@ class TestBuildReport:
         assert report.ratio is None
         assert "ratio" not in report.uncertainties
         assert "akr_2" in report.uncertainties
+
+    @pytest.mark.parametrize("rounds, seed", [(4000, 3), (10, 0)])
+    def test_one_pass_matches_scalar_resampling(self, rounds, seed):
+        ghz, bells, batches = ideal_batches(rounds, seed, state=noisy_state())
+        report = build_report(ghz, bells, batches, mc_samples=200, mc_seed=1)
+        assert report.ratio is not None
+        want, rejected = scalar_reference(bells, batches, 200, 1)
+        assert report.uncertainties == want
+        if rounds == 10:
+            # batches resampled to zero total, and resamples whose pairwise
+            # rate vanishes, are rejected per statistic
+            assert all(n > 0 for n in rejected.values())
+            assert rejected["ratio"] > rejected["akr_2"] > rejected["qber"]
 
     def test_mc_disabled(self):
         ghz, bells, batches = ideal_batches()

@@ -90,6 +90,56 @@ class TestRunConfig:
             RunConfig(graph="g", protocol="teleport")
 
 
+ROLES = ["--alice", "1", "--bobs", "2,5,6"]
+
+# (argv, documented exit code); {name} stands for a file of cli_inputs
+EXIT_CODE_TABLE = [
+    (["extract", "--graph", "{graph}", *ROLES], 0),
+    (["orbit", "--graph", "{bad_graph}"], EXIT_PARSE),
+    (["orbit", "--graph", "{missing}"], EXIT_PARSE),
+    (["extract", "--graph", "{zero_graph}", *ROLES], EXIT_PARSE),
+    (["extract", "--graph", "{graph}", "--alice", "1", "--bobs", "2,x"], EXIT_PARSE),
+    (["extract", "--graph", "{graph}", "--alice", "1", "--bobs", "1,2"], EXIT_PARSE),
+    (["extract", "--graph", "{graph}", "--alice", "9", "--bobs", "2,5,6"], EXIT_PARSE),
+    (["extract", "--graph", "{graph}"], EXIT_PARSE),
+    (["extract", *ROLES], EXIT_PARSE),
+    (["extract", "--config", "{unknown_key_config}"], EXIT_PARSE),
+    (["extract", "--config", "{bad_json_config}"], EXIT_PARSE),
+    (["simulate", "--graph", "{graph}", *ROLES, "--seed", "1", "--rounds", "0"],
+     EXIT_PARSE),
+    (["simulate", "--graph", "{graph}", *ROLES], EXIT_PARSE),
+    (["simulate", "--config", "{bad_noise_config}"], EXIT_PARSE),
+    (["extract", "--graph", "{disconnected}", "--alice", "1", "--bobs", "3"],
+     EXIT_NO_PLAN),
+    (["analyze", "--graph", "{graph}", *ROLES], EXIT_MISSING_SETTING),
+    (["extract", "--graph", "{graph30}", *ROLES], EXIT_CAP),
+    (["orbit", "--graph", "{graph}", "--cap", "4"], EXIT_CAP),
+]
+
+
+@pytest.fixture
+def cli_inputs(tmp_path, graph_file):
+    texts = {
+        "bad_graph": "x\n",
+        "zero_graph": "0\n",
+        "disconnected": "4\n1 2\n3 4\n",
+        "graph30": "30\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 30)),
+        "unknown_key_config": json.dumps({"graph": str(graph_file), "alice": 1,
+                                          "bobs": [2, 5, 6], "bogus": 1}),
+        "bad_json_config": "{\"graph\": ",
+        "bad_noise_config": json.dumps({"graph": str(graph_file), "alice": 1,
+                                        "bobs": [2, 5, 6], "seed": 1,
+                                        "out": str(tmp_path / "out"),
+                                        "noise": {"white_noise": 2.0}}),
+    }
+    paths = {"graph": str(graph_file), "missing": str(tmp_path / "absent.txt")}
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
 def run_pipeline(tmp_path, graph_file, seed=42, rounds=4000):
     out = tmp_path / "out"
     base = ["--graph", str(graph_file), "--alice", "1", "--bobs", "2,5,6",
@@ -171,6 +221,20 @@ class TestCommands:
         victim = out / "nqkd_type1.counts"
         victim.write_text(victim.read_text().replace("ZZXXZZ", "XXXXXX"))
         assert main(["analyze", *base]) == EXIT_MISSING_SETTING
+
+    @pytest.mark.parametrize("argv, code", EXIT_CODE_TABLE,
+                             ids=[" ".join(argv) for argv, _ in EXIT_CODE_TABLE])
+    def test_exit_code_table(self, argv, code, cli_inputs, tmp_path, capsys):
+        argv = [a.format(**cli_inputs) for a in argv]
+        if argv[0] != "orbit" and "--config" not in argv:
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            # one line, no traceback
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_sweep_outputs(self, tmp_path, graph_file):
         out = tmp_path / "sweep"

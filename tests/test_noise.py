@@ -1,8 +1,14 @@
 """Noise channels, pump sweeps, Monte Carlo resampling, and calibration."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import graphqcka
 from graphqcka import networks
 from graphqcka.graphstate import SizeCapError, build_graph_state, to_dense
 from graphqcka.keyrates import RoundBatch, analytic_estimates, pairwise_error
@@ -195,6 +201,24 @@ class TestCalibration:
         with pytest.raises(ValueError, match="Q_X of 'bell1' and Q_X of 'nqkd'"):
             calibrate_to_targets(plans, {"nqkd": (0.03, 0.03),
                                          "bell1": (0.10, 0.10)})
+
+    def test_optimizer_imported_only_to_calibrate(self):
+        code = (
+            "import sys\n"
+            "import graphqcka.cli\n"
+            "assert 'scipy.optimize' not in sys.modules, 'loaded by graphqcka.cli'\n"
+            "from graphqcka import networks\n"
+            "from graphqcka.noise import calibrate_to_targets\n"
+            "res = calibrate_to_targets({'bell': networks.bell_bridge_plan()},\n"
+            "                           {'bell': (0.05, 0.05)}, noisy_vertices=(1,),\n"
+            "                           channels=('depolarizing',))\n"
+            "assert res.converged\n")
+        src = str(Path(graphqcka.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_validation(self):
         with pytest.raises(ValueError):
