@@ -60,6 +60,11 @@ def _extract_plans(cfg: RunConfig):
     if outside:
         raise ParseError(f"participants {outside} are not vertices 1..{graph.n} "
                          f"of {cfg.graph}")
+    stray = sorted(v + 1 for v in cfg.noise_model().keyed_vertices()
+                   if v not in graph.vertices)
+    if stray:
+        raise ParseError(f"noise on vertices {stray} outside vertices 1..{graph.n} "
+                         f"of {cfg.graph}")
     prep = _preparation_frame(graph)
     plans = {}
     if cfg.protocol in ("nqkd", "both"):

@@ -12,21 +12,20 @@ refer to a vertex remain valid after other vertices are measured out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .pauli import (
     IDENTITY,
-    HADAMARD,
     LocalClifford,
     PAULI_GATES,
     PAULI_MATRICES,
     SQRT_IZ,
     SQRT_MINUS_IX,
-    SignedPauli,
     compose,
+    pauli_layer,
 )
 
 MAX_VERTICES = 24
@@ -157,29 +156,20 @@ class MeasurementRecord:
 
 @dataclass(frozen=True)
 class GraphState:
-    """Graph + local Clifford frame; optionally tracks the global phase densely."""
+    """Graph + local Clifford frame; the state is defined up to global phase."""
 
     graph: Graph
     frame: Mapping[int, LocalClifford]
-    phase_tracked: bool = False
-    global_phase: complex = 1.0 + 0j
 
     def __post_init__(self):
         if set(self.frame) != set(self.graph.vertices):
             raise ValueError("frame must have exactly one entry per vertex")
 
-    def with_frame(self, updates: Mapping[int, LocalClifford], phase: complex | None = None) -> "GraphState":
-        frame = dict(self.frame)
-        frame.update(updates)
-        return GraphState(self.graph, frame, self.phase_tracked,
-                          phase if phase is not None else self.global_phase)
 
-
-def build_graph_state(n: int, edges: Iterable[tuple[int, int]],
-                      phase_tracked: bool = False) -> GraphState:
+def build_graph_state(n: int, edges: Iterable[tuple[int, int]]) -> GraphState:
     """Identity-frame graph state of the given edge list (0-based labels)."""
     g = Graph.from_edges(n, edges)
-    return GraphState(g, {v: IDENTITY for v in g.vertices}, phase_tracked)
+    return GraphState(g, {v: IDENTITY for v in g.vertices})
 
 
 def _dense_graph_vector(graph: Graph) -> np.ndarray:
@@ -213,8 +203,6 @@ def to_dense(gs: GraphState) -> np.ndarray:
         c = gs.frame[v]
         if c != IDENTITY:
             vec = _apply_single_qubit(vec, n, i, c.matrix)
-    if gs.phase_tracked:
-        vec = gs.global_phase * vec
     return vec
 
 
@@ -241,7 +229,6 @@ def _canonical_frame(graph: Graph, frame: dict[int, LocalClifford]) -> dict[int,
     gauge with no X/Y Pauli component is chosen, which makes repeated local
     complementation an exact involution on the frame.
     """
-    from .pauli import pauli_layer
     x_support = [w for w in graph.vertices if pauli_layer(frame[w])[1] in ("X", "Y")]
     if not x_support:
         return frame
@@ -251,18 +238,6 @@ def _canonical_frame(graph: Graph, frame: dict[int, LocalClifford]) -> dict[int,
         for nb in graph.neighbors(w):
             frame[nb] = compose(frame[nb], PAULI_GATES["Z"])
     return frame
-
-
-def _phase_corrected(gs_old: GraphState, gs_new: GraphState) -> GraphState:
-    """Adjust gs_new's global phase so its dense form matches gs_old exactly."""
-    if gs_old.graph.n > DENSE_CAP:
-        raise SizeCapError("phase tracking requires the dense oracle (n <= 12)")
-    old = to_dense(gs_old)
-    new = to_dense(gs_new)
-    ov = np.vdot(new, old)
-    if abs(abs(ov) - 1) > 1e-9:
-        raise AssertionError("states differ by more than a phase")
-    return gs_new.with_frame({}, phase=gs_new.global_phase * ov / abs(ov))
 
 
 def local_complement(gs: GraphState, v: int) -> GraphState:
@@ -275,11 +250,7 @@ def local_complement(gs: GraphState, v: int) -> GraphState:
     frame[v] = compose(frame[v], SQRT_MINUS_IX.inverse())
     for n in nbrs:
         frame[n] = compose(frame[n], SQRT_IZ.inverse())
-    frame = _canonical_frame(new_graph, frame)
-    out = GraphState(new_graph, frame, gs.phase_tracked, gs.global_phase)
-    if gs.phase_tracked:
-        out = _phase_corrected(gs, out)
-    return out
+    return GraphState(new_graph, _canonical_frame(new_graph, frame))
 
 
 def measure_vertex(gs: GraphState, basis: str, v: int, outcome: int) -> tuple[GraphState, MeasurementRecord]:
@@ -313,9 +284,8 @@ def measure_vertex(gs: GraphState, basis: str, v: int, outcome: int) -> tuple[Gr
                         f"measurement on isolated vertex {v}")
                 graph = work.graph.delete_vertex(v)
                 frame = _canonical_frame(graph, {u: work.frame[u] for u in graph.vertices})
-                out = GraphState(graph, frame, gs.phase_tracked, work.global_phase)
-                rec = MeasurementRecord(v, basis, outcome, {}, 1.0)
-                return _finish(gs, out, rec, outcome)
+                return (GraphState(graph, frame),
+                        MeasurementRecord(v, basis, outcome, {}, 1.0))
             work = local_complement(work, min(nbrs))
 
     graph_bit = outcome ^ (sign == -1)
@@ -326,22 +296,8 @@ def measure_vertex(gs: GraphState, basis: str, v: int, outcome: int) -> tuple[Gr
         for n in work.graph.neighbors(v):
             frame[n] = compose(frame[n], PAULI_GATES["Z"])
             byproduct[n] = "Z"
-    frame = _canonical_frame(graph, frame)
-    out = GraphState(graph, frame, gs.phase_tracked, work.global_phase)
-    rec = MeasurementRecord(v, basis, outcome, byproduct, 0.5)
-    return _finish(gs, out, rec, outcome)
-
-
-def _finish(gs_in: GraphState, out: GraphState, rec: MeasurementRecord, outcome: int):
-    if gs_in.phase_tracked:
-        if gs_in.graph.n > DENSE_CAP:
-            raise SizeCapError("phase tracking requires the dense oracle")
-        projected = project_dense(to_dense(gs_in), gs_in.graph.vertices,
-                                  {rec.vertex: (rec.basis, outcome)})
-        new = to_dense(out)
-        ov = np.vdot(new, projected)
-        out = out.with_frame({}, phase=out.global_phase * ov / abs(ov))
-    return out, rec
+    return (GraphState(graph, _canonical_frame(graph, frame)),
+            MeasurementRecord(v, basis, outcome, byproduct, 0.5))
 
 
 def project_dense(vec: np.ndarray, vertices: tuple[int, ...],
@@ -365,14 +321,12 @@ def project_dense(vec: np.ndarray, vertices: tuple[int, ...],
     return flat / norm
 
 
-def states_equal(gs1: GraphState, gs2: GraphState, up_to_global_phase: bool = True,
-                 tol: float = 1e-10) -> bool:
-    """Dense-oracle equality of two graph states on the same vertex set."""
+def states_equal(gs1: GraphState, gs2: GraphState, tol: float = 1e-10) -> bool:
+    """Dense-oracle equality, up to global phase, of two graph states on the
+    same vertex set."""
     if gs1.graph.vertices != gs2.graph.vertices:
         return False
     if gs1.graph.n > DENSE_CAP:
         raise SizeCapError(f"states_equal capped at {DENSE_CAP} qubits")
     ov = np.vdot(to_dense(gs1), to_dense(gs2))
-    if up_to_global_phase or not (gs1.phase_tracked and gs2.phase_tracked):
-        return bool(abs(abs(ov) ** 2 - 1) <= tol)
-    return bool(abs(ov - 1) <= tol)
+    return bool(abs(abs(ov) ** 2 - 1) <= tol)

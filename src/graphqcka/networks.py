@@ -10,11 +10,9 @@ which the extraction plans absorb into their measurement settings.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from .graphstate import Graph, GraphState, _apply_single_qubit, to_dense
+from .graphstate import Graph, GraphState, _apply_single_qubit
 from .pauli import LocalClifford, from_name
 from .routing import ExtractionPlan, realize_plan
 

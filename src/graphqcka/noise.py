@@ -83,6 +83,11 @@ class NoiseModel:
         if not 0.0 <= self.white_noise <= 1.0:
             raise ValueError("white_noise must be in [0, 1]")
 
+    def keyed_vertices(self) -> set[int]:
+        """Vertices that a per-qubit channel names."""
+        return {v for params in (self.depolarizing, self.dephasing, self.bit_flip)
+                for v in params}
+
     def white_noise_at_power(self, power_mw: float) -> float:
         kp = self.pump_contamination_coefficient * power_mw
         return kp / (1.0 + kp)
@@ -108,11 +113,15 @@ def apply_noise(state: np.ndarray, vertices: Sequence[int],
     Channel order: per-qubit depolarizing, per-qubit dephasing, then global
     white noise.  All channels here commute pairwise on the Pauli-diagonal
     level, so the order is a convention rather than a physical claim.
+    Raises ValueError if the model puts noise on a vertex not in vertices.
     """
     vertices = tuple(vertices)
     n = len(vertices)
     if n > DENSITY_CAP:
         raise SizeCapError(f"density operations capped at {DENSITY_CAP} qubits")
+    stray = sorted(model.keyed_vertices() - set(vertices))
+    if stray:
+        raise ValueError(f"noise on vertices {stray} that the state does not have")
     if state.ndim == 1:
         rho = np.outer(state, state.conj())
     else:

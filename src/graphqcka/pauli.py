@@ -9,7 +9,6 @@ dense oracle has a deterministic unitary for each frame entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 

@@ -1,15 +1,19 @@
-"""Search the LC orbit of a network graph for GHZ / Bell-pair extraction plans.
+"""Search a network graph for GHZ / Bell-pair extraction plans.
 
-A plan is a sequence of (virtual) local complementations applied to the
-network graph followed by single-qubit measurements on non-participating
-vertices.  Because the complementations are never physically applied, every
-plan compiles down to per-vertex measurement settings on the original
-network state, plus outcome-conditioned Pauli corrections.
+A plan measures every non-participating vertex in a Pauli basis and leaves
+the participants in the target resource up to outcome-conditioned Pauli
+corrections.  It compiles down to per-vertex measurement settings on the
+network state.
 
-The search is brute force over orbit members and basis assignments; turning
-a graph state into a specific GHZ state or set of Bell pairs by local
-operations is NP-complete in general, so exhaustive search behind small
-caps is the honest strategy.
+The search tries the 3^k Pauli bases of the k nonparticipants, fewest
+non-Z letters first, and is complete over plans of this kind.  A local
+complementation leaves the physical state unchanged and only relabels the
+Pauli basis each vertex is measured in, so a plan that first complements
+the graph still measures the same state in one of the same 3^k physical
+bases (Bouchet's vertex-minor lemma, as used by Dahlberg, Helsen and
+Wehner, arXiv:1805.05306).  Turning a graph state into a specific GHZ state
+or set of Bell pairs by local operations is NP-complete in general, so the
+exhaustive search stays behind small caps.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -26,9 +30,8 @@ import numpy as np
 from .graphstate import (
     Graph,
     GraphState,
-    MeasurementRecord,
     SizeCapError,
-    build_graph_state,
+    _apply_single_qubit,
     local_complement,
     measure_vertex,
     project_dense,
@@ -37,6 +40,7 @@ from .graphstate import (
 from .pauli import (
     HADAMARD,
     IDENTITY,
+    PAULI_GATES,
     LocalClifford,
     compose,
     from_name,
@@ -65,10 +69,11 @@ class RoundSetting:
 class ExtractionPlan:
     """A verified recipe turning the network graph state into a target resource.
 
-    The local complementations are virtual: together with the preparation
-    frame of the network state they are folded into the physical measurement
-    bases.  nonparticipant_bases holds the compiled physical letters; the
-    logical (graph-rule) bases chosen by the plan are kept alongside.
+    nonparticipant_bases holds the compiled physical letters; the logical
+    (graph-rule) bases chosen by the plan are kept alongside.  Searched plans
+    have lc_sequence == (); only explicit routes (e.g. networks.ghz_plan)
+    set it.  Those complementations are virtual: together with the
+    preparation frame they are folded into the physical bases.
     """
 
     graph: Graph
@@ -96,31 +101,23 @@ class NoPlanFoundError(ValueError):
 # orbit enumeration
 
 
-def _lc_orbit_paths(g: Graph) -> dict[Graph, tuple[int, ...]]:
-    """BFS closure of the labelled graph under local complementation.
-
-    Returns each orbit member with its shortest (lexicographically least
-    among shortest) complementation sequence from g.
-    """
+def lc_orbit(g: Graph) -> set[Graph]:
+    """All labelled graphs reachable from g by local complementations."""
     if g.n > ORBIT_CAP:
         raise SizeCapError(f"orbit enumeration capped at {ORBIT_CAP} vertices")
-    paths: dict[Graph, tuple[int, ...]] = {g: ()}
+    # The `orbit` command prints the set in iteration order, which depends on
+    # how the set is filled; filling it in one step from the BFS order keeps
+    # that listing fixed.
+    seen = {g: None}
     queue = deque([g])
     while queue:
         cur = queue.popleft()
         for v in cur.vertices:
-            if not cur.neighbors(v):
-                continue  # no-op complementation
             nxt = cur.toggle_neighborhood(v)
-            if nxt not in paths:
-                paths[nxt] = paths[cur] + (v,)
+            if nxt not in seen:
+                seen[nxt] = None
                 queue.append(nxt)
-    return paths
-
-
-def lc_orbit(g: Graph) -> set[Graph]:
-    """All labelled graphs reachable from g by local complementations."""
-    return set(_lc_orbit_paths(g))
+    return set(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -130,30 +127,19 @@ def lc_orbit(g: Graph) -> set[Graph]:
 def _star_reduction(residual: Graph) -> tuple[tuple[int, ...], int] | None:
     """LC sequence turning the residual graph into a star, plus the center.
 
-    Returns None if the residual is not LC-equivalent to a star (i.e. the
-    post-measurement state is not GHZ-type).
+    The labelled LC orbit of a star on n >= 3 vertices is the n stars and
+    the complete graph, which complementing at v turns into the star
+    centred at v; a single vertex or an edge is its own star.  Returns None
+    for any other graph (the post-measurement state is not GHZ-type).
     """
-    if len(residual.vertices) == 1:
-        return (), residual.vertices[0]
-    best = None
-    for member, path in _lc_orbit_paths(residual).items():
-        degs = {v: len(member.neighbors(v)) for v in member.vertices}
-        n = member.n
-        centers = [v for v, d in degs.items() if d == n - 1]
-        leaves_ok = sum(1 for d in degs.values() if d == 1) == n - 1
-        if n == 2:
-            if degs[member.vertices[0]] == 1:
-                cand = (path, member.vertices[0])
-            else:
-                continue
-        elif centers and leaves_ok:
-            cand = (path, centers[0])
-        else:
-            continue
-        key = (len(cand[0]), cand[0], cand[1])
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1] if best else None
+    verts = residual.vertices
+    n = len(verts)
+    degrees = [mask.bit_count() for mask in residual.adj]
+    if sorted(degrees) == [1] * (n - 1) + [n - 1]:
+        return (), verts[degrees.index(n - 1)]
+    if degrees == [n - 1] * n:
+        return (verts[0],), verts[0]
+    return None
 
 
 def _measure_branch(gs: GraphState, logical_bases: Mapping[int, str],
@@ -182,17 +168,14 @@ def _measure_branch(gs: GraphState, logical_bases: Mapping[int, str],
 
 
 def _logical_target_vector(plan_kind: str, targets: tuple[int, ...],
-                           pairs: tuple[tuple[int, int], ...], center: int | None) -> np.ndarray:
+                           pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Dense logical resource: N-GHZ over targets, or a tensor of Bell pairs."""
     n = len(targets)
-    vec = np.zeros(1 << n, dtype=complex)
     if plan_kind == "ghz":
+        vec = np.zeros(1 << n, dtype=complex)
         vec[0] = vec[-1] = 1 / np.sqrt(2)
         return vec
-    vec = np.array([1.0], dtype=complex)
     pos = {v: i for i, v in enumerate(targets)}
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1 / np.sqrt(2)
     full = np.zeros(1 << n, dtype=complex)
     for idx in range(1 << n):
         amp = 1.0
@@ -212,8 +195,10 @@ def realize_plan(graph: Graph, kind: str, participants: Iterable[int],
     """Build the full plan (frames, byproduct table) for a candidate recipe.
 
     logical_bases gives the graph-rule basis per nonparticipant; the compiled
-    physical letters are derived from the frames.  Returns None when the
-    recipe does not produce the requested resource.
+    physical letters are derived from the frames.  The search passes an
+    empty lc_sequence; a nonempty one gives an explicit route, measured after
+    those virtual complementations.  Returns None when the recipe does not
+    produce the requested resource.
     """
     targets = tuple(sorted(participants))
     pairs = tuple(tuple(sorted(p)) for p in pairs)
@@ -306,7 +291,7 @@ def verify_plan_dense(plan: ExtractionPlan,
         raise SizeCapError("dense plan verification capped")
     network = to_dense(GraphState(graph, dict(plan.preparation_frame)))
     nonparts = plan.nonparticipants
-    target_vec = _logical_target_vector(plan.kind, plan.targets, plan.pairs, None)
+    target_vec = _logical_target_vector(plan.kind, plan.targets, plan.pairs)
     n_t = len(plan.targets)
     for combo, rule in plan.byproduct_rule.items():
         settings = {v: (plan.nonparticipant_bases[v], bit)
@@ -317,9 +302,7 @@ def verify_plan_dense(plan: ExtractionPlan,
             continue  # probability-0 branch
         expect = target_vec
         for i, u in enumerate(plan.targets):
-            from .pauli import PAULI_GATES
             e = compose(plan.participant_frame[u], PAULI_GATES[rule[u]])
-            from .graphstate import _apply_single_qubit
             expect = _apply_single_qubit(expect, n_t, i, e.matrix)
         fid = abs(np.vdot(proj, expect)) ** 2
         if abs(fid - 1) > tol:
@@ -334,28 +317,29 @@ def verify_plan_dense(plan: ExtractionPlan,
 def _search_plans(g: Graph, kind: str, participants: frozenset[int],
                   pairs: tuple[tuple[int, int], ...] = (),
                   preparation_frame: Mapping[int, LocalClifford] | None = None):
+    """First plan over the 3^k nonparticipant bases, fewest non-Z letters first."""
+    if g.n > ORBIT_CAP:
+        raise SizeCapError(f"plan search capped at {ORBIT_CAP} vertices, got {g.n}")
     nonparts = sorted(set(g.vertices) - participants)
     if len(nonparts) > NONPARTICIPANT_CAP:
         raise SizeCapError(
             f"search capped at {NONPARTICIPANT_CAP} nonparticipants, got {len(nonparts)}")
-    orbit = sorted(_lc_orbit_paths(g).items(), key=lambda kv: (len(kv[1]), kv[1]))
     basis_assignments = sorted(
         itertools.product("ZXY", repeat=len(nonparts)),
         key=lambda bs: (sum(b != "Z" for b in bs), bs))
-    for member, path in orbit:
-        for bases in basis_assignments:
-            plan = realize_plan(
-                g, kind, participants, path, dict(zip(nonparts, bases)), pairs,
-                verify=True, preparation_frame=preparation_frame)
-            if plan is not None:
-                return plan
+    for bases in basis_assignments:
+        plan = realize_plan(
+            g, kind, participants, (), dict(zip(nonparts, bases)), pairs,
+            verify=True, preparation_frame=preparation_frame)
+        if plan is not None:
+            return plan
     return None
 
 
 def find_ghz_plan(g: Graph, targets: Iterable[int],
                   preparation_frame: Mapping[int, LocalClifford] | None = None,
                   ) -> ExtractionPlan | None:
-    """Shortest-LC plan extracting a GHZ state over the target vertices."""
+    """Plan extracting a GHZ state over the target vertices, or None."""
     targets = frozenset(targets)
     if not targets <= set(g.vertices):
         raise ValueError("targets must be vertices of the graph")

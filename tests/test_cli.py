@@ -109,10 +109,14 @@ EXIT_CODE_TABLE = [
      EXIT_PARSE),
     (["simulate", "--graph", "{graph}", *ROLES], EXIT_PARSE),
     (["simulate", "--config", "{bad_noise_config}"], EXIT_PARSE),
+    (["simulate", "--config", "{stray_noise_config}"], EXIT_PARSE),
     (["extract", "--graph", "{disconnected}", "--alice", "1", "--bobs", "3"],
      EXIT_NO_PLAN),
     (["analyze", "--graph", "{graph}", *ROLES], EXIT_MISSING_SETTING),
     (["extract", "--graph", "{graph30}", *ROLES], EXIT_CAP),
+    # 13 vertices, 6 nonparticipants: over the search's vertex cap only
+    (["extract", "--graph", "{path13}", "--protocol", "nqkd", "--alice", "1",
+      "--bobs", "2,3,4,5,6,7"], EXIT_CAP),
     (["orbit", "--graph", "{graph}", "--cap", "4"], EXIT_CAP),
 ]
 
@@ -124,6 +128,7 @@ def cli_inputs(tmp_path, graph_file):
         "zero_graph": "0\n",
         "disconnected": "4\n1 2\n3 4\n",
         "graph30": "30\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 30)),
+        "path13": "13\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 13)),
         "unknown_key_config": json.dumps({"graph": str(graph_file), "alice": 1,
                                           "bobs": [2, 5, 6], "bogus": 1}),
         "bad_json_config": "{\"graph\": ",
@@ -131,6 +136,10 @@ def cli_inputs(tmp_path, graph_file):
                                         "bobs": [2, 5, 6], "seed": 1,
                                         "out": str(tmp_path / "out"),
                                         "noise": {"white_noise": 2.0}}),
+        "stray_noise_config": json.dumps({"graph": str(graph_file), "alice": 1,
+                                          "bobs": [2, 5, 6], "seed": 1,
+                                          "out": str(tmp_path / "out"),
+                                          "noise": {"depolarizing": {"9": 0.5}}}),
     }
     paths = {"graph": str(graph_file), "missing": str(tmp_path / "absent.txt")}
     for name, text in texts.items():

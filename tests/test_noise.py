@@ -56,6 +56,11 @@ class TestApplyNoise:
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(rho, rho.conj().T, atol=1e-12)
 
+    def test_rejects_noise_on_missing_vertex(self):
+        with pytest.raises(ValueError, match=r"\[2, 9\]"):
+            apply_noise(bell_vector(), (0, 1),
+                        NoiseModel(depolarizing={9: 0.5}, bit_flip={0: 0.1, 2: 0.1}))
+
     def test_bell_depolarizing_zz(self):
         lam = 0.2
         rho = apply_noise(bell_vector(), (0, 1),

@@ -1,10 +1,14 @@
 """Extraction-plan search, compilation, and accounting tests."""
 
+import itertools
+import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
-from graphqcka import networks
+from conftest import all_graphs, random_frame
+from graphqcka import networks, routing
 from graphqcka.graphstate import Graph, SizeCapError
 from graphqcka.routing import (byproduct_correction, circuit_success_probability,
                                compile_round_settings, find_bell_multicast_plan,
@@ -107,6 +111,121 @@ class TestBellPlans:
             assert plan is not None
             assert plan.copies_required == 1
             assert verify_plan_dense(plan)
+
+
+def _orbit_paths(g):
+    """Each LC-orbit member of g with its shortest, then lexicographically
+    least, complementation sequence from g (breadth-first)."""
+    paths = {g: ()}
+    queue = deque([g])
+    while queue:
+        cur = queue.popleft()
+        for v in cur.vertices:
+            if cur.neighbors(v):
+                nxt = cur.toggle_neighborhood(v)
+                if nxt not in paths:
+                    paths[nxt] = paths[cur] + (v,)
+                    queue.append(nxt)
+    return paths
+
+
+def _orbit_star_reduction(residual):
+    """Star test by orbit search: the shortest path to a star, least center."""
+    if residual.n == 1:
+        return (), residual.vertices[0]
+    best = None
+    for member, path in _orbit_paths(residual).items():
+        degs = {v: len(member.neighbors(v)) for v in member.vertices}
+        centers = [v for v, d in degs.items() if d == member.n - 1]
+        leaves = sum(d == 1 for d in degs.values())
+        if member.n == 2 and degs[member.vertices[0]] == 1:
+            key = (len(path), path, member.vertices[0])
+        elif member.n > 2 and centers and leaves == member.n - 1:
+            key = (len(path), path, centers[0])
+        else:
+            continue
+        best = key if best is None else min(best, key)
+    return None if best is None else best[1:]
+
+
+def _orbit_search(g, kind, participants, pairs=(), prep=None):
+    """Plan search over every LC-orbit member times the 3^k logical bases,
+    shortest complementation sequence first."""
+    nonparts = sorted(set(g.vertices) - set(participants))
+    assignments = sorted(itertools.product("ZXY", repeat=len(nonparts)),
+                         key=lambda bs: (sum(b != "Z" for b in bs), bs))
+    for path in sorted(_orbit_paths(g).values(), key=lambda p: (len(p), p)):
+        for bases in assignments:
+            plan = realize_plan(g, kind, participants, path,
+                                dict(zip(nonparts, bases)), pairs,
+                                preparation_frame=prep)
+            if plan is not None:
+                return plan
+    return None
+
+
+def _random_connected_graph(n, rng):
+    while True:
+        g = Graph.from_edges(n, [p for p in itertools.combinations(range(n), 2)
+                                 if rng.random() < 0.5])
+        if len(g.connected_components()) == 1:
+            return g
+
+
+class TestSearchCompleteness:
+    def test_star_test_matches_orbit_search(self):
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                assert routing._star_reduction(g) == _orbit_star_reduction(g), g
+
+    def test_basis_search_matches_orbit_search(self):
+        rng = random.Random(4)
+        outcomes = set()
+        for _ in range(150):
+            n = rng.randint(3, 5)
+            g = _random_connected_graph(n, rng)
+            prep = random_frame(g, rng)
+            if rng.random() < 0.5:
+                users = rng.sample(g.vertices, rng.randint(2, n - 1))
+                plan = find_ghz_plan(g, users, preparation_frame=prep)
+                want = _orbit_search(g, "ghz", users, prep=prep)
+            else:
+                users = rng.sample(g.vertices, 2 * rng.randint(1, n // 2))
+                pairs = [tuple(users[i:i + 2]) for i in range(0, len(users), 2)]
+                plan = find_bell_multicast_plan(g, pairs, preparation_frame=prep)
+                want = _orbit_search(g, "bell_multicast", users, pairs, prep)
+            assert plan == want
+            outcomes.add((g.n - len(users), plan is not None))
+        # (nonparticipants, found): searches that exhaust the orbit and
+        # searches that stop early, with one to three nonparticipants
+        assert {(1, False), (1, True), (2, True), (3, True)} <= outcomes
+
+    def test_explicit_routes_verify(self, monkeypatch):
+        star_reduction = routing._star_reduction
+        residuals = []
+
+        def recording(residual):
+            residuals.append(residual)
+            return star_reduction(residual)
+
+        monkeypatch.setattr(routing, "_star_reduction", recording)
+        rng = random.Random(5)
+        plans = 0
+        for _ in range(150):
+            n = rng.randint(3, 5)
+            g = _random_connected_graph(n, rng)
+            targets = rng.sample(g.vertices, rng.randint(3, n))
+            nonparts = sorted(set(g.vertices) - set(targets))
+            lcs = [rng.choice(g.vertices) for _ in range(rng.randint(0, 3))]
+            bases = {v: rng.choice("XYZ") for v in nonparts}
+            plan = realize_plan(g, "ghz", targets, lcs, bases, verify=False,
+                                preparation_frame=random_frame(g, rng))
+            if plan is not None:
+                plans += 1
+                assert verify_plan_dense(plan)
+        complete = [r for r in residuals if r.n >= 3 and all(
+            len(r.neighbors(v)) == r.n - 1 for v in r.vertices)]
+        assert plans >= 20 and complete
 
 
 class TestCompilation:
