@@ -15,14 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import build_report
-from .graphstate import GraphState, SizeCapError, to_dense
+from .graphstate import SizeCapError
 from .io import (ParseError, RunConfig, parse_counts, parse_graph,
                  report_to_json, sha256_file, write_counts)
 from .keyrates import simulate_protocol
+from .networks import photonic_preparation_frame
 from .noise import apply_noise, pump_sweep
-from .pauli import from_name
-from .routing import (NoPlanFoundError, find_bell_multicast_plan, find_ghz_plan,
-                      lc_orbit, plan_to_json)
+from .routing import (NoPlanFoundError, compile_round_settings, find_ghz_plan,
+                      find_pairwise_plan_set, lc_orbit, network_vector,
+                      plan_to_json)
 
 EXIT_PARSE = 2
 EXIT_NO_PLAN = 3
@@ -47,12 +48,6 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _preparation_frame(graph):
-    """Default photonic preparation frame: H on odd modes, Z on even (1-based)."""
-    h, z = from_name("H"), from_name("SS")
-    return {v: h if v % 2 == 0 else z for v in graph.vertices}
-
-
 def _extract_plans(cfg: RunConfig):
     graph = parse_graph(cfg.graph)
     parts = cfg.participants()
@@ -65,7 +60,7 @@ def _extract_plans(cfg: RunConfig):
     if stray:
         raise ParseError(f"noise on vertices {stray} outside vertices 1..{graph.n} "
                          f"of {cfg.graph}")
-    prep = _preparation_frame(graph)
+    prep = photonic_preparation_frame(graph.vertices)
     plans = {}
     if cfg.protocol in ("nqkd", "both"):
         plan = find_ghz_plan(graph, parts, preparation_frame=prep)
@@ -74,74 +69,18 @@ def _extract_plans(cfg: RunConfig):
                 f"no GHZ plan over vertices {sorted(p + 1 for p in parts)}")
         plans["nqkd"] = plan
     if cfg.protocol in ("2qkd", "both"):
-        alice = cfg.alice - 1
-        bobs = [b - 1 for b in cfg.bobs]
-        plans["2qkd"] = _pairwise_plan_set(graph, alice, bobs, prep)
+        plans["2qkd"] = find_pairwise_plan_set(
+            graph, cfg.alice - 1, [b - 1 for b in cfg.bobs], prep)
+        if plans["2qkd"] is None:
+            raise NoPlanFoundError(
+                f"no Bell multicast plans span users {sorted(p + 1 for p in parts)}")
     return graph, plans
 
 
-def _pairwise_plan_set(graph, alice, bobs, prep):
-    """Greedy cover of a spanning link set by multicast plans.
-
-    Tries to cast as many disjoint pairs as possible per copy: first the
-    star links (alice, bob) in label order, each time preferring the largest
-    simultaneously-castable set, then bridges between unlinked bobs.
-    """
-    from itertools import combinations
-
-    users = [alice] + sorted(bobs)
-    needed = [(min(alice, b), max(alice, b)) for b in sorted(bobs)]
-    plans = []
-    covered: set[tuple[int, int]] = set()
-    # connectivity via union-find over users
-    parent = {u: u for u in users}
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    def connected():
-        return len({find(u) for u in users}) == 1
-
-    candidate_links = needed + [
-        (a, b) for a, b in combinations(sorted(users), 2)
-        if (a, b) not in needed]
-    while not connected():
-        best = None
-        for size in range(len(users) // 2, 0, -1):
-            for combo in combinations(candidate_links, size):
-                flat = [v for p in combo for v in p]
-                if len(set(flat)) != len(flat):
-                    continue
-                if all(find(a) == find(b) for a, b in combo):
-                    continue
-                plan = find_bell_multicast_plan(graph, combo,
-                                                preparation_frame=prep)
-                if plan is None:
-                    continue
-                best = plan
-                break
-            if best:
-                break
-        if best is None:
-            raise NoPlanFoundError(
-                f"no Bell multicast plans span users {sorted(u + 1 for u in users)}")
-        plans.append(best)
-        for a, b in best.pairs:
-            covered.add((a, b))
-            parent[find(a)] = find(b)
-    return plans
-
-
 def cmd_orbit(args) -> int:
-    graph = parse_graph(args.graph)
-    if args.cap is not None and graph.n > args.cap:
-        raise SizeCapError(f"graph has {graph.n} vertices, above --cap {args.cap}")
-    members = lc_orbit(graph)
+    members = lc_orbit(parse_graph(args.graph))
     print(f"orbit of {args.graph}: {len(members)} members")
-    for g in members:
+    for g in sorted(members, key=lambda g: g.edges()):
         print("  " + "; ".join(f"{u + 1}-{v + 1}" for u, v in g.edges()))
     return 0
 
@@ -168,7 +107,7 @@ def _noisy_state(cfg: RunConfig, graph, plans):
     model = cfg.noise_model()
     any_plan = next(iter(plans.values()))
     any_plan = any_plan[0] if isinstance(any_plan, list) else any_plan
-    vec = to_dense(GraphState(graph, dict(any_plan.preparation_frame)))
+    vec = network_vector(any_plan)
     if (not model.depolarizing and not model.dephasing and not model.bit_flip
             and model.white_noise == 0.0):
         return vec
@@ -216,7 +155,6 @@ def cmd_analyze(args) -> int:
                       file=sys.stderr)
                 return EXIT_MISSING_SETTING
             batch = parse_counts(path)
-            from .routing import compile_round_settings
             want = compile_round_settings(plan, rt)
             got = batch.setting.basis_string(range(graph.n))
             if got != want.basis_string(graph.vertices):
@@ -242,11 +180,8 @@ def cmd_sweep(args) -> int:
     plan = plans.get("nqkd")
     if plan is None:
         plan = plans["2qkd"][0]
-    lo, hi, steps = cfg.sweep_powers
-    if steps < 3:
-        raise ParseError("sweep grid must have at least 3 points")
     model = cfg.noise_model()
-    result = pump_sweep(plan, model, np.linspace(lo, hi, int(steps)))
+    result = pump_sweep(plan, model, np.linspace(*cfg.sweep_powers))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["p_mW,akr,rate_hz,keyrate_hz"]
@@ -280,7 +215,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit", help="enumerate the local-complementation orbit")
     p.add_argument("--graph", required=True)
-    p.add_argument("--cap", type=int)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("extract", help="search extraction plans for the roles")

@@ -326,7 +326,5 @@ def states_equal(gs1: GraphState, gs2: GraphState, tol: float = 1e-10) -> bool:
     same vertex set."""
     if gs1.graph.vertices != gs2.graph.vertices:
         return False
-    if gs1.graph.n > DENSE_CAP:
-        raise SizeCapError(f"states_equal capped at {DENSE_CAP} qubits")
     ov = np.vdot(to_dense(gs1), to_dense(gs2))
     return bool(abs(abs(ov) ** 2 - 1) <= tol)

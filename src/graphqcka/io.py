@@ -172,8 +172,12 @@ class RunConfig:
             (all(_is_int(v) for v in (*self.bobs, self.alice)
                  if v is not None), "alice and bobs must be integer labels"),
             (len(self.sweep_powers) == 3
-             and all(_is_real(v) for v in self.sweep_powers),
-             "sweep_powers must be [low_mw, high_mw, points]"),
+             and all(_is_real(v) for v in self.sweep_powers)
+             and 0 <= self.sweep_powers[0] <= self.sweep_powers[1]
+             and _is_int(self.sweep_powers[2]) and self.sweep_powers[2] >= 3,
+             "sweep_powers must be [low_mw, high_mw, points] with "
+             "0 <= low_mw <= high_mw and at least 3 integer points, "
+             f"got {list(self.sweep_powers)}"),
             (_is_int(self.rounds) and self.rounds >= 1,
              f"rounds must be a positive integer, got {self.rounds!r}"),
             (_is_real(self.type2_fraction) and 0.0 < self.type2_fraction < 1.0,

@@ -14,15 +14,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graphstate import GraphState, to_dense, _apply_single_qubit
-from .routing import ExtractionPlan, RoundSetting, byproduct_correction, compile_round_settings
+from .graphstate import _BASIS_STATES, _apply_single_qubit
+from .routing import (ExtractionPlan, RoundSetting, byproduct_correction,
+                      compile_round_settings, network_vector)
 
+# maps basis eigenstates onto computational bits: row b = <e_b|
 _BASIS_ROTATIONS = {
-    # maps basis eigenstates onto computational bits: row b = <e_b|
-    "Z": np.eye(2, dtype=complex),
-    "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / np.sqrt(2),
-}
+    letter: np.array([_BASIS_STATES[(letter, bit)].conj() for bit in (0, 1)])
+    for letter in "ZXY"}
 
 
 @dataclass(frozen=True)
@@ -245,10 +244,6 @@ def xor_combine(keys: Sequence[str], links: Sequence[tuple[int, int]],
 # outcome distributions and simulation
 
 
-def _network_state(plan: ExtractionPlan) -> np.ndarray:
-    return to_dense(GraphState(plan.graph, dict(plan.preparation_frame)))
-
-
 def outcome_distribution(plan: ExtractionPlan, round_type: str,
                          state: np.ndarray | None = None) -> dict[str, float]:
     """Exact distribution of byproduct-corrected participant outcome strings.
@@ -258,7 +253,7 @@ def outcome_distribution(plan: ExtractionPlan, round_type: str,
     """
     setting = compile_round_settings(plan, round_type)
     if state is None:
-        state = _network_state(plan)
+        state = network_vector(plan)
     verts = plan.graph.vertices
     n = len(verts)
     if state.ndim == 1:

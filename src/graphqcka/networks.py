@@ -10,17 +10,18 @@ which the extraction plans absorb into their measurement settings.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from .graphstate import Graph, GraphState, _apply_single_qubit
-from .pauli import LocalClifford, from_name
-from .routing import ExtractionPlan, realize_plan
+from .pauli import PAULI_MATRICES, LocalClifford, _H, from_name
+from .routing import ExtractionPlan, find_bell_multicast_plan, realize_plan
 
 SIX_VERTEX_EDGES = ((0, 1), (1, 3), (2, 3), (3, 5), (4, 5))
 RING_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5))
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_Z = np.diag([1.0, -1.0]).astype(complex)
+_Z = PAULI_MATRICES["Z"]
 
 
 def six_vertex_graph() -> Graph:
@@ -28,15 +29,20 @@ def six_vertex_graph() -> Graph:
     return Graph.from_edges(6, SIX_VERTEX_EDGES)
 
 
-def six_vertex_preparation_frame() -> dict[int, LocalClifford]:
+def photonic_preparation_frame(vertices: Iterable[int]) -> dict[int, LocalClifford]:
     """Local rotation relating the photonic state to the bare graph state.
 
-    H on the odd-numbered modes 1,3,5 and Z on the even-numbered modes
-    2,4,6 (1-based); both gates are involutions, so the same frame converts
-    in either direction.
+    H on the odd-numbered modes 1,3,5,... and Z on the even-numbered modes
+    2,4,6,... (1-based); both gates are involutions, so the same frame
+    converts in either direction.
     """
     h, z = from_name("H"), from_name("SS")
-    return {v: h if v % 2 == 0 else z for v in range(6)}
+    return {v: h if v % 2 == 0 else z for v in vertices}
+
+
+def six_vertex_preparation_frame() -> dict[int, LocalClifford]:
+    """The photonic preparation frame of the six-vertex network."""
+    return photonic_preparation_frame(range(6))
 
 
 def six_vertex_network_state() -> GraphState:
@@ -61,14 +67,12 @@ def ghz_plan() -> ExtractionPlan:
 
 def bell_multicast_plan() -> ExtractionPlan:
     """Bell pairs (1,2) and (5,6) cast simultaneously from one network copy."""
-    from .routing import find_bell_multicast_plan
     return find_bell_multicast_plan(six_vertex_graph(), ((0, 1), (4, 5)),
                                     preparation_frame=six_vertex_preparation_frame())
 
 
 def bell_bridge_plan() -> ExtractionPlan:
     """The bridging Bell pair (2,5), consuming a second network copy."""
-    from .routing import find_bell_multicast_plan
     return find_bell_multicast_plan(six_vertex_graph(), ((1, 4),),
                                     preparation_frame=six_vertex_preparation_frame())
 

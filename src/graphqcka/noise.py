@@ -19,7 +19,7 @@ import numpy as np
 from .graphstate import SizeCapError
 from .keyrates import RoundBatch, _rotate_density, analytic_estimates, akr_n
 from .pauli import PAULI_MATRICES
-from .routing import ExtractionPlan
+from .routing import ExtractionPlan, network_vector
 
 DENSITY_CAP = 8
 
@@ -82,6 +82,9 @@ class NoiseModel:
                     raise ValueError(f"{name}[{v}] = {val} outside [0, 1]")
         if not 0.0 <= self.white_noise <= 1.0:
             raise ValueError("white_noise must be in [0, 1]")
+        if not (self.pump_rate_coefficient >= 0.0
+                and self.pump_contamination_coefficient >= 0.0):
+            raise ValueError("pump coefficients must be nonnegative")
 
     def keyed_vertices(self) -> set[int]:
         """Vertices that a per-qubit channel names."""
@@ -187,12 +190,10 @@ def pump_sweep(plan: ExtractionPlan, model: NoiseModel,
     The raw generation rate grows as p^3 while the white-noise weight w(p)
     degrades the AKR monotonically, so the product has an interior optimum.
     """
-    from .graphstate import GraphState, to_dense
-
     powers = np.asarray(list(powers), dtype=float)
     if powers.size < 3:
         raise ValueError("sweep needs at least three power samples")
-    vec = to_dense(GraphState(plan.graph, dict(plan.preparation_frame)))
+    vec = network_vector(plan)
     raw = model.raw_rate_at_power(powers)
     wn = np.array([model.white_noise_at_power(p) for p in powers])
     akrs = np.empty_like(powers)
@@ -326,8 +327,6 @@ def calibrate_to_targets(plans: Mapping[str, ExtractionPlan],
     # takes three times as long to import as graphqcka.cli with numpy
     from scipy.optimize import least_squares
 
-    from .graphstate import GraphState, to_dense
-
     if set(targets) - set(plans):
         raise ValueError("every target needs a matching plan")
     ref = next(iter(plans.values()))
@@ -338,7 +337,7 @@ def calibrate_to_targets(plans: Mapping[str, ExtractionPlan],
     if noisy_vertices is None:
         noisy_vertices = verts
     noisy_vertices = tuple(noisy_vertices)
-    vec = to_dense(GraphState(ref.graph, dict(ref.preparation_frame)))
+    vec = network_vector(ref)
 
     bad = set(channels) - {"depolarizing", "dephasing", "bit_flip"}
     if bad or not channels:

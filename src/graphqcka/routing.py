@@ -12,8 +12,17 @@ Pauli basis each vertex is measured in, so a plan that first complements
 the graph still measures the same state in one of the same 3^k physical
 bases (Bouchet's vertex-minor lemma, as used by Dahlberg, Helsen and
 Wehner, arXiv:1805.05306).  Turning a graph state into a specific GHZ state
-or set of Bell pairs by local operations is NP-complete in general, so the
-exhaustive search stays behind small caps.
+or set of Bell pairs by local operations is NP-complete in general
+(arXiv:1907.08019), so the exhaustive search stays behind small caps: at
+most DENSE_CAP vertices, so every plan it returns is checked against the
+dense oracle, and at most NONPARTICIPANT_CAP nonparticipants.
+
+The pairwise (2QKD) side needs Bell pairs that together link all users,
+cast from as few network copies as the greedy cover finds.  The cover makes
+one ordered scan over link sets, largest first, and takes every disjoint
+set that can be cast and that joins two components of the links taken so
+far.  Whether a set can be cast never changes, and a set inside the
+components stays inside them, so no set is searched twice.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graphstate import (
+    DENSE_CAP,
     Graph,
     GraphState,
     SizeCapError,
@@ -49,7 +59,6 @@ from .pauli import (
 )
 
 ORBIT_CAP = 12
-DENSE_VERIFY_CAP = 10
 NONPARTICIPANT_CAP = 6
 
 
@@ -105,19 +114,16 @@ def lc_orbit(g: Graph) -> set[Graph]:
     """All labelled graphs reachable from g by local complementations."""
     if g.n > ORBIT_CAP:
         raise SizeCapError(f"orbit enumeration capped at {ORBIT_CAP} vertices")
-    # The `orbit` command prints the set in iteration order, which depends on
-    # how the set is filled; filling it in one step from the BFS order keeps
-    # that listing fixed.
-    seen = {g: None}
+    seen = {g}
     queue = deque([g])
     while queue:
         cur = queue.popleft()
         for v in cur.vertices:
             nxt = cur.toggle_neighborhood(v)
             if nxt not in seen:
-                seen[nxt] = None
+                seen.add(nxt)
                 queue.append(nxt)
-    return set(seen)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +254,6 @@ def realize_plan(graph: Graph, kind: str, participants: Iterable[int],
     frame_ref = participant_frames(gs_ref)
 
     byproduct_rule: dict[tuple[int, ...], dict[int, str]] = {}
-    branch_frames: dict[tuple[int, ...], dict[int, LocalClifford]] = {}
     for combo in itertools.product((0, 1), repeat=len(nonparts)):
         branch = _measure_branch(gs, logical_bases, dict(zip(nonparts, combo)))
         if branch is None:
@@ -263,7 +268,6 @@ def realize_plan(graph: Graph, kind: str, participants: Iterable[int],
                 return None  # branches differ by more than a Pauli: not a valid plan
             rule[u] = letter
         byproduct_rule[combo] = rule
-        branch_frames[combo] = frames_b
 
     plan = ExtractionPlan(
         graph=graph, kind=kind, targets=targets, pairs=pairs,
@@ -274,22 +278,22 @@ def realize_plan(graph: Graph, kind: str, participants: Iterable[int],
         byproduct_rule=byproduct_rule,
         preparation_frame=prep,
     )
-    if verify and graph.n <= DENSE_VERIFY_CAP:
-        if not verify_plan_dense(plan, branch_frames):
-            return None
+    if verify and graph.n <= DENSE_CAP and not verify_plan_dense(plan):
+        return None
     return plan
 
 
-def verify_plan_dense(plan: ExtractionPlan,
-                      branch_frames: Mapping[tuple[int, ...], Mapping[int, LocalClifford]] | None = None,
-                      tol: float = 1e-10) -> bool:
+def network_vector(plan: ExtractionPlan) -> np.ndarray:
+    """Dense amplitudes of the plan's network state, preparation frame applied."""
+    return to_dense(GraphState(plan.graph, dict(plan.preparation_frame)))
+
+
+def verify_plan_dense(plan: ExtractionPlan, tol: float = 1e-10) -> bool:
     """Dense-oracle check: every nonparticipant outcome branch of the plan
     leaves the participants in the ideal resource state up to the recorded
-    frames and byproducts."""
+    frames and byproducts.  Raises SizeCapError above DENSE_CAP vertices."""
     graph = plan.graph
-    if graph.n > DENSE_VERIFY_CAP:
-        raise SizeCapError("dense plan verification capped")
-    network = to_dense(GraphState(graph, dict(plan.preparation_frame)))
+    network = network_vector(plan)
     nonparts = plan.nonparticipants
     target_vec = _logical_target_vector(plan.kind, plan.targets, plan.pairs)
     n_t = len(plan.targets)
@@ -318,8 +322,8 @@ def _search_plans(g: Graph, kind: str, participants: frozenset[int],
                   pairs: tuple[tuple[int, int], ...] = (),
                   preparation_frame: Mapping[int, LocalClifford] | None = None):
     """First plan over the 3^k nonparticipant bases, fewest non-Z letters first."""
-    if g.n > ORBIT_CAP:
-        raise SizeCapError(f"plan search capped at {ORBIT_CAP} vertices, got {g.n}")
+    if g.n > DENSE_CAP:
+        raise SizeCapError(f"plan search capped at {DENSE_CAP} vertices, got {g.n}")
     nonparts = sorted(set(g.vertices) - participants)
     if len(nonparts) > NONPARTICIPANT_CAP:
         raise SizeCapError(
@@ -360,6 +364,39 @@ def find_bell_multicast_plan(g: Graph, pairs: Iterable[tuple[int, int]],
         raise ValueError("pair vertices must belong to the graph")
     return _search_plans(g, "bell_multicast", participants, pairs,
                          preparation_frame=preparation_frame)
+
+
+def find_pairwise_plan_set(g: Graph, alice: int, bobs: Iterable[int],
+                           preparation_frame: Mapping[int, LocalClifford] | None = None,
+                           ) -> list[ExtractionPlan] | None:
+    """Bell multicast plans whose pairs link alice and every bob, or None.
+
+    One scan over the link sets, largest first, the star links (alice, bob)
+    before the bridges between bobs: each disjoint set that joins two
+    components of the links taken so far and has a plan is taken, one
+    network copy each, until the users are linked.
+    """
+    bobs = sorted(bobs)
+    users = [alice, *bobs]
+    if len(set(users)) != len(users) or not bobs:
+        raise ValueError("alice and at least one bob must be distinct vertices")
+    star = [tuple(sorted((alice, b))) for b in bobs]
+    links = star + [p for p in itertools.combinations(sorted(users), 2)
+                    if p not in star]
+    parent = {u: u for u in users}
+    plans = []
+    for size in range(len(users) // 2, 0, -1):
+        for combo in itertools.combinations(links, size):
+            flat = [v for pair in combo for v in pair]
+            if len(set(flat)) != len(flat) or all(
+                    _root(parent, a) == _root(parent, b) for a, b in combo):
+                continue
+            plan = find_bell_multicast_plan(g, combo, preparation_frame)
+            if plan is not None:
+                plans.append(plan)
+                if _join(parent, plan.pairs) == 1:
+                    return plans
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -417,23 +454,26 @@ def network_use_accounting(plans: Sequence[ExtractionPlan], protocol: str) -> in
     bell = [p for p in plans if p.kind == "bell_multicast"]
     if not bell:
         raise ValueError("2QKD needs Bell multicast plans")
-    participants = sorted({v for p in bell for v in p.targets})
-    links = [pair for p in bell for pair in p.pairs]
     # the pairwise keys must span the participant group
-    comp = {v: v for v in participants}
-
-    def find(v):
-        while comp[v] != v:
-            comp[v] = comp[comp[v]]
-            v = comp[v]
-        return v
-
-    for a, b in links:
-        comp[find(a)] = find(b)
-    roots = {find(v) for v in participants}
-    if len(links) < len(participants) - 1 or len(roots) != 1:
+    parent = {v: v for p in bell for v in p.targets}
+    if _join(parent, [pair for p in bell for pair in p.pairs]) != 1:
         raise ValueError("pairwise links do not span the participants")
     return sum(p.copies_required for p in bell)
+
+
+def _root(parent: dict[int, int], v: int) -> int:
+    """Root of v in the union-find forest parent, halving the path."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def _join(parent: dict[int, int], pairs: Iterable[tuple[int, int]]) -> int:
+    """Union each pair in the forest parent; return its number of components."""
+    for a, b in pairs:
+        parent[_root(parent, a)] = _root(parent, b)
+    return len({_root(parent, v) for v in parent})
 
 
 def circuit_success_probability(gates: Sequence[str]) -> Fraction:

@@ -110,6 +110,9 @@ EXIT_CODE_TABLE = [
     (["simulate", "--graph", "{graph}", *ROLES], EXIT_PARSE),
     (["simulate", "--config", "{bad_noise_config}"], EXIT_PARSE),
     (["simulate", "--config", "{stray_noise_config}"], EXIT_PARSE),
+    (["sweep", "--config", "{negative_sweep_config}"], EXIT_PARSE),
+    (["sweep", "--config", "{fractional_sweep_config}"], EXIT_PARSE),
+    (["sweep", "--config", "{negative_pump_config}"], EXIT_PARSE),
     (["extract", "--graph", "{disconnected}", "--alice", "1", "--bobs", "3"],
      EXIT_NO_PLAN),
     (["analyze", "--graph", "{graph}", *ROLES], EXIT_MISSING_SETTING),
@@ -117,7 +120,7 @@ EXIT_CODE_TABLE = [
     # 13 vertices, 6 nonparticipants: over the search's vertex cap only
     (["extract", "--graph", "{path13}", "--protocol", "nqkd", "--alice", "1",
       "--bobs", "2,3,4,5,6,7"], EXIT_CAP),
-    (["orbit", "--graph", "{graph}", "--cap", "4"], EXIT_CAP),
+    (["orbit", "--graph", "{path13}"], EXIT_CAP),
 ]
 
 
@@ -141,6 +144,13 @@ def cli_inputs(tmp_path, graph_file):
                                           "out": str(tmp_path / "out"),
                                           "noise": {"depolarizing": {"9": 0.5}}}),
     }
+    for name, extra in (("negative_sweep_config", {"sweep_powers": [-5, 200, 10]}),
+                        ("fractional_sweep_config", {"sweep_powers": [5, 200, 3.5]}),
+                        ("negative_pump_config",
+                         {"noise": {"pump_contamination_coefficient": -1}})):
+        texts[name] = json.dumps({"graph": str(graph_file), "alice": 1,
+                                  "bobs": [2, 5, 6], "out": str(tmp_path / "out"),
+                                  **extra})
     paths = {"graph": str(graph_file), "missing": str(tmp_path / "absent.txt")}
     for name, text in texts.items():
         path = tmp_path / f"{name}.txt"
@@ -162,10 +172,11 @@ def run_pipeline(tmp_path, graph_file, seed=42, rounds=4000):
 class TestCommands:
     def test_orbit(self, graph_file, capsys):
         assert main(["orbit", "--graph", str(graph_file)]) == 0
-        assert "39 members" in capsys.readouterr().out
-
-    def test_orbit_cap(self, graph_file, capsys):
-        assert main(["orbit", "--graph", str(graph_file), "--cap", "4"]) == EXIT_CAP
+        head, *members = capsys.readouterr().out.splitlines()
+        assert "39 members" in head and len(members) == 39
+        edges = [[tuple(map(int, e.split("-"))) for e in line.split("; ")]
+                 for line in members]
+        assert edges == sorted(edges)
 
     def test_extract_writes_plans(self, tmp_path, graph_file):
         out = tmp_path / "plans"

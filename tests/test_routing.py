@@ -7,14 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_graphs, random_frame
+from conftest import all_graphs, random_frame, random_graph
 from graphqcka import networks, routing
 from graphqcka.graphstate import Graph, SizeCapError
 from graphqcka.routing import (byproduct_correction, circuit_success_probability,
                                compile_round_settings, find_bell_multicast_plan,
-                               find_ghz_plan, lc_orbit, network_use_accounting,
-                               plan_from_json, plan_to_json, realize_plan,
-                               verify_plan_dense)
+                               find_ghz_plan, find_pairwise_plan_set, lc_orbit,
+                               network_use_accounting, plan_from_json, plan_to_json,
+                               realize_plan, verify_plan_dense)
 
 NETWORK = networks.six_vertex_graph()
 PREP = networks.six_vertex_preparation_frame()
@@ -70,6 +70,16 @@ class TestGhzPlans:
         assert plan is not None and plan.nonparticipants == ()
         assert verify_plan_dense(plan)
 
+    def test_eleven_vertex_plan_is_dense_verified(self):
+        path11 = Graph.from_edges(11, [(v, v + 1) for v in range(10)])
+        plan = find_ghz_plan(path11, (0, 2, 4, 6, 8, 10))
+        assert plan is not None and verify_plan_dense(plan)
+
+    def test_search_capped_at_dense_cap(self):
+        path13 = Graph.from_edges(13, [(v, v + 1) for v in range(12)])
+        with pytest.raises(SizeCapError):
+            find_ghz_plan(path13, range(6, 13))
+
     def test_ring_graph_users(self):
         plan = find_ghz_plan(networks.ring_graph(), (0, 2, 3, 5))
         assert plan is not None
@@ -111,6 +121,89 @@ class TestBellPlans:
             assert plan is not None
             assert plan.copies_required == 1
             assert verify_plan_dense(plan)
+
+
+def _restart_cover(graph, alice, bobs, prep):
+    """The pairwise cover as a restart loop: after each plan taken, search
+    again from the largest link sets."""
+    users = [alice] + sorted(bobs)
+    needed = [(min(alice, b), max(alice, b)) for b in sorted(bobs)]
+    plans = []
+    parent = {u: u for u in users}
+
+    def find(u):
+        while parent[u] != u:
+            u = parent[u]
+        return u
+
+    candidate_links = needed + [(a, b) for a, b in itertools.combinations(sorted(users), 2)
+                                if (a, b) not in needed]
+    while len({find(u) for u in users}) > 1:
+        best = None
+        for size in range(len(users) // 2, 0, -1):
+            for combo in itertools.combinations(candidate_links, size):
+                flat = [v for p in combo for v in p]
+                if len(set(flat)) != len(flat) or all(find(a) == find(b) for a, b in combo):
+                    continue
+                best = find_bell_multicast_plan(graph, combo, preparation_frame=prep)
+                if best is not None:
+                    break
+            if best is not None:
+                break
+        if best is None:
+            return None
+        plans.append(best)
+        for a, b in best.pairs:
+            parent[find(a)] = find(b)
+    return plans
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """Link sets the library passes to find_bell_multicast_plan, in order.
+
+    The test module's own find_bell_multicast_plan is not patched, so the
+    restart-loop oracle's searches are not recorded."""
+    calls = []
+    search = routing.find_bell_multicast_plan
+
+    def recording(g, pairs, preparation_frame=None):
+        calls.append(tuple(pairs))
+        return search(g, pairs, preparation_frame)
+
+    monkeypatch.setattr(routing, "find_bell_multicast_plan", recording)
+    return calls
+
+
+class TestPairwiseCover:
+    def test_paper_network(self, searched):
+        plans = find_pairwise_plan_set(NETWORK, 0, (1, 4, 5), PREP)
+        assert [p.pairs for p in plans] == [((0, 1), (4, 5)), ((0, 4),)]
+        assert plans == _restart_cover(NETWORK, 0, (1, 4, 5), PREP)
+        assert network_use_accounting(plans, "2QKD") == 2
+        assert len(searched) == 4
+
+    def test_matches_restart_loop_searching_each_set_once(self, searched):
+        rng = random.Random(6)
+        outcomes = set()
+        for i in range(120):
+            n = rng.randint(4, 6)
+            # the last 20 graphs may be disconnected, where no cover exists
+            g = _random_connected_graph(n, rng) if i < 100 else random_graph(n, rng)
+            prep = random_frame(g, rng)
+            alice, *bobs = rng.sample(g.vertices, rng.randint(2, n))
+            searched.clear()
+            plans = find_pairwise_plan_set(g, alice, bobs, prep)
+            assert len(searched) == len(set(searched))
+            assert plans == _restart_cover(g, alice, bobs, prep)
+            outcomes.add(None if plans is None else min(len(plans), 3))
+        assert outcomes == {None, 1, 2, 3}
+
+    def test_roles_must_be_distinct(self):
+        with pytest.raises(ValueError):
+            find_pairwise_plan_set(NETWORK, 0, (0, 1))
+        with pytest.raises(ValueError):
+            find_pairwise_plan_set(NETWORK, 0, ())
 
 
 def _orbit_paths(g):
