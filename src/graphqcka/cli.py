@@ -20,10 +20,9 @@ from .io import (ParseError, RunConfig, parse_counts, parse_graph,
                  report_to_json, sha256_file, write_counts)
 from .keyrates import simulate_protocol
 from .networks import photonic_preparation_frame
-from .noise import apply_noise, pump_sweep
+from .noise import pump_sweep
 from .routing import (NoPlanFoundError, compile_round_settings, find_ghz_plan,
-                      find_pairwise_plan_set, lc_orbit, network_vector,
-                      plan_to_json)
+                      find_pairwise_plan_set, lc_orbit, plan_to_json)
 
 EXIT_PARSE = 2
 EXIT_NO_PLAN = 3
@@ -103,23 +102,12 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _noisy_state(cfg: RunConfig, graph, plans):
-    model = cfg.noise_model()
-    any_plan = next(iter(plans.values()))
-    any_plan = any_plan[0] if isinstance(any_plan, list) else any_plan
-    vec = network_vector(any_plan)
-    if (not model.depolarizing and not model.dephasing and not model.bit_flip
-            and model.white_noise == 0.0):
-        return vec
-    return apply_noise(vec, graph.vertices, model).matrix
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     if cfg.seed is None:
         raise ParseError("simulation requires a seed")
     graph, plans = _extract_plans(cfg)
-    state = _noisy_state(cfg, graph, plans)
+    model = cfg.noise_model()
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     for proto, planset in plans.items():
@@ -127,7 +115,7 @@ def cmd_simulate(args) -> int:
         for k, plan in enumerate(planset):
             tag = proto if proto == "nqkd" else f"bell{k}"
             b1, b2 = simulate_protocol(plan, cfg.rounds, cfg.seed + k,
-                                       cfg.type2_fraction, state)
+                                       cfg.type2_fraction, model)
             for suffix, batch in (("type1", b1), ("type2", b2)):
                 path = out / f"{tag}_{suffix}.counts"
                 write_counts(path, batch, graph.n, seed=cfg.seed,

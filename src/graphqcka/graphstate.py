@@ -3,7 +3,8 @@
 A state is stored as (graph, frame): the physical state is
 (tensor_v frame[v]) applied to the canonical graph state
 |G> = prod_{(i,j) in E} CZ_ij |+>^n.  Local complementation and single-qubit
-Pauli measurements are graph/frame rewrites; a dense-amplitude oracle is
+Pauli measurements are graph/frame rewrites, and stabilizer_expectation
+gives exact Pauli expectations in GF(2); a dense-amplitude oracle is
 available for n <= 12 to verify everything.
 
 Vertices carry stable integer labels that survive deletion, so plans that
@@ -219,6 +220,39 @@ def expectation(vec: np.ndarray, obs: PauliObservable, vertices: Iterable[int]) 
             out = _apply_single_qubit(out, n, i, PAULI_MATRICES[letter])
     val = obs.sign * np.vdot(vec, out)
     return float(val.real)
+
+
+def stabilizer_expectation(gs: GraphState, letters: Mapping[int, str]) -> int:
+    """Exact <S> of a Pauli string S (vertex -> letter) on the state: +1, -1 or 0.
+
+    S is pulled back through the frame to T = C^+ S C = sign * X^x Z^z over
+    GF(2) bitmasks x and z.  T is +-1 times a stabilizer of |G> exactly when
+    z = Gamma x, and the product of the generators K_v = X_v Z_N(v) over v in
+    x equals (-1)^(e(x) + y/2) times T's letters, with e(x) the edges inside x
+    and y the number of Y letters (Anders and Briegel, quant-ph/0504117).
+    Polynomial in n; no dense vector is built.
+    """
+    x = z = 0
+    sign = 1
+    for v, letter in letters.items():
+        if letter == "I":
+            continue
+        if letter not in ("X", "Y", "Z") or v not in gs.frame:
+            raise ValueError(f"bad Pauli letter {letter!r} on vertex {v}")
+        back, s = gs.frame[v].inverse().conjugate((letter, 1))
+        sign *= s
+        if back in ("X", "Y"):
+            x |= 1 << v
+        if back in ("Y", "Z"):
+            z |= 1 << v
+    gamma_x = inside = 0
+    for v, mask in zip(gs.graph.vertices, gs.graph.adj):
+        if x >> v & 1:
+            gamma_x ^= mask
+            inside += (mask & x).bit_count()
+    if gamma_x != z:
+        return 0
+    return -sign if (inside // 2 + (x & z).bit_count() // 2) % 2 else sign
 
 
 def _canonical_frame(graph: Graph, frame: dict[int, LocalClifford]) -> dict[int, LocalClifford]:

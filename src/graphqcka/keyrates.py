@@ -3,7 +3,8 @@
 Implements the N-partite BB84-style protocol (type-1 all-Z key rounds,
 type-2 all-X parameter rounds) and the pairwise alternative where N-1 Bell
 keys are XOR-combined into a conference key, together with the error
-estimators and asymptotic rate formulas for both.
+estimators and asymptotic rate formulas for both.  Outcome distributions
+under a noise model come from CorrelatorTable, which builds no dense state.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graphstate import _BASIS_STATES, _apply_single_qubit
+from .graphstate import (_BASIS_STATES, GraphState, _apply_single_qubit,
+                         stabilizer_expectation)
 from .routing import (ExtractionPlan, RoundSetting, byproduct_correction,
-                      compile_round_settings, network_vector)
+                      compile_round_settings)
 
 # maps basis eigenstates onto computational bits: row b = <e_b|
 _BASIS_ROTATIONS = {
@@ -244,16 +246,131 @@ def xor_combine(keys: Sequence[str], links: Sequence[tuple[int, int]],
 # outcome distributions and simulation
 
 
+def _walsh(values: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis (length 2^m)."""
+    out = np.array(values, dtype=float)
+    h = 1
+    while h < out.shape[-1]:
+        pairs = out.reshape(*out.shape[:-1], -1, 2, h)
+        low = pairs[..., 0, :].copy()
+        pairs[..., 0, :] += pairs[..., 1, :]
+        pairs[..., 1, :] = low - pairs[..., 1, :]
+        h *= 2
+    return out
+
+
+def _parity(masks: np.ndarray, bits: int) -> np.ndarray:
+    out = np.zeros_like(masks)
+    for b in range(bits):
+        out ^= masks >> b & 1
+    return out
+
+
+@dataclass(frozen=True)
+class CorrelatorTable:
+    """The Pauli correlators behind one plan's corrected outcome distribution.
+
+    Every channel of a noise model is a Pauli channel and the network is a
+    stabilizer state, so the parity of a participant subset A of the
+    corrected bits is a sum of Pauli correlators: the byproduct flip of A,
+    a function of the nonparticipant outcomes, is Walsh-expanded over them,
+    and each nonzero coefficient gives one physical string, the
+    participants' letters on A plus the nonparticipant letters it reads.
+    The expanded flip includes the bits that the sign convention negates.
+    Row t holds one such string, with a nonzero ideal sign: its letter codes
+    per network vertex (0 = I, 1 = X, 2 = Y, 3 = Z), its subset mask and its
+    weight, the coefficient times the ideal sign.  The Walsh expansion is
+    exact for any byproduct table; an affine one gives each subset one row.
+    """
+
+    setting: RoundSetting
+    targets: tuple[int, ...]
+    vertices: tuple[int, ...]
+    subsets: np.ndarray
+    weights: np.ndarray
+    letters: np.ndarray
+
+    @classmethod
+    def build(cls, plan: ExtractionPlan, round_type: str) -> "CorrelatorTable":
+        setting = compile_round_settings(plan, round_type)
+        basis = setting.per_vertex_basis
+        parts, nonparts = plan.targets, plan.nonparticipants
+        k = len(nonparts)
+        # participant i is bit N-1-i of a subset mask, so that subset and
+        # outcome indices read as the key strings; nonparticipant j is bit j
+        part_bits = [1 << (len(parts) - 1 - i) for i in range(len(parts))]
+        negated = sum(bit for u, bit in zip(parts, part_bits)
+                      if setting.sign_convention[u] < 0)
+        flips = np.zeros(1 << k, dtype=np.int64)
+        for m in range(1 << k):
+            flip = byproduct_correction(
+                plan, {v: m >> j & 1 for j, v in enumerate(nonparts)}, round_type)
+            flips[m] = negated ^ sum(bit for u, bit in zip(parts, part_bits) if flip[u])
+        subsets = np.arange(1 << len(parts))[:, None]
+        coeffs = _walsh(1 - 2 * _parity(subsets & flips, len(parts))) / (1 << k)
+        state = GraphState(plan.graph, dict(plan.preparation_frame))
+        rows, weights, letters = [], [], []
+        for a, j in zip(*np.nonzero(np.abs(coeffs) > 0.5 / (1 << k))):
+            string = {u: basis[u] for u, bit in zip(parts, part_bits) if a & bit}
+            string.update((v, basis[v]) for b, v in enumerate(nonparts) if j >> b & 1)
+            ideal = stabilizer_expectation(state, string)
+            if ideal:
+                rows.append(a)
+                weights.append(ideal * coeffs[a, j])
+                letters.append(["IXYZ".index(string.get(v, "I"))
+                                for v in plan.graph.vertices])
+        return cls(setting, parts, plan.graph.vertices, np.array(rows),
+                   np.array(weights), np.array(letters))
+
+    def distribution(self, model=None) -> dict[str, float]:
+        """Exact corrected outcome distribution under a noise.NoiseModel.
+
+        Each correlator is its ideal value times (1 - w) for global white
+        noise w, unless it is the identity, times the model's per-qubit
+        factor of each letter (NoiseModel.pauli_factors); None is the ideal
+        state.  A Walsh-Hadamard transform of the 2^N subset parities gives
+        the distribution.  Outcomes below 1e-15 are dropped and the rest
+        renormalized, as outcome_distribution does on a dense state.
+        """
+        n_verts, n_parts = len(self.vertices), len(self.targets)
+        if model is None:
+            factors, keep = np.ones((n_verts, 4)), 1.0
+        else:
+            factors, keep = model.pauli_factors(self.vertices), 1.0 - model.white_noise
+        values = self.weights * np.prod(
+            factors[np.arange(n_verts), self.letters], axis=1)
+        values[self.letters.any(axis=1)] *= keep
+        probs = _walsh(np.bincount(self.subsets, weights=values,
+                                   minlength=1 << n_parts)) / (1 << n_parts)
+        out = {format(idx, f"0{n_parts}b"): float(p)
+               for idx, p in enumerate(probs) if p >= 1e-15}
+        norm = sum(out.values())
+        return {key: p / norm for key, p in out.items()}
+
+
+def correlator_tables(plan: ExtractionPlan) -> tuple[CorrelatorTable, CorrelatorTable]:
+    """The type-1 and type-2 tables of a plan, built once per sweep or fit."""
+    return CorrelatorTable.build(plan, "type-1"), CorrelatorTable.build(plan, "type-2")
+
+
+def table_estimates(tables: Sequence[CorrelatorTable], model=None) -> ErrorEstimates:
+    """QBER / Q_X of a plan's (type-1, type-2) tables under a noise model."""
+    b1, b2 = (RoundBatch(t.setting, t.targets, t.distribution(model)) for t in tables)
+    return error_estimates(b1, b2)
+
+
 def outcome_distribution(plan: ExtractionPlan, round_type: str,
-                         state: np.ndarray | None = None) -> dict[str, float]:
+                         state=None) -> dict[str, float]:
     """Exact distribution of byproduct-corrected participant outcome strings.
 
-    state may be an amplitude vector or a density matrix of the full network;
-    defaults to the plan's ideal network state.
+    state is a noise.NoiseModel, None for the ideal network state, or an
+    explicit amplitude vector or density matrix of the full network.  A
+    model or None goes through the plan's CorrelatorTable and builds no
+    dense state; an ndarray is rotated into the measurement bases.
     """
+    if not isinstance(state, np.ndarray):
+        return CorrelatorTable.build(plan, round_type).distribution(state)
     setting = compile_round_settings(plan, round_type)
-    if state is None:
-        state = network_vector(plan)
     verts = plan.graph.vertices
     n = len(verts)
     if state.ndim == 1:
@@ -296,12 +413,12 @@ def _rotate_density(rho: np.ndarray, n: int, qubit: int, u: np.ndarray) -> np.nd
 
 
 def simulate_protocol(plan: ExtractionPlan, n_rounds: int, seed: int,
-                      type2_fraction: float = 0.5,
-                      state: np.ndarray | None = None,
+                      type2_fraction: float = 0.5, state=None,
                       ) -> tuple[RoundBatch, RoundBatch]:
     """Sample corrected outcome counts for type-1 and type-2 rounds.
 
-    Deterministic given the seed; the type-1 block is drawn first.
+    state is taken as by outcome_distribution.  Deterministic given the
+    seed; the type-1 block is drawn first.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -322,18 +439,17 @@ def simulate_protocol(plan: ExtractionPlan, n_rounds: int, seed: int,
     return batches[0], batches[1]
 
 
-def analytic_estimates(plan: ExtractionPlan, state: np.ndarray | None = None,
-                       ) -> ErrorEstimates:
+def analytic_estimates(plan: ExtractionPlan, state=None) -> ErrorEstimates:
     """Infinite-round QBER/Q_X of a plan on a (possibly noisy) network state.
 
-    The QBER is estimate_qber's min-max over all of the plan's targets, so
-    for a Bell plan that casts several pairs it is 0.5 under any noise; use
-    analysis.pairwise_rates for per-pair rates of such a plan.
+    state is taken as by outcome_distribution.  The QBER is estimate_qber's
+    min-max over all of the plan's targets, so for a Bell plan that casts
+    several pairs it is 0.5 under any noise; use analysis.pairwise_rates for
+    per-pair rates of such a plan.
     """
-    d1 = outcome_distribution(plan, "type-1", state)
-    d2 = outcome_distribution(plan, "type-2", state)
-    s1 = compile_round_settings(plan, "type-1")
-    s2 = compile_round_settings(plan, "type-2")
-    b1 = RoundBatch(s1, plan.targets, d1)
-    b2 = RoundBatch(s2, plan.targets, d2)
+    if not isinstance(state, np.ndarray):
+        return table_estimates(correlator_tables(plan), state)
+    b1, b2 = (RoundBatch(compile_round_settings(plan, rt), plan.targets,
+                         outcome_distribution(plan, rt, state))
+              for rt in ("type-1", "type-2"))
     return error_estimates(b1, b2)

@@ -1,11 +1,19 @@
 """Noise channels, pump-power trade-off sweeps, and statistical uncertainty.
 
-Density operators are plain numpy arrays validated on construction.  The
-channel zoo is deliberately small: per-qubit depolarizing and dephasing,
-global white noise, and a photonic-pump model in which higher pump power
-raises the raw generation rate (~p^3 for a three-photon-pair scheme) while
-also raising multi-pair contamination, modelled as white-noise admixture
-w(p) = kappa*p / (1 + kappa*p).
+The channel zoo is deliberately small: per-qubit depolarizing, dephasing
+and bit flip, global white noise, and a photonic-pump model in which higher
+pump power raises the raw generation rate (~p^3 for a three-photon-pair
+scheme) while also raising multi-pair contamination, modelled as
+white-noise admixture w(p) = kappa*p / (1 + kappa*p).
+
+Every channel is a Pauli channel, so it only scales Pauli expectations:
+the per-qubit channels scale <P> on qubit v by NoiseModel.pauli_factors,
+and white noise scales every non-identity string by 1 - w.  On the
+stabilizer network state each corrected parity is one such correlator
+(keyrates.CorrelatorTable), which is how pump_sweep and
+calibrate_to_targets evaluate a model: exactly, and without a density
+matrix.  apply_noise and DensityOperator build the 4^n density matrix for
+callers that hand keyrates an explicit state.
 """
 
 from __future__ import annotations
@@ -17,9 +25,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .graphstate import SizeCapError
-from .keyrates import RoundBatch, _rotate_density, analytic_estimates, akr_n
+from .keyrates import (RoundBatch, _rotate_density, akr_n, correlator_tables,
+                       table_estimates)
 from .pauli import PAULI_MATRICES
-from .routing import ExtractionPlan, network_vector
+from .routing import ExtractionPlan
 
 DENSITY_CAP = 8
 
@@ -91,6 +100,26 @@ class NoiseModel:
         return {v for params in (self.depolarizing, self.dephasing, self.bit_flip)
                 for v in params}
 
+    def check_vertices(self, vertices: Sequence[int]) -> None:
+        """Raise ValueError if a per-qubit channel names a vertex not in vertices."""
+        stray = sorted(self.keyed_vertices() - set(vertices))
+        if stray:
+            raise ValueError(f"noise on vertices {stray} that the state does not have")
+
+    def pauli_factors(self, vertices: Sequence[int]) -> np.ndarray:
+        """Factor by which the per-qubit channels scale <P> on each qubit.
+
+        Row i is vertex vertices[i], columns are I, X, Y, Z:
+        f_v(P) = (1 - lambda_v) * (1 - 2 p_v if P in {X, Y}) * (1 - 2 q_v if
+        P in {Y, Z}) for depolarizing lambda, dephasing p and bit flip q.
+        """
+        self.check_vertices(vertices)
+        lam, p, q = (np.array([_param(params, v) for v in vertices])
+                     for params in (self.depolarizing, self.dephasing, self.bit_flip))
+        keep, dephase, flip = 1.0 - lam, 1.0 - 2.0 * p, 1.0 - 2.0 * q
+        return np.stack((np.ones_like(keep), keep * dephase, keep * dephase * flip,
+                         keep * flip), axis=1)
+
     def white_noise_at_power(self, power_mw: float) -> float:
         kp = self.pump_contamination_coefficient * power_mw
         return kp / (1.0 + kp)
@@ -122,9 +151,7 @@ def apply_noise(state: np.ndarray, vertices: Sequence[int],
     n = len(vertices)
     if n > DENSITY_CAP:
         raise SizeCapError(f"density operations capped at {DENSITY_CAP} qubits")
-    stray = sorted(model.keyed_vertices() - set(vertices))
-    if stray:
-        raise ValueError(f"noise on vertices {stray} that the state does not have")
+    model.check_vertices(vertices)
     if state.ndim == 1:
         rho = np.outer(state, state.conj())
     else:
@@ -157,17 +184,6 @@ def _param(params: Mapping[int, float], v: int) -> float:
     return float(params.get(v, 0.0))
 
 
-def expectation_mixed(rho: DensityOperator, letters: Mapping[int, str]) -> float:
-    """Tr(rho * O) for a Pauli-product observable given as vertex -> letter."""
-    unknown = set(letters) - set(rho.vertices)
-    if unknown:
-        raise ValueError(f"observable acts on unknown vertices {sorted(unknown)}")
-    op = np.array([[1.0]], dtype=complex)
-    for v in rho.vertices:
-        op = np.kron(op, PAULI_MATRICES[letters.get(v, "I")])
-    return float(np.real(np.trace(rho.matrix @ op)))
-
-
 # ---------------------------------------------------------------------------
 # pump-power sweep
 
@@ -189,17 +205,20 @@ def pump_sweep(plan: ExtractionPlan, model: NoiseModel,
 
     The raw generation rate grows as p^3 while the white-noise weight w(p)
     degrades the AKR monotonically, so the product has an interior optimum.
+    The plan's two correlator tables are built once; each power point only
+    re-evaluates them with the model's white noise replaced by w(p), so no
+    density matrix is built.  Raises ValueError if the model puts noise on
+    a vertex the plan's network lacks.
     """
     powers = np.asarray(list(powers), dtype=float)
     if powers.size < 3:
         raise ValueError("sweep needs at least three power samples")
-    vec = network_vector(plan)
+    tables = correlator_tables(plan)
     raw = model.raw_rate_at_power(powers)
     wn = np.array([model.white_noise_at_power(p) for p in powers])
     akrs = np.empty_like(powers)
     for k, w in enumerate(wn):
-        rho = apply_noise(vec, plan.graph.vertices, replace(model, white_noise=float(w)))
-        est = analytic_estimates(plan, rho.matrix)
+        est = table_estimates(tables, replace(model, white_noise=float(w)))
         akrs[k] = akr_n(est.qber, est.qx)
     keyrates = raw * np.maximum(akrs, 0.0)
     best = int(np.argmax(keyrates))
@@ -315,7 +334,9 @@ def calibrate_to_targets(plans: Mapping[str, ExtractionPlan],
     dephasing and bit_flip families are fitted (default: all three).
     Parameters that no target depends on are left undetermined and drift
     with round-off, so restrict noisy_vertices / channels to what the
-    targets fix.
+    targets fix.  Each plan's correlator tables are built once, so every
+    evaluation of the fit is a product of per-qubit factors; no density
+    matrix is built.  noisy_vertices outside the network raise ValueError.
 
     Targets that ask different values of one observable cannot all be met:
     before fitting, estimators that agree at a seeded random parameter point
@@ -333,11 +354,8 @@ def calibrate_to_targets(plans: Mapping[str, ExtractionPlan],
     for p in plans.values():
         if p.graph != ref.graph or p.preparation_frame != ref.preparation_frame:
             raise ValueError("all plans must share one network state")
-    verts = ref.graph.vertices
-    if noisy_vertices is None:
-        noisy_vertices = verts
-    noisy_vertices = tuple(noisy_vertices)
-    vec = network_vector(ref)
+    noisy_vertices = tuple(ref.graph.vertices if noisy_vertices is None
+                           else noisy_vertices)
 
     bad = set(channels) - {"depolarizing", "dephasing", "bit_flip"}
     if bad or not channels:
@@ -353,12 +371,13 @@ def calibrate_to_targets(plans: Mapping[str, ExtractionPlan],
 
     names = sorted(targets)
     wanted = np.array([t for name in names for t in targets[name]], dtype=float)
+    tables = {name: correlator_tables(plans[name]) for name in names}
 
     def estimates(params: np.ndarray) -> np.ndarray:
-        rho = apply_noise(vec, verts, build(params)).matrix
+        model = build(params)
         out = []
         for name in names:
-            est = analytic_estimates(plans[name], rho)
+            est = table_estimates(tables[name], model)
             out.extend([est.qber, est.qx])
         return np.asarray(out)
 

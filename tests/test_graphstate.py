@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphqcka.graphstate import (DENSE_CAP, Graph, GraphState, PauliObservable,
+from graphqcka.graphstate import (Graph, GraphState, PauliObservable,
                                   SizeCapError, build_graph_state, expectation,
                                   local_complement, measure_vertex,
-                                  project_dense, states_equal, to_dense)
-from graphqcka.pauli import ALL_CLIFFORDS, IDENTITY, from_name
+                                  project_dense, stabilizer_expectation,
+                                  states_equal, to_dense)
+from graphqcka.pauli import IDENTITY, from_name
 
 from conftest import all_graphs, connected_graphs, identity_state, random_frame, random_graph
 
@@ -226,3 +227,45 @@ class TestMeasurement:
         post, _ = measure_vertex(gs, "Z", 1, 0)
         assert post.graph.vertices == (0, 2)
         assert 1 not in post.frame
+
+
+class TestStabilizerExpectation:
+    @staticmethod
+    def group_element(gs, x):
+        """Physical letters of the generator product over the vertex set x."""
+        gamma = 0
+        for v in x:
+            gamma ^= gs.graph.adj[gs.graph.index(v)]
+        letters = {}
+        for v in gs.graph.vertices:
+            graph_letter = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}.get(
+                (int(v in x), gamma >> v & 1), "I")
+            letters[v] = gs.frame[v].conjugate((graph_letter, 1))[0]
+        return letters
+
+    def test_matches_dense_oracle(self, rng):
+        seen = {1: 0, -1: 0, 0: 0}
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            g = random_graph(n, rng)
+            gs = GraphState(g, random_frame(g, rng))
+            vec = to_dense(gs)
+            x = {v for v in g.vertices if rng.random() < 0.5}
+            strings = [{v: rng.choice("IXYZ") for v in g.vertices},
+                       self.group_element(gs, x)]
+            for letters in strings:
+                want = round(expectation(vec, PauliObservable(letters), g.vertices))
+                got = stabilizer_expectation(gs, letters)
+                assert got == want, (g.edges(), letters)
+                seen[got] += 1
+        assert min(seen.values()) > 50, seen
+
+    def test_sparse_strings_and_bad_input(self):
+        gs = build_graph_state(3, [(0, 1), (1, 2)])
+        assert stabilizer_expectation(gs, {}) == 1
+        assert stabilizer_expectation(gs, {0: "X", 1: "Z"}) == 1
+        assert stabilizer_expectation(gs, {0: "X"}) == 0
+        with pytest.raises(ValueError):
+            stabilizer_expectation(gs, {7: "Z"})
+        with pytest.raises(ValueError):
+            stabilizer_expectation(gs, {0: "W"})

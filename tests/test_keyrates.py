@@ -1,18 +1,22 @@
 """Key-rate estimators, protocol formulas, and round simulation tests."""
 
-import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from graphqcka import networks
-from graphqcka.keyrates import (RoleAssignment, RoundBatch, akr_2, akr_n,
-                                analytic_estimates, binary_entropy,
-                                error_estimates, estimate_qber, estimate_qx,
-                                outcome_distribution, pairwise_conference_rate,
-                                pairwise_error, simulate_protocol, xor_combine)
+from graphqcka.keyrates import (CorrelatorTable, RoleAssignment, RoundBatch,
+                                akr_2, akr_n, analytic_estimates,
+                                binary_entropy, error_estimates, estimate_qber,
+                                estimate_qx, outcome_distribution,
+                                pairwise_conference_rate, pairwise_error,
+                                simulate_protocol, xor_combine)
 from graphqcka.noise import NoiseModel, apply_noise
-from graphqcka.routing import compile_round_settings
+from graphqcka.routing import (compile_round_settings, find_bell_multicast_plan,
+                               find_ghz_plan, network_vector)
+
+from conftest import random_frame, random_graph
 
 
 def batch(counts, participants=None):
@@ -215,3 +219,91 @@ class TestSimulation:
         b = batch({"000": 40, "011": 30, "110": 30})
         m = b.marginal((0, 2))
         assert m.counts == {"00": 40, "01": 30, "10": 30}
+
+
+def random_model(rng, vertices):
+    """Noise on every channel: per-qubit channels on random vertices, white noise."""
+    def channel():
+        return {v: rng.uniform(0.0, 0.2) for v in vertices if rng.random() < 0.7}
+    return NoiseModel(depolarizing=channel(), dephasing=channel(),
+                      bit_flip=channel(), white_noise=rng.uniform(0.0, 0.2))
+
+
+def assert_matches_density_path(plan, model):
+    rho = apply_noise(network_vector(plan), plan.graph.vertices, model).matrix
+    for rt in ("type-1", "type-2"):
+        want = outcome_distribution(plan, rt, rho)
+        got = outcome_distribution(plan, rt, model)
+        assert set(got) == set(want)
+        assert max(abs(got[k] - want[k]) for k in want) <= 1e-12
+
+
+class TestPauliEngine:
+    """The correlator-table engine against the density-matrix oracle."""
+
+    @staticmethod
+    def random_plans(rng, count):
+        plans = []
+        while len(plans) < count:
+            n = rng.randint(3, 8)
+            g = random_graph(n, rng)
+            if len(g.connected_components()) != 1:
+                continue
+            prep = rng.choice([None, networks.photonic_preparation_frame(g.vertices),
+                               random_frame(g, rng)])
+            verts = list(g.vertices)
+            rng.shuffle(verts)
+            if rng.random() < 0.5:
+                plan = find_ghz_plan(g, verts[:rng.randint(max(2, n - 4), n)], prep)
+            else:
+                n_pairs = rng.randint(max(1, (n - 3) // 2), n // 2)
+                pairs = [tuple(verts[2 * i:2 * i + 2]) for i in range(n_pairs)]
+                plan = find_bell_multicast_plan(g, pairs, prep)
+            if plan is not None:
+                plans.append(plan)
+        return plans
+
+    def test_matches_density_path_on_searched_plans(self, rng):
+        plans = self.random_plans(rng, 24)
+        assert {p.kind for p in plans} == {"ghz", "bell_multicast"}
+        for plan in plans:
+            for _ in range(2):
+                assert_matches_density_path(plan, random_model(rng, plan.graph.vertices))
+            # a searched plan's byproduct table is affine: one string per subset
+            for rt in ("type-1", "type-2"):
+                subsets = CorrelatorTable.build(plan, rt).subsets.tolist()
+                assert len(subsets) == len(set(subsets))
+
+    def test_matches_density_path_on_reference_plans(self, rng):
+        for plan in (networks.ghz_plan(), networks.bell_multicast_plan(),
+                     networks.bell_bridge_plan()):
+            assert_matches_density_path(plan, random_model(rng, range(6)))
+            assert_matches_density_path(plan, NoiseModel())
+
+    def test_non_affine_byproduct_table(self, rng):
+        # one changed letter makes the flips of that participant non-affine
+        # in the two nonparticipant outcomes; the Walsh expansion still holds
+        plan = networks.ghz_plan()
+        swap = {"I": "Y", "Y": "I", "X": "Z", "Z": "X"}
+        rule = {combo: dict(letters) for combo, letters in plan.byproduct_rule.items()}
+        u = plan.targets[1]
+        rule[(1, 0)][u] = swap[rule[(1, 0)][u]]
+        broken = replace(plan, byproduct_rule=rule)
+        for _ in range(3):
+            model = random_model(rng, range(6))
+            assert_matches_density_path(broken, model)
+            assert (outcome_distribution(broken, "type-1", model)
+                    != outcome_distribution(plan, "type-1", model))
+
+    def test_ideal_default_is_exact(self):
+        plan = networks.ghz_plan()
+        dist = outcome_distribution(plan, "type-1")
+        assert dist == {"0000": 0.5, "1111": 0.5}
+        # an explicit amplitude vector still takes the dense branch
+        assert outcome_distribution(plan, "type-1", network_vector(plan)) == (
+            pytest.approx(dist, abs=1e-12))
+
+    def test_rejects_noise_on_missing_vertex(self):
+        with pytest.raises(ValueError, match=r"noise on vertices \[9\]"):
+            outcome_distribution(networks.ghz_plan(), "type-1",
+                                 NoiseModel(depolarizing={9: 0.5}))

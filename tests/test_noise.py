@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,10 @@ import pytest
 import graphqcka
 from graphqcka import networks
 from graphqcka.graphstate import SizeCapError, build_graph_state, to_dense
-from graphqcka.keyrates import RoundBatch, analytic_estimates, pairwise_error
+from graphqcka.keyrates import RoundBatch, akr_n, analytic_estimates, pairwise_error
 from graphqcka.noise import (DensityOperator, NoiseModel, apply_noise,
-                             calibrate_to_targets, expectation_mixed,
-                             poisson_mc, pump_sweep)
-from graphqcka.pauli import from_name
+                             calibrate_to_targets, poisson_mc, pump_sweep)
+from graphqcka.pauli import PAULI_MATRICES, from_name
 from graphqcka.graphstate import GraphState
 
 
@@ -24,6 +24,17 @@ def bell_vector():
     k2 = build_graph_state(2, [(0, 1)])
     from graphqcka.pauli import IDENTITY
     return to_dense(GraphState(k2.graph, {0: IDENTITY, 1: from_name("H")}))
+
+
+def expectation_mixed(rho: DensityOperator, letters) -> float:
+    """Oracle Tr(rho * O) for a Pauli-product observable given as vertex -> letter."""
+    unknown = set(letters) - set(rho.vertices)
+    if unknown:
+        raise ValueError(f"observable acts on unknown vertices {sorted(unknown)}")
+    op = np.array([[1.0]], dtype=complex)
+    for v in rho.vertices:
+        op = np.kron(op, PAULI_MATRICES[letters.get(v, "I")])
+    return float(np.real(np.trace(rho.matrix @ op)))
 
 
 class TestDensityOperator:
@@ -119,6 +130,23 @@ class TestPumpSweep:
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
             pump_sweep(networks.ghz_plan(), NoiseModel(), [5.0, 10.0])
+
+    def test_rejects_noise_on_missing_vertex(self):
+        with pytest.raises(ValueError, match=r"noise on vertices \[9\]"):
+            pump_sweep(networks.ghz_plan(), NoiseModel(dephasing={9: 0.1}),
+                       np.linspace(5.0, 200.0, 5))
+
+    def test_matches_density_path(self):
+        plan = networks.ghz_plan()
+        model = NoiseModel(depolarizing={2: 0.02}, dephasing={0: 0.01},
+                           bit_flip={5: 0.03})
+        powers = np.linspace(5.0, 200.0, 6)
+        sweep = pump_sweep(plan, model, powers)
+        vec = to_dense(networks.six_vertex_network_state())
+        for p, akr in zip(powers, sweep.akr):
+            noisy = replace(model, white_noise=model.white_noise_at_power(p))
+            est = analytic_estimates(plan, apply_noise(vec, range(6), noisy).matrix)
+            assert akr == pytest.approx(akr_n(est.qber, est.qx), abs=1e-12)
 
 
 class TestPoissonMc:
@@ -224,6 +252,12 @@ class TestCalibration:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_rejects_noisy_vertex_outside_network(self):
+        with pytest.raises(ValueError, match=r"noise on vertices \[9\]"):
+            calibrate_to_targets({"bell": networks.bell_bridge_plan()},
+                                 {"bell": (0.05, 0.05)}, noisy_vertices=(1, 9),
+                                 channels=("depolarizing",))
 
     def test_validation(self):
         with pytest.raises(ValueError):
