@@ -77,57 +77,32 @@ def build_report(ghz_plan: ExtractionPlan | None,
     report = KeyRateReport(akr_n=rate_n, pairwise_rates=rates, akr_2=rate_2,
                            ratio=ratio, copies_per_bit=copies, qber=qber,
                            qx=qx, alice_choice=alice)
-    if mc_samples > 0:
-        report.uncertainties = _mc_uncertainties(
-            ghz_plan, bell_plans, ratio is not None, batches, mc_samples, mc_seed)
+    if mc_samples > 0 and copies:
+        results = poisson_mc_many(
+            batches, lambda bs: _report_scalars(ghz_plan, bell_plans, bs),
+            mc_samples, mc_seed)
+        report.uncertainties = {name: r.std for name, r in results.items()}
     return report
 
 
-def _mc_uncertainties(ghz_plan, bell_plans, ratio_defined, batches, mc_samples,
-                      mc_seed):
-    """Standard deviations of the report's scalars from one Monte Carlo pass.
+def _report_scalars(ghz_plan, bell_plans, batches) -> dict[str, float]:
+    """The report's scalars that are defined on these batches.
 
-    The GHZ error estimates and the pairwise conference rate are computed
-    once per resample and shared by every statistic built on them.
+    The ratio is defined where both rates are and akr_2 is positive.
     """
-    nqkd = _once_per_resample(
-        lambda bs: error_estimates(bs["nqkd/type-1"], bs["nqkd/type-2"]))
-    rate_2 = _once_per_resample(lambda bs: pairwise_rates(bell_plans, bs)[1])
-    stats = {}
+    out = {}
     if ghz_plan is not None:
-        stats["qber"] = lambda bs: nqkd(bs).qber
-        stats["qx"] = lambda bs: nqkd(bs).qx
-        stats["akr_n"] = lambda bs: akr_n(nqkd(bs).qber, nqkd(bs).qx)
+        try:
+            est = error_estimates(batches["nqkd/type-1"], batches["nqkd/type-2"])
+        except (ValueError, ZeroDivisionError):
+            pass
+        else:
+            out.update(qber=est.qber, qx=est.qx, akr_n=akr_n(est.qber, est.qx))
     if bell_plans:
-        stats["akr_2"] = rate_2
-    if ratio_defined:
-        def stat_ratio(bs):
-            e = nqkd(bs)
-            r2 = rate_2(bs)
-            if r2 <= 0:
-                raise ValueError("pairwise rate vanished in resample")
-            return akr_n(e.qber, e.qx) / r2
-        stats["ratio"] = stat_ratio
-    results = poisson_mc_many(batches, stats, mc_samples, mc_seed)
-    return {name: result.std for name, result in results.items()}
-
-
-def _once_per_resample(fn):
-    """fn, evaluated once per resample; its value or its error is reused.
-
-    poisson_mc_many evaluates every statistic on one resample before it
-    builds the next, so remembering the last resample seen is enough.
-    """
-    last = {"batches": None}
-
-    def shared(bs):
-        if last["batches"] is not bs:
-            last["batches"] = bs
-            try:
-                last["value"], last["error"] = fn(bs), None
-            except (ValueError, ZeroDivisionError) as exc:
-                last["value"], last["error"] = None, exc
-        if last["error"] is not None:
-            raise last["error"]
-        return last["value"]
-    return shared
+        try:
+            out["akr_2"] = pairwise_rates(bell_plans, batches)[1]
+        except (ValueError, ZeroDivisionError):
+            pass
+    if "akr_n" in out and out.get("akr_2", 0.0) > 0:
+        out["ratio"] = out["akr_n"] / out["akr_2"]
+    return out

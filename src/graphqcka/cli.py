@@ -1,5 +1,10 @@
 """Command-line interface: orbit, extract, simulate, analyze, sweep.
 
+Every user graph is taken as prepared by the photonic hardware model:
+the plans are searched on the graph state with
+networks.photonic_preparation_frame (H on odd, Z on even 1-based
+vertices), and there is no option to change it.
+
 Exit codes: 0 success, 2 parse error, 3 no plan found, 4 missing
 measurement setting, 5 size cap exceeded (1 for anything else).
 """

@@ -90,9 +90,6 @@ class Graph:
         mask = self.adj[self.index(v)]
         return tuple(u for u in self.vertices if mask >> u & 1)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[self.index(u)] >> v & 1)
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         out = []
         for i, u in enumerate(self.vertices):

@@ -259,28 +259,18 @@ def _walsh(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _parity(masks: np.ndarray, bits: int) -> np.ndarray:
-    out = np.zeros_like(masks)
-    for b in range(bits):
-        out ^= masks >> b & 1
-    return out
-
-
 @dataclass(frozen=True)
 class CorrelatorTable:
     """The Pauli correlators behind one plan's corrected outcome distribution.
 
     Every channel of a noise model is a Pauli channel and the network is a
     stabilizer state, so the parity of a participant subset A of the
-    corrected bits is a sum of Pauli correlators: the byproduct flip of A,
-    a function of the nonparticipant outcomes, is Walsh-expanded over them,
-    and each nonzero coefficient gives one physical string, the
-    participants' letters on A plus the nonparticipant letters it reads.
-    The expanded flip includes the bits that the sign convention negates.
-    Row t holds one such string, with a nonzero ideal sign: its letter codes
-    per network vertex (0 = I, 1 = X, 2 = Y, 3 = Z), its subset mask and its
-    weight, the coefficient times the ideal sign.  The Walsh expansion is
-    exact for any byproduct table; an affine one gives each subset one row.
+    corrected bits is one Pauli correlator: the participants' letters on A,
+    plus the letters of the nonparticipants whose byproduct term flips an
+    odd number of A's bits, signed by the bits of A that the sign convention
+    negates.  Row t holds one such string with a nonzero ideal value: its
+    letter codes per network vertex (0 = I, 1 = X, 2 = Y, 3 = Z), its subset
+    mask and its weight, the sign times the ideal value.
     """
 
     setting: RoundSetting
@@ -295,28 +285,26 @@ class CorrelatorTable:
         setting = compile_round_settings(plan, round_type)
         basis = setting.per_vertex_basis
         parts, nonparts = plan.targets, plan.nonparticipants
-        k = len(nonparts)
         # participant i is bit N-1-i of a subset mask, so that subset and
-        # outcome indices read as the key strings; nonparticipant j is bit j
+        # outcome indices read as the key strings
         part_bits = [1 << (len(parts) - 1 - i) for i in range(len(parts))]
         negated = sum(bit for u, bit in zip(parts, part_bits)
                       if setting.sign_convention[u] < 0)
-        flips = np.zeros(1 << k, dtype=np.int64)
-        for m in range(1 << k):
+        unit_flips = []
+        for v in nonparts:
             flip = byproduct_correction(
-                plan, {v: m >> j & 1 for j, v in enumerate(nonparts)}, round_type)
-            flips[m] = negated ^ sum(bit for u, bit in zip(parts, part_bits) if flip[u])
-        subsets = np.arange(1 << len(parts))[:, None]
-        coeffs = _walsh(1 - 2 * _parity(subsets & flips, len(parts))) / (1 << k)
+                plan, {w: int(w == v) for w in nonparts}, round_type)
+            unit_flips.append(sum(bit for u, bit in zip(parts, part_bits) if flip[u]))
         state = GraphState(plan.graph, dict(plan.preparation_frame))
         rows, weights, letters = [], [], []
-        for a, j in zip(*np.nonzero(np.abs(coeffs) > 0.5 / (1 << k))):
+        for a in range(1 << len(parts)):
             string = {u: basis[u] for u, bit in zip(parts, part_bits) if a & bit}
-            string.update((v, basis[v]) for b, v in enumerate(nonparts) if j >> b & 1)
+            string.update((v, basis[v]) for v, flip in zip(nonparts, unit_flips)
+                          if (a & flip).bit_count() % 2)
             ideal = stabilizer_expectation(state, string)
             if ideal:
                 rows.append(a)
-                weights.append(ideal * coeffs[a, j])
+                weights.append(ideal * (-1.0) ** (a & negated).bit_count())
                 letters.append(["IXYZ".index(string.get(v, "I"))
                                 for v in plan.graph.vertices])
         return cls(setting, parts, plan.graph.vertices, np.array(rows),

@@ -31,6 +31,7 @@ from .pauli import PAULI_MATRICES
 from .routing import ExtractionPlan
 
 DENSITY_CAP = 8
+MAX_FIT_EVALUATIONS = 400
 
 _EIG_FLOOR = -1e-10
 
@@ -246,41 +247,43 @@ def poisson_mc(batches: Mapping[str, RoundBatch],
     """Uncertainty of one counts statistic under independent Poisson resampling.
 
     The single-statistic form of poisson_mc_many, which documents the
-    resampling, the rejections and the errors raised.
+    resampling, the rejections and the errors raised.  The statistic is
+    undefined where it raises ValueError or ZeroDivisionError.
     """
-    return poisson_mc_many(batches, {"statistic": statistic}, n_samples, seed)["statistic"]
+    def defined(bs: Mapping[str, RoundBatch]) -> dict[str, float]:
+        try:
+            return {"statistic": statistic(bs)}
+        except (ValueError, ZeroDivisionError):
+            return {}
+    return poisson_mc_many(batches, defined, n_samples, seed)["statistic"]
 
 
 def poisson_mc_many(batches: Mapping[str, RoundBatch],
-                    statistics: Mapping[str, Callable[[Mapping[str, RoundBatch]], float]],
+                    statistic: Callable[[Mapping[str, RoundBatch]], Mapping[str, float]],
                     n_samples: int, seed: int) -> dict[str, MonteCarloResult]:
     """Uncertainties of several counts statistics from one Poisson resampling.
 
     Every count is replaced by a Poisson draw with its observed value as the
     mean.  Fully deterministic in the seed: one rng.poisson call draws every
     resample, each in sorted batch / sorted outcome order, which gives the
-    same draws as drawing one count at a time in that order.  Each resample
-    is built once and every statistic is evaluated on it, in the mapping's
-    order, before the next resample is built.  A statistic that is undefined
-    on a resample (raises ValueError or ZeroDivisionError, e.g. on a batch
-    resampled to zero total) is rejected there, and counted in its own
-    n_rejected; the other statistics keep that resample.
-    Raises ValueError when a statistic is undefined at the observed counts
-    or on every resample.
+    same draws as drawing one count at a time in that order.  statistic is
+    called once per resample and returns {name: value} for the statistics
+    defined on it.  The results are the names defined at the observed
+    counts; a name missing from a resample (e.g. one with a batch resampled
+    to zero total) is rejected there, and counted in its own n_rejected.
+    Raises ValueError when no statistic is defined at the observed counts,
+    or one is defined on no resample.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    points = {}
-    for name, statistic in statistics.items():
-        try:
-            points[name] = statistic(batches)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError("statistic is undefined at the observed counts") from exc
+    points = statistic(batches)
+    if not points:
+        raise ValueError("statistic is undefined at the observed counts")
     layout = [(name, sorted(batches[name].counts)) for name in sorted(batches)]
     lam = np.array([batches[name].counts[k] for name, outcomes in layout
                     for k in outcomes], dtype=float)
     draws = np.random.default_rng(seed).poisson(lam, size=(n_samples, lam.size))
-    values: dict[str, list[float]] = {name: [] for name in statistics}
+    values: dict[str, list[float]] = {name: [] for name in points}
     for row in draws.tolist():
         resampled = {}
         start = 0
@@ -289,11 +292,10 @@ def poisson_mc_many(batches: Mapping[str, RoundBatch],
             counts = dict(zip(outcomes, row[start:start + len(outcomes)]))
             resampled[name] = RoundBatch(b.setting, b.participants, counts)
             start += len(outcomes)
-        for name, statistic in statistics.items():
-            try:
-                values[name].append(statistic(resampled))
-            except (ValueError, ZeroDivisionError):
-                pass
+        got = statistic(resampled)
+        for name, vals in values.items():
+            if name in got:
+                vals.append(got[name])
     out = {}
     for name, vals in values.items():
         if not vals:
@@ -322,7 +324,6 @@ def calibrate_to_targets(plans: Mapping[str, ExtractionPlan],
                          noisy_vertices: Sequence[int] | None = None,
                          channels: Sequence[str] = ("depolarizing", "dephasing",
                                                     "bit_flip"),
-                         max_evaluations: int = 400,
                          ) -> CalibrationResult:
     """Fit per-qubit channels so each plan's analytic errors match target
     (QBER, Q_X) pairs.
@@ -385,7 +386,7 @@ def calibrate_to_targets(plans: Mapping[str, ExtractionPlan],
     _check_shared_observables(names, wanted, estimates, x0.size)
     fit = least_squares(lambda x: estimates(x) - wanted, x0, bounds=(0.0, 0.999),
                         x_scale="jac", xtol=3e-16, ftol=3e-16, gtol=3e-16,
-                        max_nfev=max_evaluations)
+                        max_nfev=MAX_FIT_EVALUATIONS)
     resid = float(np.sqrt(np.sum(fit.fun ** 2)))
     return CalibrationResult(build(fit.x), resid, resid < 1e-6)
 

@@ -83,6 +83,12 @@ class ExtractionPlan:
     have lc_sequence == (); only explicit routes (e.g. networks.ghz_plan)
     set it.  Those complementations are virtual: together with the
     preparation frame they are folded into the physical bases.
+
+    The outcome bits of the nonparticipants act on the participants by
+    byproducts linear over GF(2): byproduct_terms[v] is the Pauli letter per
+    participant that an outcome 1 at v multiplies in, and the all-zero
+    branch defines the frames, so a branch's byproduct is the product of the
+    terms of the nonparticipants that read 1.
     """
 
     graph: Graph
@@ -93,7 +99,7 @@ class ExtractionPlan:
     nonparticipant_bases: Mapping[int, str]      # compiled physical basis letters
     nonparticipant_logical_bases: Mapping[int, str]
     participant_frame: Mapping[int, LocalClifford]
-    byproduct_rule: Mapping[tuple[int, ...], Mapping[int, str]]
+    byproduct_terms: Mapping[int, Mapping[int, str]]
     preparation_frame: Mapping[int, LocalClifford]
     copies_required: int = 1
 
@@ -198,7 +204,7 @@ def realize_plan(graph: Graph, kind: str, participants: Iterable[int],
                  pairs: Sequence[tuple[int, int]] = (), verify: bool = True,
                  preparation_frame: Mapping[int, LocalClifford] | None = None,
                  ) -> ExtractionPlan | None:
-    """Build the full plan (frames, byproduct table) for a candidate recipe.
+    """Build the full plan (frames, byproduct terms) for a candidate recipe.
 
     logical_bases gives the graph-rule basis per nonparticipant; the compiled
     physical letters are derived from the frames.  The search passes an
@@ -253,21 +259,21 @@ def realize_plan(graph: Graph, kind: str, participants: Iterable[int],
 
     frame_ref = participant_frames(gs_ref)
 
-    byproduct_rule: dict[tuple[int, ...], dict[int, str]] = {}
-    for combo in itertools.product((0, 1), repeat=len(nonparts)):
-        branch = _measure_branch(gs, logical_bases, dict(zip(nonparts, combo)))
+    # the byproducts are linear in the outcome bits: the branch with one 1,
+    # at v, gives the term of v
+    byproduct_terms: dict[int, dict[int, str]] = {}
+    for v in nonparts:
+        branch = _measure_branch(gs, logical_bases, {w: int(w == v) for w in nonparts})
         if branch is None:
             return None
-        gs_b, _ = branch
-        frames_b = participant_frames(gs_b)
-        rule: dict[int, str] = {}
+        frames_b = participant_frames(branch[0])
+        terms: dict[int, str] = {}
         for u in targets:
-            q = compose(frame_ref[u].inverse(), frames_b[u])
-            rep, letter = pauli_layer(q)
+            rep, letter = pauli_layer(compose(frame_ref[u].inverse(), frames_b[u]))
             if rep != IDENTITY:
                 return None  # branches differ by more than a Pauli: not a valid plan
-            rule[u] = letter
-        byproduct_rule[combo] = rule
+            terms[u] = letter
+        byproduct_terms[v] = terms
 
     plan = ExtractionPlan(
         graph=graph, kind=kind, targets=targets, pairs=pairs,
@@ -275,7 +281,7 @@ def realize_plan(graph: Graph, kind: str, participants: Iterable[int],
         nonparticipant_bases=physical_bases,
         nonparticipant_logical_bases=dict(logical_bases),
         participant_frame=frame_ref,
-        byproduct_rule=byproduct_rule,
+        byproduct_terms=byproduct_terms,
         preparation_frame=prep,
     )
     if verify and graph.n <= DENSE_CAP and not verify_plan_dense(plan):
@@ -291,13 +297,14 @@ def network_vector(plan: ExtractionPlan) -> np.ndarray:
 def verify_plan_dense(plan: ExtractionPlan, tol: float = 1e-10) -> bool:
     """Dense-oracle check: every nonparticipant outcome branch of the plan
     leaves the participants in the ideal resource state up to the recorded
-    frames and byproducts.  Raises SizeCapError above DENSE_CAP vertices."""
+    frames and the product of the byproduct terms of the nonparticipants
+    that read 1.  Raises SizeCapError above DENSE_CAP vertices."""
     graph = plan.graph
     network = network_vector(plan)
     nonparts = plan.nonparticipants
     target_vec = _logical_target_vector(plan.kind, plan.targets, plan.pairs)
     n_t = len(plan.targets)
-    for combo, rule in plan.byproduct_rule.items():
+    for combo in itertools.product((0, 1), repeat=len(nonparts)):
         settings = {v: (plan.nonparticipant_bases[v], bit)
                     for v, bit in zip(nonparts, combo)}
         try:
@@ -306,7 +313,10 @@ def verify_plan_dense(plan: ExtractionPlan, tol: float = 1e-10) -> bool:
             continue  # probability-0 branch
         expect = target_vec
         for i, u in enumerate(plan.targets):
-            e = compose(plan.participant_frame[u], PAULI_GATES[rule[u]])
+            e = plan.participant_frame[u]
+            for v, bit in zip(nonparts, combo):
+                if bit:
+                    e = compose(e, PAULI_GATES[plan.byproduct_terms[v][u]])
             expect = _apply_single_qubit(expect, n_t, i, e.matrix)
         fid = abs(np.vdot(proj, expect)) ** 2
         if abs(fid - 1) > tol:
@@ -429,17 +439,20 @@ def byproduct_correction(plan: ExtractionPlan, nonparticipant_outcomes: Mapping[
                          round_type: str = "type-1") -> dict[int, int]:
     """Outcome-bit flip mask for the participants, given nonparticipant bits.
 
-    A recorded Pauli byproduct flips a participant's bit exactly when it
-    anticommutes with that participant's logical measurement basis.
+    A Pauli byproduct flips a participant's bit exactly when it anticommutes
+    with that participant's logical measurement basis, and the byproduct is
+    a product of terms, so the flip is the XOR of the terms' flips.
     """
-    nonparts = plan.nonparticipants
-    missing = set(nonparts) - set(nonparticipant_outcomes)
+    missing = set(plan.nonparticipants) - set(nonparticipant_outcomes)
     if missing:
         raise ValueError(f"missing outcomes for nonparticipants {sorted(missing)}")
     logical = "Z" if round_type == "type-1" else "X"
-    combo = tuple(nonparticipant_outcomes[v] for v in nonparts)
-    rule = plan.byproduct_rule[combo]
-    return {u: 0 if paulis_commute(rule[u], logical) else 1 for u in plan.targets}
+    flips = dict.fromkeys(plan.targets, 0)
+    for v, terms in plan.byproduct_terms.items():
+        if nonparticipant_outcomes[v]:
+            for u, letter in terms.items():
+                flips[u] ^= not paulis_commute(letter, logical)
+    return flips
 
 
 def network_use_accounting(plans: Sequence[ExtractionPlan], protocol: str) -> int:
@@ -508,9 +521,9 @@ def plan_to_json(plan: ExtractionPlan) -> str:
             str(v): b for v, b in sorted(plan.nonparticipant_logical_bases.items())},
         "participant_frame": {str(v): c.name for v, c in sorted(plan.participant_frame.items())},
         "preparation_frame": {str(v): c.name for v, c in sorted(plan.preparation_frame.items())},
-        "byproduct_rule": {
-            "".join(map(str, combo)): {str(u): letter for u, letter in sorted(rule.items())}
-            for combo, rule in sorted(plan.byproduct_rule.items())},
+        "byproduct_terms": {
+            str(v): {str(u): letter for u, letter in sorted(terms.items())}
+            for v, terms in sorted(plan.byproduct_terms.items())},
         "copies_required": plan.copies_required,
     }
     return json.dumps(doc, indent=2, sort_keys=True)
@@ -518,6 +531,9 @@ def plan_to_json(plan: ExtractionPlan) -> str:
 
 def plan_from_json(text: str) -> ExtractionPlan:
     doc = json.loads(text)
+    if "byproduct_terms" not in doc:
+        raise ValueError("plan has no byproduct_terms: it predates the affine "
+                         "byproduct map, so extract it again")
     graph = Graph.from_edges(doc["graph"]["n"],
                              [tuple(e) for e in doc["graph"]["edges"]])
     return ExtractionPlan(
@@ -533,7 +549,7 @@ def plan_from_json(text: str) -> ExtractionPlan:
                            for v, name in doc["participant_frame"].items()},
         preparation_frame={int(v): from_name(name)
                            for v, name in doc["preparation_frame"].items()},
-        byproduct_rule={tuple(int(c) for c in combo): {int(u): l for u, l in rule.items()}
-                        for combo, rule in doc["byproduct_rule"].items()},
+        byproduct_terms={int(v): {int(u): l for u, l in terms.items()}
+                         for v, terms in doc["byproduct_terms"].items()},
         copies_required=doc["copies_required"],
     )

@@ -1,11 +1,13 @@
 """Key-rate estimators, protocol formulas, and round simulation tests."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from graphqcka import networks
+from graphqcka import networks, routing
+from graphqcka.graphstate import GraphState, local_complement
 from graphqcka.keyrates import (CorrelatorTable, RoleAssignment, RoundBatch,
                                 akr_2, akr_n, analytic_estimates,
                                 binary_entropy, error_estimates, estimate_qber,
@@ -13,8 +15,10 @@ from graphqcka.keyrates import (CorrelatorTable, RoleAssignment, RoundBatch,
                                 pairwise_conference_rate, pairwise_error,
                                 simulate_protocol, xor_combine)
 from graphqcka.noise import NoiseModel, apply_noise
+from graphqcka.pauli import HADAMARD, IDENTITY, compose, pauli_layer, pauli_product
 from graphqcka.routing import (compile_round_settings, find_bell_multicast_plan,
-                               find_ghz_plan, network_vector)
+                               find_ghz_plan, network_vector, realize_plan,
+                               verify_plan_dense)
 
 from conftest import random_frame, random_graph
 
@@ -280,15 +284,78 @@ class TestPauliEngine:
             assert_matches_density_path(plan, random_model(rng, range(6)))
             assert_matches_density_path(plan, NoiseModel())
 
-    def test_non_affine_byproduct_table(self, rng):
-        # one changed letter makes the flips of that participant non-affine
-        # in the two nonparticipant outcomes; the Walsh expansion still holds
+    @staticmethod
+    def branch_byproducts(plan):
+        """Byproduct letters of every one of the 2^k nonparticipant branches,
+        each branch measured on its own, relative to the all-zero branch."""
+        gs = GraphState(plan.graph, dict(plan.preparation_frame))
+        for v in plan.lc_sequence:
+            gs = local_complement(gs, v)
+        nonparts = plan.nonparticipants
+        logical = plan.nonparticipant_logical_bases
+        star_path, center = (), None
+        if plan.kind == "ghz":
+            zero, _ = routing._measure_branch(gs, logical, dict.fromkeys(nonparts, 0))
+            star_path, center = routing._star_reduction(zero.graph)
+
+        def participant_frames(branch):
+            for v in star_path:
+                branch = local_complement(branch, v)
+            frames = {u: branch.frame[u] for u in plan.targets}
+            rotated = ([u for u in plan.targets if u != center] if plan.kind == "ghz"
+                       else [b for _, b in plan.pairs])
+            for u in rotated:
+                frames[u] = compose(frames[u], HADAMARD)
+            return frames
+
+        table = {}
+        for combo in itertools.product((0, 1), repeat=len(nonparts)):
+            branch, _ = routing._measure_branch(gs, logical, dict(zip(nonparts, combo)))
+            frames = participant_frames(branch)
+            letters = {}
+            for u in plan.targets:
+                rep, letters[u] = pauli_layer(
+                    compose(plan.participant_frame[u].inverse(), frames[u]))
+                assert rep == IDENTITY
+            table[combo] = letters
+        return table
+
+    def test_byproduct_terms_match_every_branch(self, rng):
+        plans = self.random_plans(rng, 12)
+        while len(plans) < 24:
+            n = rng.randint(3, 8)
+            g = random_graph(n, rng)
+            if len(g.connected_components()) != 1:
+                continue
+            targets = rng.sample(g.vertices, rng.randint(max(2, n - 4), n - 1))
+            lcs = [rng.choice(g.vertices) for _ in range(rng.randint(0, 3))]
+            bases = {v: rng.choice("XYZ") for v in set(g.vertices) - set(targets)}
+            prep = rng.choice([None, networks.photonic_preparation_frame(g.vertices),
+                               random_frame(g, rng)])
+            plan = realize_plan(g, "ghz", targets, lcs, bases, verify=False,
+                                preparation_frame=prep)
+            if plan is not None:
+                plans.append(plan)
+        for plan in plans:
+            nonparts = plan.nonparticipants
+            for combo, letters in self.branch_byproducts(plan).items():
+                for u in plan.targets:
+                    product = "I"
+                    for v, bit in zip(nonparts, combo):
+                        if bit:
+                            product, _ = pauli_product(
+                                (product, 1), (plan.byproduct_terms[v][u], 1))
+                    assert product == letters[u], (plan, combo, u)
+
+    def test_changed_term_fails_verification(self, rng):
         plan = networks.ghz_plan()
         swap = {"I": "Y", "Y": "I", "X": "Z", "Z": "X"}
-        rule = {combo: dict(letters) for combo, letters in plan.byproduct_rule.items()}
-        u = plan.targets[1]
-        rule[(1, 0)][u] = swap[rule[(1, 0)][u]]
-        broken = replace(plan, byproduct_rule=rule)
+        terms = {v: dict(letters) for v, letters in plan.byproduct_terms.items()}
+        v, u = plan.nonparticipants[0], plan.targets[1]
+        terms[v][u] = swap[terms[v][u]]
+        broken = replace(plan, byproduct_terms=terms)
+        assert verify_plan_dense(plan)
+        assert not verify_plan_dense(broken)
         for _ in range(3):
             model = random_model(rng, range(6))
             assert_matches_density_path(broken, model)

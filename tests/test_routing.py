@@ -333,13 +333,12 @@ class TestCompilation:
         with pytest.raises(ValueError):
             compile_round_settings(networks.ghz_plan(), "type-3")
 
-    def test_byproduct_rule_covers_all_combinations(self):
+    def test_byproduct_terms_cover_all_targets(self):
         plan = networks.ghz_plan()
-        k = len(plan.nonparticipants)
-        assert len(plan.byproduct_rule) == 2 ** k
-        for combo, rule in plan.byproduct_rule.items():
-            assert len(combo) == k
-            assert set(rule) == set(plan.targets)
+        assert set(plan.byproduct_terms) == set(plan.nonparticipants)
+        for terms in plan.byproduct_terms.values():
+            assert set(terms) == set(plan.targets)
+            assert set(terms.values()) <= set("IXYZ")
 
     def test_byproduct_correction_missing_outcomes(self):
         plan = networks.ghz_plan()
@@ -348,7 +347,7 @@ class TestCompilation:
 
     def test_byproduct_correction_flip_mask(self):
         plan = networks.ghz_plan()
-        for combo in plan.byproduct_rule:
+        for combo in itertools.product((0, 1), repeat=len(plan.nonparticipants)):
             outcomes = dict(zip(plan.nonparticipants, combo))
             flips = byproduct_correction(plan, outcomes, "type-1")
             assert set(flips) == set(plan.targets)
