@@ -3,15 +3,21 @@
 Bridges the estimators in keyrates with the Poisson Monte Carlo machinery
 in noise: given type-1/type-2 batches for the multipartite protocol and/or
 the pairwise protocol's Bell plans, it produces a KeyRateReport with
-per-field uncertainties.
+per-field uncertainties.  The report's values come from the scalar
+estimators; their uncertainties from the estimators' row forms, evaluated
+once on noise.poisson_mc_many's count matrix, with NaN on the rows where a
+value is undefined.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .keyrates import (KeyRateReport, RoundBatch, akr_n, error_estimates,
-                       pairwise_conference_rate)
+import numpy as np
+
+from .keyrates import (CountRows, KeyRateReport, RoundBatch, akr_n, akr_n_rows,
+                       error_estimates, pairwise_conference_rate,
+                       pairwise_conference_rate_rows, qber_rows, qx_rows)
 from .noise import poisson_mc_many
 from .routing import ExtractionPlan, network_use_accounting
 
@@ -79,30 +85,33 @@ def build_report(ghz_plan: ExtractionPlan | None,
                            qx=qx, alice_choice=alice)
     if mc_samples > 0 and copies:
         results = poisson_mc_many(
-            batches, lambda bs: _report_scalars(ghz_plan, bell_plans, bs),
+            batches, lambda rows: _report_rows(ghz_plan, bell_plans, rows),
             mc_samples, mc_seed)
         report.uncertainties = {name: r.std for name, r in results.items()}
     return report
 
 
-def _report_scalars(ghz_plan, bell_plans, batches) -> dict[str, float]:
-    """The report's scalars that are defined on these batches.
+def _report_rows(ghz_plan, bell_plans,
+                 rows: Mapping[str, CountRows]) -> dict[str, np.ndarray]:
+    """The report's scalars on every row of counts, NaN where undefined.
 
-    The ratio is defined where both rates are and akr_2 is positive.
+    Row by row these are build_report's values: qber, qx and akr_n need
+    both nqkd batches nonempty, akr_2 every Bell batch, and the ratio both
+    rates with akr_2 positive.  A Bell pair's marginal is the pair's two bit
+    columns of its plan's outcomes.
     """
     out = {}
     if ghz_plan is not None:
-        try:
-            est = error_estimates(batches["nqkd/type-1"], batches["nqkd/type-2"])
-        except (ValueError, ZeroDivisionError):
-            pass
-        else:
-            out.update(qber=est.qber, qx=est.qx, akr_n=akr_n(est.qber, est.qx))
+        qber, qx = qber_rows(rows["nqkd/type-1"])[0], qx_rows(rows["nqkd/type-2"])
+        undefined = np.isnan(qber) | np.isnan(qx)
+        qber[undefined] = qx[undefined] = np.nan
+        out.update(qber=qber, qx=qx, akr_n=akr_n_rows(qber, qx))
     if bell_plans:
-        try:
-            out["akr_2"] = pairwise_rates(bell_plans, batches)[1]
-        except (ValueError, ZeroDivisionError):
-            pass
-    if "akr_n" in out and out.get("akr_2", 0.0) > 0:
-        out["ratio"] = out["akr_n"] / out["akr_2"]
+        out["akr_2"] = pairwise_conference_rate_rows([
+            [akr_n_rows(qber_rows(rows[f"bell{k}/type-1"], pair)[0],
+                        qx_rows(rows[f"bell{k}/type-2"], pair)) for pair in plan.pairs]
+            for k, plan in enumerate(bell_plans)])
+    if "akr_n" in out and "akr_2" in out:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out["ratio"] = np.where(out["akr_2"] > 0, out["akr_n"] / out["akr_2"], np.nan)
     return out

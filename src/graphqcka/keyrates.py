@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -59,6 +60,8 @@ class RoundBatch:
         for s, c in self.counts.items():
             if len(s) != n:
                 raise ValueError(f"outcome {s!r} does not match participant count {n}")
+            if s.strip("01"):
+                raise ValueError(f"outcome {s!r} is not a string of 0/1 bits")
             if c < 0:
                 raise ValueError("counts must be nonnegative")
 
@@ -69,7 +72,7 @@ class RoundBatch:
     def marginal(self, subset: Sequence[int]) -> "RoundBatch":
         """Marginalize counts onto a subset of participants."""
         idx = [self.participants.index(v) for v in subset]
-        out: dict[str, float] = {}
+        out: dict[str, int] = {}
         for s, c in self.counts.items():
             key = "".join(s[i] for i in idx)
             out[key] = out.get(key, 0) + c
@@ -196,6 +199,90 @@ def pairwise_conference_rate(plan_rates: Sequence[Sequence[float]]) -> float:
             return 0.0
         total += max(1.0 / r for r in rates)
     return 1.0 / total
+
+
+# ---------------------------------------------------------------------------
+# the estimators on rows of counts
+
+
+@dataclass(frozen=True)
+class CountRows:
+    """Rows of integer counts over one batch's sorted outcome strings.
+
+    counts[r, k] counts outcomes[k] in row r.  The *_rows estimators below
+    give one float per row, NaN where the row is undefined (a zero total),
+    and each row's value is the scalar estimator's on a RoundBatch holding
+    that row's counts, to the bit.
+    """
+
+    participants: tuple[int, ...]
+    outcomes: tuple[str, ...]
+    counts: np.ndarray
+
+    def bits(self, participant: int) -> np.ndarray:
+        """The participant's 0/1 bit in each outcome string."""
+        i = self.participants.index(participant)
+        return np.array([int(s[i]) for s in self.outcomes], dtype=np.int64)
+
+    def per_round(self, sums: np.ndarray) -> np.ndarray:
+        """Integer row sums over the row totals, NaN where a total is zero."""
+        totals = self.counts.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(totals > 0, sums / totals, np.nan)
+
+
+def pairwise_error_rows(rows: CountRows, i: int, j: int) -> np.ndarray:
+    """pairwise_error on every row."""
+    if i == j:
+        raise ValueError("pairwise error needs two distinct participants")
+    return rows.per_round(rows.counts @ (rows.bits(i) ^ rows.bits(j)))
+
+
+def qber_rows(rows: CountRows, participants: Sequence[int] | None = None,
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """estimate_qber's min-max on every row: the QBER and the Alice choice.
+
+    It runs over the given participants, all by default; a pair gives that
+    pair's marginal.  Within a row the pairwise errors differ by 0 or by at
+    least 1/total, so only the Alice choice shows how ties are broken.
+    """
+    parts = rows.participants if participants is None else tuple(participants)
+    if len(parts) < 2:
+        raise ValueError("need at least two participants")
+    pairwise = {}
+    for a, b in combinations(parts, 2):
+        pairwise[a, b] = pairwise[b, a] = pairwise_error_rows(rows, a, b)
+    best = choice = None
+    for alice in parts:
+        worst = np.max([pairwise[alice, b] for b in parts if b != alice], axis=0)
+        if best is None:
+            best, choice = worst, np.full(worst.shape, alice)
+        else:
+            better = worst < best - 1e-15
+            best, choice = np.where(better, worst, best), np.where(better, alice, choice)
+    return best, choice
+
+
+def qx_rows(rows: CountRows, participants: Sequence[int] | None = None) -> np.ndarray:
+    """estimate_qx on every row, from the parity of the given participants."""
+    parts = rows.participants if participants is None else participants
+    parity = sum(rows.bits(u) for u in parts) % 2
+    return (1.0 - rows.per_round(rows.counts @ (1 - 2 * parity))) / 2.0
+
+
+def akr_n_rows(qber: np.ndarray, qx: np.ndarray) -> np.ndarray:
+    """akr_n per element, NaN where either input is.  It calls the scalar
+    form, because np.log2 and math.log2 differ in the last bit on some
+    inputs."""
+    return np.array([math.nan if math.isnan(q) or math.isnan(x) else akr_n(q, x)
+                     for q, x in zip(qber.tolist(), qx.tolist())])
+
+
+def pairwise_conference_rate_rows(plan_rates: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+    """pairwise_conference_rate per row, NaN where any rate is."""
+    per_row = zip(*(np.array(rates).T.tolist() for rates in plan_rates))
+    return np.array([math.nan if any(math.isnan(r) for rates in row for r in rates)
+                     else pairwise_conference_rate(row) for row in per_row])
 
 
 def xor_combine(keys: Sequence[str], links: Sequence[tuple[int, int]],

@@ -14,10 +14,17 @@ stabilizer network state each corrected parity is one such correlator
 calibrate_to_targets evaluate a model: exactly, and without a density
 matrix.  apply_noise and DensityOperator build the 4^n density matrix for
 callers that hand keyrates an explicit state.
+
+The Poisson Monte Carlo draws every resample at once into an integer count
+matrix, observed counts in row 0, and hands it to the statistic once
+(poisson_mc_many); a statistic returns one value per row, NaN where it is
+undefined.  poisson_mc adapts a Python statistic of RoundBatches to that by
+evaluating it row by row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
@@ -25,8 +32,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .graphstate import SizeCapError
-from .keyrates import (RoundBatch, _rotate_density, akr_n, correlator_tables,
-                       table_estimates)
+from .keyrates import (CountRows, RoundBatch, _rotate_density, akr_n,
+                       correlator_tables, table_estimates)
 from .pauli import PAULI_MATRICES
 from .routing import ExtractionPlan
 
@@ -247,64 +254,77 @@ def poisson_mc(batches: Mapping[str, RoundBatch],
     """Uncertainty of one counts statistic under independent Poisson resampling.
 
     The single-statistic form of poisson_mc_many, which documents the
-    resampling, the rejections and the errors raised.  The statistic is
-    undefined where it raises ValueError or ZeroDivisionError.
+    resampling, the rejections and the errors raised.  statistic is a
+    Python function of RoundBatches, so it is evaluated row by row: on the
+    observed batches for row 0, and on a RoundBatch per batch built from
+    each resampled row.  It is undefined (NaN) where it raises ValueError or
+    ZeroDivisionError.
     """
-    def defined(bs: Mapping[str, RoundBatch]) -> dict[str, float]:
-        try:
-            return {"statistic": statistic(bs)}
-        except (ValueError, ZeroDivisionError):
-            return {}
-    return poisson_mc_many(batches, defined, n_samples, seed)["statistic"]
+    def row_by_row(rows: Mapping[str, CountRows]) -> dict[str, np.ndarray]:
+        values = []
+        for r in range(n_samples + 1):
+            resampled = batches if r == 0 else {
+                name: RoundBatch(batches[name].setting, c.participants,
+                                 dict(zip(c.outcomes, c.counts[r].tolist())))
+                for name, c in rows.items()}
+            try:
+                values.append(statistic(resampled))
+            except (ValueError, ZeroDivisionError):
+                values.append(math.nan)
+        return {"statistic": np.array(values, dtype=float)}
+    return poisson_mc_many(batches, row_by_row, n_samples, seed)["statistic"]
 
 
 def poisson_mc_many(batches: Mapping[str, RoundBatch],
-                    statistic: Callable[[Mapping[str, RoundBatch]], Mapping[str, float]],
+                    statistic: Callable[[Mapping[str, CountRows]], Mapping[str, np.ndarray]],
                     n_samples: int, seed: int) -> dict[str, MonteCarloResult]:
     """Uncertainties of several counts statistics from one Poisson resampling.
 
     Every count is replaced by a Poisson draw with its observed value as the
     mean.  Fully deterministic in the seed: one rng.poisson call draws every
     resample, each in sorted batch / sorted outcome order, which gives the
-    same draws as drawing one count at a time in that order.  statistic is
-    called once per resample and returns {name: value} for the statistics
-    defined on it.  The results are the names defined at the observed
-    counts; a name missing from a resample (e.g. one with a batch resampled
-    to zero total) is rejected there, and counted in its own n_rejected.
-    Raises ValueError when no statistic is defined at the observed counts,
-    or one is defined on no resample.
+    same draws as drawing one count at a time in that order.
+
+    The counts go to statistic once, as an integer matrix: row 0 holds the
+    observed counts and rows 1..n_samples the resamples, and its columns are
+    split per batch into keyrates.CountRows over the batch's sorted
+    outcomes.  statistic returns {name: float array of length 1 + n_samples}
+    with NaN where a statistic is undefined on a row (e.g. one with a batch
+    resampled to zero total).  The results are the names defined on row 0,
+    which gives the point value; a name's NaN resamples are its n_rejected,
+    and its mean and std are taken over the rest.  Raises ValueError when a
+    count is not an integer, when no statistic is defined at the observed
+    counts, or when one is defined on no resample.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    points = statistic(batches)
-    if not points:
-        raise ValueError("statistic is undefined at the observed counts")
     layout = [(name, sorted(batches[name].counts)) for name in sorted(batches)]
     lam = np.array([batches[name].counts[k] for name, outcomes in layout
                     for k in outcomes], dtype=float)
+    observed = lam.astype(np.int64)
+    if not np.array_equal(observed, lam):
+        raise ValueError("Poisson resampling needs integer counts")
     draws = np.random.default_rng(seed).poisson(lam, size=(n_samples, lam.size))
-    values: dict[str, list[float]] = {name: [] for name in points}
-    for row in draws.tolist():
-        resampled = {}
-        start = 0
-        for name, outcomes in layout:
-            b = batches[name]
-            counts = dict(zip(outcomes, row[start:start + len(outcomes)]))
-            resampled[name] = RoundBatch(b.setting, b.participants, counts)
-            start += len(outcomes)
-        got = statistic(resampled)
-        for name, vals in values.items():
-            if name in got:
-                vals.append(got[name])
+    matrix = np.vstack([observed, draws])
+    rows, start = {}, 0
+    for name, outcomes in layout:
+        rows[name] = CountRows(batches[name].participants, tuple(outcomes),
+                               matrix[:, start:start + len(outcomes)])
+        start += len(outcomes)
     out = {}
-    for name, vals in values.items():
-        if not vals:
+    for name, values in statistic(rows).items():
+        if math.isnan(values[0]):
+            continue
+        resampled = values[1:]
+        defined = resampled[~np.isnan(resampled)]
+        if not defined.size:
             raise ValueError("all Monte Carlo samples were rejected")
-        arr = np.asarray(vals)
         out[name] = MonteCarloResult(
-            point_estimate=float(points[name]), mean=float(arr.mean()),
-            std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-            n_samples=n_samples, n_rejected=n_samples - len(vals), seed=seed)
+            point_estimate=float(values[0]), mean=float(defined.mean()),
+            std=float(defined.std(ddof=1)) if defined.size > 1 else 0.0,
+            n_samples=n_samples, n_rejected=n_samples - defined.size, seed=seed)
+    if not out:
+        raise ValueError("statistic is undefined at the observed counts")
     return out
 
 

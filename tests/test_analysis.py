@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from graphqcka import networks
-from graphqcka.analysis import build_report, pairwise_rates
+from graphqcka.analysis import _report_rows, build_report, pairwise_rates
 from graphqcka.graphstate import to_dense
-from graphqcka.keyrates import RoundBatch, akr_n, error_estimates, simulate_protocol
+from graphqcka.keyrates import (CountRows, RoundBatch, akr_n, error_estimates,
+                                estimate_qber, outcome_distribution, qber_rows,
+                                simulate_protocol)
 from graphqcka.noise import NoiseModel, apply_noise
 
 
@@ -28,12 +30,9 @@ def noisy_state():
     return apply_noise(vec, range(6), model).matrix
 
 
-def scalar_reference(bells, batches, n_samples, seed):
-    """Each statistic resampled on its own, one Poisson count at a time.
-
-    Returns per-statistic standard deviations and rejection counts; this is
-    the loop build_report's single Monte Carlo pass must reproduce exactly.
-    """
+def scalar_statistics(ghz, bells):
+    """The report's scalars as scalar-estimator functions of RoundBatches,
+    each raising where it is undefined."""
     def nqkd(bs):
         return error_estimates(bs["nqkd/type-1"], bs["nqkd/type-2"])
 
@@ -43,11 +42,24 @@ def scalar_reference(bells, batches, n_samples, seed):
             raise ValueError("pairwise rate vanished")
         return akr_n(nqkd(bs).qber, nqkd(bs).qx) / r2
 
-    stats = {"qber": lambda bs: nqkd(bs).qber,
-             "qx": lambda bs: nqkd(bs).qx,
-             "akr_n": lambda bs: akr_n(nqkd(bs).qber, nqkd(bs).qx),
-             "akr_2": lambda bs: pairwise_rates(bells, bs)[1],
-             "ratio": ratio}
+    stats = {}
+    if ghz is not None:
+        stats.update(qber=lambda bs: nqkd(bs).qber, qx=lambda bs: nqkd(bs).qx,
+                     akr_n=lambda bs: akr_n(nqkd(bs).qber, nqkd(bs).qx))
+    if bells:
+        stats["akr_2"] = lambda bs: pairwise_rates(bells, bs)[1]
+    if ghz is not None and bells:
+        stats["ratio"] = ratio
+    return stats
+
+
+def scalar_reference(ghz, bells, batches, n_samples, seed):
+    """Each statistic resampled on its own, one Poisson count at a time.
+
+    Returns per-statistic standard deviations and rejection counts; this is
+    the loop build_report's single Monte Carlo pass must reproduce exactly.
+    """
+    stats = scalar_statistics(ghz, bells)
     stds, rejected = {}, {}
     for name, stat in stats.items():
         rng = np.random.default_rng(seed)
@@ -122,7 +134,7 @@ class TestBuildReport:
         ghz, bells, batches = ideal_batches(rounds, seed, state=noisy_state())
         report = build_report(ghz, bells, batches, mc_samples=200, mc_seed=1)
         assert report.ratio is not None
-        want, rejected = scalar_reference(bells, batches, 200, 1)
+        want, rejected = scalar_reference(ghz, bells, batches, 200, 1)
         assert report.uncertainties == want
         if rounds == 10:
             # batches resampled to zero total, and resamples whose pairwise
@@ -134,3 +146,77 @@ class TestBuildReport:
         ghz, bells, batches = ideal_batches()
         report = build_report(ghz, bells, batches, mc_samples=0)
         assert report.uncertainties == {}
+
+
+def random_rows(rng, plan, round_type, n_rows):
+    """Seeded count rows over all of a plan's outcome strings.
+
+    Each row draws its counts around a noisy version of the ideal
+    distribution, with a total between 0 and 2,000 rounds, so the rows hold
+    empty batches, tiny batches with exact ties, and rates of both signs.
+    """
+    n = len(plan.targets)
+    outcomes = tuple(format(i, f"0{n}b") for i in range(1 << n))
+    dist = outcome_distribution(plan, round_type)
+    ideal = np.array([dist.get(s, 0.0) for s in outcomes])
+    noise = rng.uniform(0, 0.7, size=(n_rows, 1))
+    totals = rng.choice([0, 1, 3, 12, 2000], size=(n_rows, 1))
+    lam = totals * ((1 - noise) * ideal + noise / len(outcomes))
+    return CountRows(plan.targets, outcomes, rng.poisson(lam))
+
+
+def row_batches(rows, r):
+    return {name: RoundBatch(None, c.participants, dict(zip(c.outcomes, c.counts[r].tolist())))
+            for name, c in rows.items()}
+
+
+class TestReportRows:
+    """The report's array statistic against the scalar estimators, row by row."""
+
+    @pytest.mark.parametrize("protocols", ["both", "nqkd", "2qkd"])
+    def test_matches_scalar_estimators(self, protocols):
+        rng = np.random.default_rng(11)
+        ghz = networks.ghz_plan() if protocols != "2qkd" else None
+        bells = ([networks.bell_multicast_plan(), networks.bell_bridge_plan()]
+                 if protocols != "nqkd" else [])
+        plans = {f"bell{k}": plan for k, plan in enumerate(bells)}
+        if ghz is not None:
+            plans["nqkd"] = ghz
+        n_rows = 3000
+        rows = {f"{name}/{rt}": random_rows(rng, plan, rt, n_rows)
+                for name, plan in plans.items() for rt in ("type-1", "type-2")}
+        got = _report_rows(ghz, bells, rows)
+        stats = scalar_statistics(ghz, bells)
+        assert list(got) == list(stats)
+        # the Alice choice is the only trace of the tie-break on count rows
+        choices = {(name, pair): qber_rows(rows[f"{name}/type-1"], pair)
+                   for name, plan in plans.items() for pair in plan.pairs or [None]}
+        want = {name: np.empty(n_rows) for name in stats}
+        ties = 0
+        for r in range(n_rows):
+            batches = row_batches(rows, r)
+            for name, stat in stats.items():
+                try:
+                    want[name][r] = stat(batches)
+                except (ValueError, ZeroDivisionError):
+                    want[name][r] = np.nan
+            for (name, pair), (qber, alice) in choices.items():
+                b = batches[f"{name}/type-1"]
+                if b.total:
+                    est = estimate_qber(b if pair is None else b.marginal(pair))
+                    assert (qber[r], alice[r]) == (est.qber, est.alice_choice)
+                    if pair is None:
+                        worst = [max(q for (a, _), q in est.pairwise_q.items() if a == u)
+                                 for u in b.participants]
+                        ties += worst.count(est.qber) > 1
+        for name in stats:
+            assert np.array_equal(got[name], want[name], equal_nan=True), name
+        # the cases the statistic must get right all occur: GHZ rows where
+        # Alices tie exactly, empty batches, vanished pairwise rates
+        assert ties > 100 or ghz is None
+        for values in got.values():
+            assert 0 < np.isnan(values).sum() < n_rows
+        if "akr_2" in got:
+            assert (got["akr_2"] == 0).sum() > 100
+        if "ratio" in got:
+            assert np.isnan(got["ratio"][got["akr_2"] == 0]).all()

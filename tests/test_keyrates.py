@@ -9,7 +9,7 @@ import pytest
 from graphqcka import networks, routing
 from graphqcka.graphstate import GraphState, local_complement
 from graphqcka.keyrates import (CorrelatorTable, RoleAssignment, RoundBatch,
-                                akr_2, akr_n, analytic_estimates,
+                                akr_2, akr_n, akr_n_rows, analytic_estimates,
                                 binary_entropy, error_estimates, estimate_qber,
                                 estimate_qx, outcome_distribution,
                                 pairwise_conference_rate, pairwise_error,
@@ -96,6 +96,12 @@ class TestErrorEstimators:
         assert estimate_qx(batch({"00": 90, "01": 10})) == pytest.approx(0.1)
         assert estimate_qx(batch({"0": 50, "1": 50})) == pytest.approx(0.5)
 
+    def test_round_batch_rejects_non_bit_outcomes(self):
+        for bad in ("0a", "2 ", "1-"):
+            with pytest.raises(ValueError, match=f"outcome {bad!r} is not a string of 0/1 bits"):
+                batch({"00": 3, bad: 1})
+        assert batch({"01": 2, "10": 0}).marginal((1,)).counts == {"1": 2, "0": 0}
+
     def test_error_estimates_combines_batches(self):
         t1 = batch({"00": 98, "01": 2})
         t2 = batch({"00": 95, "10": 5})
@@ -126,6 +132,15 @@ class TestRateFormulas:
         assert akr_2(1.0, 0.5, 1.0) == pytest.approx(akr_2(0.5, 1.0, 1.0))
         assert akr_2(0.0, 1.0, 1.0) == 0.0
         assert akr_2(1.0, 1.0, -0.2) == 0.0
+
+    def test_akr_n_rows_is_the_scalar_form_on_every_fraction(self):
+        # every count ratio d/T with T <= 150; np.log2 misses math.log2 by an
+        # ulp on a few of them, so a vectorized entropy fails here
+        q = np.array(sorted({d / t for t in range(1, 151) for d in range(t + 1)}))
+        qx = np.random.default_rng(2).permutation(q)
+        qx[::97] = np.nan
+        want = [np.nan if np.isnan(x) else akr_n(a, x) for a, x in zip(q, qx)]
+        assert np.array_equal(akr_n_rows(q, qx), want, equal_nan=True)
 
     def test_pairwise_conference_rate_generalizes(self):
         assert pairwise_conference_rate([[1.0], [1.0]]) == pytest.approx(0.5)
@@ -273,10 +288,13 @@ class TestPauliEngine:
         for plan in plans:
             for _ in range(2):
                 assert_matches_density_path(plan, random_model(rng, plan.graph.vertices))
-            # a searched plan's byproduct table is affine: one string per subset
-            for rt in ("type-1", "type-2"):
-                subsets = CorrelatorTable.build(plan, rt).subsets.tolist()
-                assert len(subsets) == len(set(subsets))
+            # a GHZ state's all-Z correlators are the even-size subsets, each +-1
+            if plan.kind == "ghz":
+                table = CorrelatorTable.build(plan, "type-1")
+                n = len(plan.targets)
+                assert table.subsets.tolist() == [a for a in range(1 << n)
+                                                  if a.bit_count() % 2 == 0]
+                assert np.all(np.abs(table.weights) == 1)
 
     def test_matches_density_path_on_reference_plans(self, rng):
         for plan in (networks.ghz_plan(), networks.bell_multicast_plan(),

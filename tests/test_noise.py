@@ -188,6 +188,11 @@ class TestPoissonMc:
                            match="^statistic is undefined at the observed counts$"):
             poisson_mc(batches, undefined, n_samples=5, seed=0)
 
+    def test_rejects_fractional_counts(self):
+        batches = {"b": RoundBatch(None, (0, 1), {"00": 2.5, "01": 1})}
+        with pytest.raises(ValueError, match="^Poisson resampling needs integer counts$"):
+            poisson_mc(batches, self.stat, n_samples=5, seed=0)
+
     def test_needs_samples(self):
         with pytest.raises(ValueError):
             poisson_mc({}, lambda b: 0.0, n_samples=0, seed=0)
