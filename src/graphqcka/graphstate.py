@@ -22,7 +22,6 @@ from .pauli import (
     IDENTITY,
     LocalClifford,
     PAULI_GATES,
-    PAULI_MATRICES,
     SQRT_IZ,
     SQRT_MINUS_IX,
     compose,
@@ -133,17 +132,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class PauliObservable:
-    """Tensor-product Pauli observable over labelled vertices, with a sign."""
-
-    letters: Mapping[int, str]
-    sign: int = 1
-
-    def on(self, vertices: Iterable[int]) -> list[str]:
-        return [self.letters.get(v, "I") for v in vertices]
-
-
-@dataclass(frozen=True)
 class MeasurementRecord:
     vertex: int
     basis: str
@@ -202,21 +190,6 @@ def to_dense(gs: GraphState) -> np.ndarray:
         if c != IDENTITY:
             vec = _apply_single_qubit(vec, n, i, c.matrix)
     return vec
-
-
-def expectation(vec: np.ndarray, obs: PauliObservable, vertices: Iterable[int]) -> float:
-    """Exact <psi|O|psi> of a Pauli-product observable on a dense state."""
-    vertices = tuple(vertices)
-    n = len(vertices)
-    if vec.shape != (1 << n,):
-        raise ValueError("observable arity does not match state size")
-    out = vec
-    for i, v in enumerate(vertices):
-        letter = obs.letters.get(v, "I")
-        if letter != "I":
-            out = _apply_single_qubit(out, n, i, PAULI_MATRICES[letter])
-    val = obs.sign * np.vdot(vec, out)
-    return float(val.real)
 
 
 def stabilizer_expectation(gs: GraphState, letters: Mapping[int, str]) -> int:

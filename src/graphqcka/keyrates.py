@@ -3,8 +3,14 @@
 Implements the N-partite BB84-style protocol (type-1 all-Z key rounds,
 type-2 all-X parameter rounds) and the pairwise alternative where N-1 Bell
 keys are XOR-combined into a conference key, together with the error
-estimators and asymptotic rate formulas for both.  Outcome distributions
-under a noise model come from CorrelatorTable, which builds no dense state.
+estimators and asymptotic rate formulas for both.
+
+Outcome distributions go through the plan's parity strings: the parity of
+each participant subset of the corrected bits is the expectation of one
+Pauli string, and a Walsh-Hadamard transform of the 2^N parities gives the
+distribution.  Under a noise model CorrelatorTable evaluates the strings in
+closed form, with no dense state; an explicit amplitude vector or density
+matrix is read by evaluating every string on it directly.
 """
 
 from __future__ import annotations
@@ -16,15 +22,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graphstate import (_BASIS_STATES, GraphState, _apply_single_qubit,
-                         stabilizer_expectation)
+from .graphstate import GraphState, stabilizer_expectation
 from .routing import (ExtractionPlan, RoundSetting, byproduct_correction,
                       compile_round_settings)
-
-# maps basis eigenstates onto computational bits: row b = <e_b|
-_BASIS_ROTATIONS = {
-    letter: np.array([_BASIS_STATES[(letter, bit)].conj() for bit in (0, 1)])
-    for letter in "ZXY"}
 
 
 @dataclass(frozen=True)
@@ -346,18 +346,79 @@ def _walsh(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _parity_distribution(parities: np.ndarray) -> dict[str, float]:
+    """Outcome distribution over N-bit strings from its 2^N subset parities.
+
+    parities[a] is the expectation of (-1)^(a . b) over outcomes b; a
+    Walsh-Hadamard transform inverts that.  Outcomes below 1e-15 are dropped
+    and the rest renormalized.
+    """
+    n_parts = parities.size.bit_length() - 1
+    probs = _walsh(parities) / parities.size
+    out = {format(idx, f"0{n_parts}b"): float(p)
+           for idx, p in enumerate(probs) if p >= 1e-15}
+    norm = sum(out.values())
+    return {key: p / norm for key, p in out.items()}
+
+
+def _parity_strings(plan: ExtractionPlan, round_type: str,
+                    ) -> tuple[RoundSetting, np.ndarray, np.ndarray]:
+    """The Pauli string and sign behind each participant subset's parity.
+
+    On any network state the parity of a participant subset A of the
+    corrected bits is sign * <S>: S is the participants' letters on A, plus
+    the letters of the nonparticipants whose byproduct term flips an odd
+    number of A's bits, and the sign negates the bits of A that the sign
+    convention flips.  Row a is the subset with mask a, participant i at bit
+    N-1-i, so that subset and outcome indices read as the key strings.  The
+    strings come as letter codes per network vertex: 0 = I, 1 = X, 2 = Y,
+    3 = Z.
+    """
+    setting = compile_round_settings(plan, round_type)
+    parts, verts = plan.targets, plan.graph.vertices
+    n_parts = len(parts)
+    # in_subset[i, k] = 1 when vertex k's letter enters the string of
+    # participant i's singleton subset; the other strings are XORs of these
+    in_subset = np.array([[int(u == v) for v in verts] for u in parts])
+    for v in plan.nonparticipants:
+        flip = byproduct_correction(
+            plan, {w: int(w == v) for w in plan.nonparticipants}, round_type)
+        in_subset[:, verts.index(v)] = [flip[u] for u in parts]
+    subset_bits = (np.arange(1 << n_parts)[:, None] >> np.arange(n_parts - 1, -1, -1)) & 1
+    letters = np.array(["IXYZ".index(setting.per_vertex_basis[v]) for v in verts])
+    negated = np.array([int(setting.sign_convention[u] < 0) for u in parts])
+    codes = ((subset_bits @ in_subset) & 1) * letters
+    return setting, codes, 1.0 - 2.0 * ((subset_bits @ negated) & 1)
+
+
+def _explicit_expectations(codes: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """<S> of each coded Pauli string on an amplitude vector or density matrix.
+
+    Vertex i is bit n-1-i of a basis index j.  A string with X/Y mask x,
+    Y/Z mask z and #Y letters maps |j> to i^#Y (-1)^|j & z| |j ^ x>, so
+    Tr(rho S) = i^#Y sum_j (-1)^|j & z| rho[j, j ^ x], and on a vector
+    <psi|S|psi> = i^#Y sum_j (-1)^|j & z| conj(psi[j ^ x]) psi[j].
+    """
+    n = codes.shape[1]
+    j = np.arange(1 << n)
+    j_bits = (j[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    x = ((codes == 1) | (codes == 2)) @ (1 << np.arange(n - 1, -1, -1))
+    z_sign = 1 - 2 * (((codes >= 2).astype(np.int64) @ j_bits.T) & 1)
+    flipped = j ^ x[:, None]
+    terms = state[flipped].conj() * state if state.ndim == 1 else state[j, flipped]
+    return ((terms * z_sign).sum(axis=1) * 1j ** (codes == 2).sum(axis=1)).real
+
+
 @dataclass(frozen=True)
 class CorrelatorTable:
     """The Pauli correlators behind one plan's corrected outcome distribution.
 
     Every channel of a noise model is a Pauli channel and the network is a
-    stabilizer state, so the parity of a participant subset A of the
-    corrected bits is one Pauli correlator: the participants' letters on A,
-    plus the letters of the nonparticipants whose byproduct term flips an
-    odd number of A's bits, signed by the bits of A that the sign convention
-    negates.  Row t holds one such string with a nonzero ideal value: its
-    letter codes per network vertex (0 = I, 1 = X, 2 = Y, 3 = Z), its subset
-    mask and its weight, the sign times the ideal value.
+    stabilizer state, so each subset parity of _parity_strings is its
+    string's ideal value (+-1 or 0) scaled by the channels.  Row t holds one
+    string with a nonzero ideal value: its letter codes per network vertex
+    (0 = I, 1 = X, 2 = Y, 3 = Z), its subset mask and its weight, the sign
+    times the ideal value.
     """
 
     setting: RoundSetting
@@ -369,33 +430,14 @@ class CorrelatorTable:
 
     @classmethod
     def build(cls, plan: ExtractionPlan, round_type: str) -> "CorrelatorTable":
-        setting = compile_round_settings(plan, round_type)
-        basis = setting.per_vertex_basis
-        parts, nonparts = plan.targets, plan.nonparticipants
-        # participant i is bit N-1-i of a subset mask, so that subset and
-        # outcome indices read as the key strings
-        part_bits = [1 << (len(parts) - 1 - i) for i in range(len(parts))]
-        negated = sum(bit for u, bit in zip(parts, part_bits)
-                      if setting.sign_convention[u] < 0)
-        unit_flips = []
-        for v in nonparts:
-            flip = byproduct_correction(
-                plan, {w: int(w == v) for w in nonparts}, round_type)
-            unit_flips.append(sum(bit for u, bit in zip(parts, part_bits) if flip[u]))
+        setting, codes, signs = _parity_strings(plan, round_type)
         state = GraphState(plan.graph, dict(plan.preparation_frame))
-        rows, weights, letters = [], [], []
-        for a in range(1 << len(parts)):
-            string = {u: basis[u] for u, bit in zip(parts, part_bits) if a & bit}
-            string.update((v, basis[v]) for v, flip in zip(nonparts, unit_flips)
-                          if (a & flip).bit_count() % 2)
-            ideal = stabilizer_expectation(state, string)
-            if ideal:
-                rows.append(a)
-                weights.append(ideal * (-1.0) ** (a & negated).bit_count())
-                letters.append(["IXYZ".index(string.get(v, "I"))
-                                for v in plan.graph.vertices])
-        return cls(setting, parts, plan.graph.vertices, np.array(rows),
-                   np.array(weights), np.array(letters))
+        verts = plan.graph.vertices
+        ideal = np.array([
+            stabilizer_expectation(state, {v: "IXYZ"[c] for v, c in zip(verts, row)})
+            for row in codes.tolist()])
+        rows = np.flatnonzero(ideal)
+        return cls(setting, plan.targets, verts, rows, ideal[rows] * signs[rows], codes[rows])
 
     def distribution(self, model=None) -> dict[str, float]:
         """Exact corrected outcome distribution under a noise.NoiseModel.
@@ -403,9 +445,7 @@ class CorrelatorTable:
         Each correlator is its ideal value times (1 - w) for global white
         noise w, unless it is the identity, times the model's per-qubit
         factor of each letter (NoiseModel.pauli_factors); None is the ideal
-        state.  A Walsh-Hadamard transform of the 2^N subset parities gives
-        the distribution.  Outcomes below 1e-15 are dropped and the rest
-        renormalized, as outcome_distribution does on a dense state.
+        state.
         """
         n_verts, n_parts = len(self.vertices), len(self.targets)
         if model is None:
@@ -415,12 +455,8 @@ class CorrelatorTable:
         values = self.weights * np.prod(
             factors[np.arange(n_verts), self.letters], axis=1)
         values[self.letters.any(axis=1)] *= keep
-        probs = _walsh(np.bincount(self.subsets, weights=values,
-                                   minlength=1 << n_parts)) / (1 << n_parts)
-        out = {format(idx, f"0{n_parts}b"): float(p)
-               for idx, p in enumerate(probs) if p >= 1e-15}
-        norm = sum(out.values())
-        return {key: p / norm for key, p in out.items()}
+        return _parity_distribution(np.bincount(self.subsets, weights=values,
+                                                minlength=1 << n_parts))
 
 
 def correlator_tables(plan: ExtractionPlan) -> tuple[CorrelatorTable, CorrelatorTable]:
@@ -439,52 +475,27 @@ def outcome_distribution(plan: ExtractionPlan, round_type: str,
     """Exact distribution of byproduct-corrected participant outcome strings.
 
     state is a noise.NoiseModel, None for the ideal network state, or an
-    explicit amplitude vector or density matrix of the full network.  A
-    model or None goes through the plan's CorrelatorTable and builds no
-    dense state; an ndarray is rotated into the measurement bases.
+    explicit amplitude vector (shape (2^n,)) or density matrix (shape
+    (2^n, 2^n)) of the plan's n network vertices, any state at all.  A model
+    or None goes through the plan's CorrelatorTable and builds no dense
+    state.  An explicit state is read through the same subset parities: each
+    subset's Pauli string is evaluated on it directly, with no rotation into
+    the measurement bases.  Both end in one Walsh-Hadamard transform.
+    Raises ValueError for an explicit state of another shape.
     """
     if not isinstance(state, np.ndarray):
         return CorrelatorTable.build(plan, round_type).distribution(state)
-    setting = compile_round_settings(plan, round_type)
-    verts = plan.graph.vertices
-    n = len(verts)
-    if state.ndim == 1:
-        vec = state
-        for i, v in enumerate(verts):
-            vec = _apply_single_qubit(vec, n, i, _BASIS_ROTATIONS[setting.per_vertex_basis[v]])
-        probs = np.abs(vec) ** 2
-    else:
-        rho = state
-        for i, v in enumerate(verts):
-            u = _BASIS_ROTATIONS[setting.per_vertex_basis[v]]
-            rho = _rotate_density(rho, n, i, u)
-        probs = np.real(np.diag(rho))
-    parts = plan.targets
-    nonparts = plan.nonparticipants
-    out: dict[str, float] = {}
-    for idx in range(1 << n):
-        p = probs[idx]
-        if p < 1e-15:
-            continue
-        bits = {v: (idx >> (n - 1 - i)) & 1 for i, v in enumerate(verts)}
-        flips = byproduct_correction(plan, {v: bits[v] for v in nonparts}, round_type)
-        key = "".join(
-            str(bits[u] ^ (setting.sign_convention[u] < 0) ^ flips[u]) for u in parts)
-        out[key] = out.get(key, 0.0) + float(p)
-    norm = sum(out.values())
-    return {k: v / norm for k, v in out.items()}
-
-
-def _rotate_density(rho: np.ndarray, n: int, qubit: int, u: np.ndarray) -> np.ndarray:
+    n = len(plan.graph.vertices)
     dim = 1 << n
-    tensor = rho.reshape((2,) * (2 * n))
-    tensor = np.moveaxis(tensor, qubit, 0)
-    tensor = np.tensordot(u, tensor, axes=([1], [0]))
-    tensor = np.moveaxis(tensor, 0, qubit)
-    tensor = np.moveaxis(tensor, n + qubit, 0)
-    tensor = np.tensordot(u.conj(), tensor, axes=([1], [0]))
-    tensor = np.moveaxis(tensor, 0, n + qubit)
-    return tensor.reshape(dim, dim)
+    if state.shape not in ((dim,), (dim, dim)):
+        raise ValueError(f"explicit state has shape {state.shape}; the plan's {n} "
+                         f"vertices need ({dim},) or ({dim}, {dim})")
+    _, codes, signs = _parity_strings(plan, round_type)
+    # blocks of strings keep the index gather near 2^16 entries
+    block = max(1, (1 << 16) >> n)
+    values = np.concatenate([_explicit_expectations(codes[k:k + block], state)
+                             for k in range(0, len(codes), block)])
+    return _parity_distribution(signs * values)
 
 
 def simulate_protocol(plan: ExtractionPlan, n_rounds: int, seed: int,

@@ -12,8 +12,9 @@ and white noise scales every non-identity string by 1 - w.  On the
 stabilizer network state each corrected parity is one such correlator
 (keyrates.CorrelatorTable), which is how pump_sweep and
 calibrate_to_targets evaluate a model: exactly, and without a density
-matrix.  apply_noise and DensityOperator build the 4^n density matrix for
-callers that hand keyrates an explicit state.
+matrix.  apply_noise builds the noisy 4^n density matrix (a DensityOperator)
+for callers that hand keyrates an explicit state; it applies the same
+per-qubit factors to the matrix's 2x2 blocks.
 
 The Poisson Monte Carlo draws every resample at once into an integer count
 matrix, observed counts in row 0, and hands it to the statistic once
@@ -32,9 +33,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .graphstate import SizeCapError
-from .keyrates import (CountRows, RoundBatch, _rotate_density, akr_n,
-                       correlator_tables, table_estimates)
-from .pauli import PAULI_MATRICES
+from .keyrates import CountRows, RoundBatch, akr_n, correlator_tables, table_estimates
 from .routing import ExtractionPlan
 
 DENSITY_CAP = 8
@@ -136,52 +135,37 @@ class NoiseModel:
         return self.pump_rate_coefficient * power_mw ** 3
 
 
-def _single_qubit_channel(rho: np.ndarray, n: int, qubit: int,
-                          kraus_weights: Sequence[tuple[float, np.ndarray]]) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for w, mat in kraus_weights:
-        if w == 0.0:
-            continue
-        out += w * _rotate_density(rho, n, qubit, mat)
-    return out
-
-
 def apply_noise(state: np.ndarray, vertices: Sequence[int],
                 model: NoiseModel) -> DensityOperator:
     """Push a pure state (or density matrix) through the model's channels.
 
-    Channel order: per-qubit depolarizing, per-qubit dephasing, then global
-    white noise.  All channels here commute pairwise on the Pauli-diagonal
-    level, so the order is a convention rather than a physical claim.
-    Raises ValueError if the model puts noise on a vertex not in vertices.
+    The per-qubit channels scale each Pauli expectation on qubit v by the
+    factors that the correlator tables use (NoiseModel.pauli_factors).  On
+    the 2x2 blocks [[A, B], [C, D]] of the matrix on one qubit that is
+    A, D <- (A + D)/2 +- f_Z (A - D)/2 and B, C <- f_X (B + C)/2 +- f_Y (B - C)/2.
+    Global white noise then mixes in the identity.  Raises ValueError if the
+    model puts noise on a vertex not in vertices.
     """
     vertices = tuple(vertices)
     n = len(vertices)
     if n > DENSITY_CAP:
         raise SizeCapError(f"density operations capped at {DENSITY_CAP} qubits")
-    model.check_vertices(vertices)
+    factors = model.pauli_factors(vertices)
     if state.ndim == 1:
         rho = np.outer(state, state.conj())
     else:
-        rho = state.astype(complex)
-    eye = PAULI_MATRICES["I"]
-    for i, v in enumerate(vertices):
-        lam = _param(model.depolarizing, v)
-        if lam:
-            rho = _single_qubit_channel(rho, n, i, [
-                (1.0 - 3.0 * lam / 4.0, eye),
-                (lam / 4.0, PAULI_MATRICES["X"]),
-                (lam / 4.0, PAULI_MATRICES["Y"]),
-                (lam / 4.0, PAULI_MATRICES["Z"]),
-            ])
-        p = _param(model.dephasing, v)
-        if p:
-            rho = _single_qubit_channel(rho, n, i, [
-                (1.0 - p, eye), (p, PAULI_MATRICES["Z"])])
-        q = _param(model.bit_flip, v)
-        if q:
-            rho = _single_qubit_channel(rho, n, i, [
-                (1.0 - q, eye), (q, PAULI_MATRICES["X"])])
+        rho = np.array(state, dtype=complex, order="C")
+    for i, (_, f_x, f_y, f_z) in enumerate(factors):
+        if f_x == f_y == f_z == 1.0:
+            continue
+        # a view of rho with qubit i as axes 1 (row) and 4 (column)
+        blocks = rho.reshape(1 << i, 2, 1 << (n - 1 - i), 1 << i, 2, 1 << (n - 1 - i))
+        a, b = blocks[:, 0, :, :, 0], blocks[:, 0, :, :, 1]
+        c, d = blocks[:, 1, :, :, 0], blocks[:, 1, :, :, 1]
+        mean, z_part = (a + d) / 2, f_z * (a - d) / 2
+        x_part, y_part = f_x * (b + c) / 2, f_y * (b - c) / 2
+        a[...], d[...] = mean + z_part, mean - z_part
+        b[...], c[...] = x_part + y_part, x_part - y_part
     if model.white_noise:
         dim = 1 << n
         rho = (1.0 - model.white_noise) * rho + model.white_noise * np.eye(dim) / dim

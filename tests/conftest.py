@@ -7,6 +7,7 @@ import re
 import pytest
 
 from graphqcka.graphstate import Graph, GraphState
+from graphqcka.noise import NoiseModel
 from graphqcka.pauli import ALL_CLIFFORDS, IDENTITY
 
 
@@ -30,6 +31,14 @@ def random_graph(n, rng):
 
 def random_frame(g, rng):
     return {v: rng.choice(ALL_CLIFFORDS) for v in g.vertices}
+
+
+def random_model(rng, vertices):
+    """Noise on every channel: per-qubit channels on random vertices, white noise."""
+    def channel():
+        return {v: rng.uniform(0.0, 0.2) for v in vertices if rng.random() < 0.7}
+    return NoiseModel(depolarizing=channel(), dephasing=channel(),
+                      bit_flip=channel(), white_noise=rng.uniform(0.0, 0.2))
 
 
 def identity_state(g):

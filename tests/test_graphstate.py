@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphqcka.graphstate import (Graph, GraphState, PauliObservable,
-                                  SizeCapError, build_graph_state, expectation,
-                                  local_complement, measure_vertex,
-                                  project_dense, stabilizer_expectation,
-                                  states_equal, to_dense)
+from graphqcka.graphstate import (Graph, GraphState, SizeCapError,
+                                  build_graph_state, local_complement,
+                                  measure_vertex, project_dense,
+                                  stabilizer_expectation, states_equal, to_dense)
 from graphqcka.pauli import IDENTITY, from_name
 
 from conftest import all_graphs, connected_graphs, identity_state, random_frame, random_graph
+from oracles import PauliObservable, expectation
 
 
 class TestGraph:

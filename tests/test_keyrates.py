@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from graphqcka import networks, routing
-from graphqcka.graphstate import GraphState, local_complement
+from graphqcka.graphstate import Graph, GraphState, local_complement
 from graphqcka.keyrates import (CorrelatorTable, RoleAssignment, RoundBatch,
                                 akr_2, akr_n, akr_n_rows, analytic_estimates,
                                 binary_entropy, error_estimates, estimate_qber,
@@ -20,7 +20,8 @@ from graphqcka.routing import (compile_round_settings, find_bell_multicast_plan,
                                find_ghz_plan, network_vector, realize_plan,
                                verify_plan_dense)
 
-from conftest import random_frame, random_graph
+from conftest import random_frame, random_graph, random_model
+from oracles import rotated_outcome_distribution
 
 
 def batch(counts, participants=None):
@@ -240,21 +241,19 @@ class TestSimulation:
         assert m.counts == {"00": 40, "01": 30, "10": 30}
 
 
-def random_model(rng, vertices):
-    """Noise on every channel: per-qubit channels on random vertices, white noise."""
-    def channel():
-        return {v: rng.uniform(0.0, 0.2) for v in vertices if rng.random() < 0.7}
-    return NoiseModel(depolarizing=channel(), dephasing=channel(),
-                      bit_flip=channel(), white_noise=rng.uniform(0.0, 0.2))
+def assert_close_distributions(got, want):
+    assert set(got) == set(want)
+    assert max(abs(got[k] - want[k]) for k in want) <= 1e-12
 
 
 def assert_matches_density_path(plan, model):
+    """The table engine and the explicit branch, each on the noisy density
+    matrix, against the rotation oracle."""
     rho = apply_noise(network_vector(plan), plan.graph.vertices, model).matrix
     for rt in ("type-1", "type-2"):
-        want = outcome_distribution(plan, rt, rho)
-        got = outcome_distribution(plan, rt, model)
-        assert set(got) == set(want)
-        assert max(abs(got[k] - want[k]) for k in want) <= 1e-12
+        want = rotated_outcome_distribution(plan, rt, rho)
+        assert_close_distributions(outcome_distribution(plan, rt, model), want)
+        assert_close_distributions(outcome_distribution(plan, rt, rho), want)
 
 
 class TestPauliEngine:
@@ -384,7 +383,7 @@ class TestPauliEngine:
         plan = networks.ghz_plan()
         dist = outcome_distribution(plan, "type-1")
         assert dist == {"0000": 0.5, "1111": 0.5}
-        # an explicit amplitude vector still takes the dense branch
+        # an explicit amplitude vector is read through the same parity strings
         assert outcome_distribution(plan, "type-1", network_vector(plan)) == (
             pytest.approx(dist, abs=1e-12))
 
@@ -392,3 +391,42 @@ class TestPauliEngine:
         with pytest.raises(ValueError, match=r"noise on vertices \[9\]"):
             outcome_distribution(networks.ghz_plan(), "type-1",
                                  NoiseModel(depolarizing={9: 0.5}))
+
+
+class TestExplicitStates:
+    """The explicit-state branch of outcome_distribution against the
+    rotation oracle, on states that are not stabilizer states."""
+
+    @staticmethod
+    def random_states(n, nprng):
+        dim = 1 << n
+        vec = nprng.normal(size=dim) + 1j * nprng.normal(size=dim)
+        g = nprng.normal(size=(dim, dim)) + 1j * nprng.normal(size=(dim, dim))
+        rho = g @ g.conj().T
+        return vec / np.linalg.norm(vec), rho / np.trace(rho).real
+
+    def test_matches_rotation_oracle_on_searched_plans(self, rng):
+        nprng = np.random.default_rng(rng.randrange(1 << 32))
+        plans = TestPauliEngine.random_plans(rng, 24)
+        assert {p.kind for p in plans} == {"ghz", "bell_multicast"}
+        for plan in plans:
+            for state in self.random_states(plan.graph.n, nprng):
+                for rt in ("type-1", "type-2"):
+                    assert_close_distributions(
+                        outcome_distribution(plan, rt, state),
+                        rotated_outcome_distribution(plan, rt, state))
+
+    def test_ten_vertex_vector_in_blocks(self):
+        """Ten vertices: the 2^8 strings are evaluated in several blocks."""
+        g = Graph.from_edges(10, [(0, v) for v in range(1, 8)] + [(1, 8), (2, 9)])
+        plan = find_ghz_plan(g, range(8))
+        vec = np.array([1, 1j]) @ np.random.default_rng(7).normal(size=(2, 1 << 10))
+        vec /= np.linalg.norm(vec)
+        for rt in ("type-1", "type-2"):
+            assert_close_distributions(outcome_distribution(plan, rt, vec),
+                                       rotated_outcome_distribution(plan, rt, vec))
+
+    @pytest.mark.parametrize("shape", [(32,), (128,), (64, 32), (32, 32), (64, 64, 1)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=r"need \(64,\) or \(64, 64\)"):
+            outcome_distribution(networks.ghz_plan(), "type-1", np.zeros(shape))

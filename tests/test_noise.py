@@ -18,6 +18,9 @@ from graphqcka.noise import (DensityOperator, NoiseModel, apply_noise,
 from graphqcka.pauli import PAULI_MATRICES, from_name
 from graphqcka.graphstate import GraphState
 
+from conftest import random_model
+from oracles import kraus_noise
+
 
 def bell_vector():
     """(|00> + |11>)/sqrt(2) as a doubled-rail amplitude vector."""
@@ -88,6 +91,21 @@ class TestApplyNoise:
         rho = apply_noise(bell_vector(), (0, 1), NoiseModel(bit_flip={0: 0.1}))
         assert expectation_mixed(rho, {0: "Z", 1: "Z"}) == pytest.approx(0.8)
         assert expectation_mixed(rho, {0: "X", 1: "X"}) == pytest.approx(1.0)
+
+    def test_matches_kraus_sums(self, rng):
+        """The per-qubit factors against the Kraus form of every channel, on
+        random mixed states under random four-channel models."""
+        nprng = np.random.default_rng(rng.randrange(1 << 32))
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            dim = 1 << n
+            g = nprng.normal(size=(dim, dim)) + 1j * nprng.normal(size=(dim, dim))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+            vertices = tuple(rng.sample(range(8), n))
+            model = random_model(rng, vertices)
+            got = apply_noise(rho, vertices, model).matrix
+            assert np.abs(got - kraus_noise(rho, vertices, model)).max() <= 1e-12
 
     def test_white_noise_mixing(self):
         rho = apply_noise(bell_vector(), (0, 1), NoiseModel(white_noise=1.0))
