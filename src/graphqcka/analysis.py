@@ -3,27 +3,26 @@
 Bridges the estimators in keyrates with the Poisson Monte Carlo machinery
 in noise: given type-1/type-2 batches for the multipartite protocol and/or
 the pairwise protocol's Bell plans, it produces a KeyRateReport with
-per-field uncertainties.  The report's values come from the scalar
-estimators; their uncertainties from the estimators' row forms, evaluated
-once on noise.poisson_mc_many's count matrix, with NaN on the rows where a
-value is undefined.
+per-field uncertainties.  Values and uncertainties come from one set of
+estimators, the row forms in keyrates: the values from the observed counts
+as one row (the scalar estimators are views of it), the uncertainties from
+every row of noise.poisson_mc_many's count matrix, with NaN on the rows
+where a value is undefined.  A Bell pair is read as two bit columns of its
+plan's outcomes.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .keyrates import (CountRows, KeyRateReport, RoundBatch, akr_n, akr_n_rows,
-                       error_estimates, pairwise_conference_rate,
-                       pairwise_conference_rate_rows, qber_rows, qx_rows)
+                       error_estimates, pairwise_conference_rate_rows, qber_rows,
+                       qx_rows)
 from .noise import poisson_mc_many
 from .routing import ExtractionPlan, network_use_accounting
-
-
-def _pair_name(pair: tuple[int, int]) -> str:
-    return f"{pair[0] + 1}-{pair[1] + 1}"
 
 
 def pairwise_rates(bell_plans: Sequence[ExtractionPlan],
@@ -31,21 +30,24 @@ def pairwise_rates(bell_plans: Sequence[ExtractionPlan],
     """Per-link asymptotic rates and the combined pairwise conference rate.
 
     batches is keyed "bell{k}/type-1" / "bell{k}/type-2" per plan index k,
-    each over the plan's full participant set; pairs are marginalized out.
+    each over the plan's full participant set.  Raises ValueError for an
+    empty batch.
     """
-    rates: dict[str, float] = {}
-    grouped: list[list[float]] = []
-    for k, plan in enumerate(bell_plans):
-        b1 = batches[f"bell{k}/type-1"]
-        b2 = batches[f"bell{k}/type-2"]
-        plan_rates = []
-        for pair in plan.pairs:
-            est = error_estimates(b1.marginal(pair), b2.marginal(pair))
-            r = akr_n(est.qber, est.qx)
-            rates[_pair_name(pair)] = r
-            plan_rates.append(r)
-        grouped.append(plan_rates)
-    return rates, pairwise_conference_rate(grouped)
+    grouped = _pair_rate_rows(bell_plans, {name: b.rows() for name, b in batches.items()})
+    rate_2 = float(pairwise_conference_rate_rows(grouped)[0])
+    if math.isnan(rate_2):
+        raise ValueError("empty batch")
+    rates = {f"{pair[0] + 1}-{pair[1] + 1}": float(r[0])
+             for plan, plan_rates in zip(bell_plans, grouped)
+             for pair, r in zip(plan.pairs, plan_rates)}
+    return rates, rate_2
+
+
+def _pair_rate_rows(bell_plans, rows: Mapping[str, CountRows]) -> list[list[np.ndarray]]:
+    """akr_n of every Bell pair on every row, grouped per plan."""
+    return [[akr_n_rows(qber_rows(rows[f"bell{k}/type-1"], pair)[0],
+                        qx_rows(rows[f"bell{k}/type-2"], pair)) for pair in plan.pairs]
+            for k, plan in enumerate(bell_plans)]
 
 
 def build_report(ghz_plan: ExtractionPlan | None,
@@ -97,8 +99,7 @@ def _report_rows(ghz_plan, bell_plans,
 
     Row by row these are build_report's values: qber, qx and akr_n need
     both nqkd batches nonempty, akr_2 every Bell batch, and the ratio both
-    rates with akr_2 positive.  A Bell pair's marginal is the pair's two bit
-    columns of its plan's outcomes.
+    rates with akr_2 positive.
     """
     out = {}
     if ghz_plan is not None:
@@ -107,10 +108,7 @@ def _report_rows(ghz_plan, bell_plans,
         qber[undefined] = qx[undefined] = np.nan
         out.update(qber=qber, qx=qx, akr_n=akr_n_rows(qber, qx))
     if bell_plans:
-        out["akr_2"] = pairwise_conference_rate_rows([
-            [akr_n_rows(qber_rows(rows[f"bell{k}/type-1"], pair)[0],
-                        qx_rows(rows[f"bell{k}/type-2"], pair)) for pair in plan.pairs]
-            for k, plan in enumerate(bell_plans)])
+        out["akr_2"] = pairwise_conference_rate_rows(_pair_rate_rows(bell_plans, rows))
     if "akr_n" in out and "akr_2" in out:
         with np.errstate(divide="ignore", invalid="ignore"):
             out["ratio"] = np.where(out["akr_2"] > 0, out["akr_n"] / out["akr_2"], np.nan)

@@ -5,8 +5,9 @@ the plans are searched on the graph state with
 networks.photonic_preparation_frame (H on odd, Z on even 1-based
 vertices), and there is no option to change it.
 
-Exit codes: 0 success, 2 parse error, 3 no plan found, 4 missing
-measurement setting, 5 size cap exceeded (1 for anything else).
+Exit codes: 0 success, 2 parse error, 3 no plan found, 4 a counts file
+missing or not matching its plan's basis string and participants, 5 size
+cap exceeded (1 for anything else).
 """
 
 from __future__ import annotations
@@ -135,26 +136,25 @@ def cmd_analyze(args) -> int:
     counts_dir = Path(args.counts or cfg.out)
     batches = {}
     hashes = {"graph": sha256_file(cfg.graph)}
-    expected = []
-    if "nqkd" in plans:
-        expected.append(("nqkd", "nqkd", plans["nqkd"]))
-    for k, plan in enumerate(plans.get("2qkd", [])):
-        expected.append((f"bell{k}", f"bell{k}", plan))
-    for tag, key, plan in expected:
+    expected = [("nqkd", plans["nqkd"])] if "nqkd" in plans else []
+    expected += [(f"bell{k}", plan) for k, plan in enumerate(plans.get("2qkd", []))]
+    for tag, plan in expected:
         for rt, suffix in (("type-1", "type1"), ("type-2", "type2")):
             path = counts_dir / f"{tag}_{suffix}.counts"
             if not path.exists():
-                print(f"error: missing counts file for setting {key}/{rt}: {path}",
+                print(f"error: missing counts file for setting {tag}/{rt}: {path}",
                       file=sys.stderr)
                 return EXIT_MISSING_SETTING
             batch = parse_counts(path)
-            want = compile_round_settings(plan, rt)
-            got = batch.setting.basis_string(range(graph.n))
-            if got != want.basis_string(graph.vertices):
-                print(f"error: {path}: basis {got} does not match plan setting "
-                      f"{want.basis_string(graph.vertices)}", file=sys.stderr)
+            got = (batch.setting.basis_string(sorted(batch.setting.per_vertex_basis)),
+                   [v + 1 for v in batch.participants])
+            want = (compile_round_settings(plan, rt).basis_string(graph.vertices),
+                    [v + 1 for v in plan.targets])
+            if got != want:
+                print(f"error: {path}: basis {got[0]}, participants {got[1]} do not "
+                      f"match the plan's {want[0]}, {want[1]}", file=sys.stderr)
                 return EXIT_MISSING_SETTING
-            batches[f"{key}/{rt}"] = batch
+            batches[f"{tag}/{rt}"] = batch
             hashes[path.name] = sha256_file(path)
     report = build_report(plans.get("nqkd"), plans.get("2qkd", []), batches,
                           mc_samples=cfg.mc_samples,

@@ -5,18 +5,22 @@ type-2 all-X parameter rounds) and the pairwise alternative where N-1 Bell
 keys are XOR-combined into a conference key, together with the error
 estimators and asymptotic rate formulas for both.
 
-Outcome distributions go through the plan's parity strings: the parity of
-each participant subset of the corrected bits is the expectation of one
-Pauli string, and a Walsh-Hadamard transform of the 2^N parities gives the
-distribution.  Under a noise model CorrelatorTable evaluates the strings in
-closed form, with no dense state; an explicit amplitude vector or density
-matrix is read by evaluating every string on it directly.
+Each estimator is written once, over rows of counts (CountRows); the
+scalar estimators on a RoundBatch are its one-row views.
+
+Exact states go through the plan's parity strings: the parity of each
+participant subset of the corrected bits is the expectation of one Pauli
+string.  Under a noise model CorrelatorTable evaluates the strings in closed
+form, with no dense state; an explicit amplitude vector or density matrix
+is read by evaluating every string on it directly.  The analytic QBER and
+Q_X read the parities; a Walsh-Hadamard transform of them gives the
+outcome distribution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -69,14 +73,11 @@ class RoundBatch:
     def total(self):
         return sum(self.counts.values())
 
-    def marginal(self, subset: Sequence[int]) -> "RoundBatch":
-        """Marginalize counts onto a subset of participants."""
-        idx = [self.participants.index(v) for v in subset]
-        out: dict[str, int] = {}
-        for s, c in self.counts.items():
-            key = "".join(s[i] for i in idx)
-            out[key] = out.get(key, 0) + c
-        return RoundBatch(self.setting, tuple(subset), out)
+    def rows(self) -> "CountRows":
+        """The counts as one row over the sorted outcomes."""
+        outcomes = tuple(sorted(self.counts))
+        return CountRows(self.participants, outcomes,
+                         np.array([[self.counts[k] for k in outcomes]]))
 
 
 @dataclass(frozen=True)
@@ -117,61 +118,6 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def pairwise_error(batch: RoundBatch, i: int, j: int) -> float:
-    """Empirical Pr(bit_i != bit_j) over a type-1 batch; equals (1-<ZZ>)/2."""
-    if i == j:
-        raise ValueError("pairwise error needs two distinct participants")
-    total = batch.total
-    if total == 0:
-        raise ValueError("empty batch")
-    pi, pj = batch.participants.index(i), batch.participants.index(j)
-    differ = sum(c for s, c in batch.counts.items() if s[pi] != s[pj])
-    return differ / total
-
-
-def estimate_qber(batch: RoundBatch) -> ErrorEstimates:
-    """QBER with the Alice role chosen to minimize the worst pairwise error.
-
-    The min-max runs over every pair of the batch's participants.  That is
-    the conference QBER of a GHZ plan, but on a Bell plan that casts several
-    pairs at once it mixes in the cross-pair users, whose bits are
-    uncorrelated, so it gives 0.5 under any noise; marginalize each pair
-    first, as analysis.pairwise_rates does.  Ties are broken by the lowest
-    vertex label.  qx is left at 0 here; use estimate_qx on the type-2 batch
-    and combine via error_estimates.
-    """
-    parts = batch.participants
-    if len(parts) < 2:
-        raise ValueError("need at least two participants")
-    pairwise = {}
-    for a in parts:
-        for b in parts:
-            if a < b:
-                q = pairwise_error(batch, a, b)
-                pairwise[(a, b)] = q
-                pairwise[(b, a)] = q
-    best_alice, best_q = None, None
-    for alice in parts:
-        worst = max(pairwise[(alice, b)] for b in parts if b != alice)
-        if best_q is None or worst < best_q - 1e-15:
-            best_alice, best_q = alice, worst
-    return ErrorEstimates(pairwise_q=pairwise, qber=best_q, qx=0.0, alice_choice=best_alice)
-
-
-def estimate_qx(batch: RoundBatch) -> float:
-    """Q_X = (1 - <X parity>)/2 from a type-2 batch."""
-    total = batch.total
-    if total == 0:
-        raise ValueError("empty batch")
-    parity_sum = sum(c * (-1) ** (s.count("1") % 2) for s, c in batch.counts.items())
-    return (1.0 - parity_sum / total) / 2.0
-
-
-def error_estimates(type1: RoundBatch, type2: RoundBatch) -> ErrorEstimates:
-    est = estimate_qber(type1)
-    return ErrorEstimates(est.pairwise_q, est.qber, estimate_qx(type2), est.alice_choice)
-
-
 def akr_n(qber: float, qx: float) -> float:
     """Asymptotic conference key rate of the multipartite protocol."""
     if not (0.0 <= qber <= 1.0 and 0.0 <= qx <= 1.0):
@@ -202,17 +148,16 @@ def pairwise_conference_rate(plan_rates: Sequence[Sequence[float]]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the estimators on rows of counts
+# the estimators on rows of counts, and their one-row views
 
 
 @dataclass(frozen=True)
 class CountRows:
-    """Rows of integer counts over one batch's sorted outcome strings.
+    """Rows of counts over one batch's sorted outcome strings.
 
     counts[r, k] counts outcomes[k] in row r.  The *_rows estimators below
-    give one float per row, NaN where the row is undefined (a zero total),
-    and each row's value is the scalar estimator's on a RoundBatch holding
-    that row's counts, to the bit.
+    give one float per row, NaN where the row is undefined (a zero total).
+    The scalar estimators are their views on RoundBatch.rows().
     """
 
     participants: tuple[int, ...]
@@ -225,49 +170,100 @@ class CountRows:
         return np.array([int(s[i]) for s in self.outcomes], dtype=np.int64)
 
     def per_round(self, sums: np.ndarray) -> np.ndarray:
-        """Integer row sums over the row totals, NaN where a total is zero."""
+        """Row sums over the row totals, NaN where a total is zero."""
         totals = self.counts.sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(totals > 0, sums / totals, np.nan)
 
 
+def _alice_min_max(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least worst pairwise error over Alice, and her index.  errors[a, b]
+    >= 0 (zero for a == b, any trailing row axes); an Alice wins only below
+    the best so far - 1e-15, so exact ties go to the first."""
+    worst = errors.max(axis=1)
+    best, choice = worst[0], np.zeros(worst.shape[1:], dtype=np.int64)
+    for a in range(1, len(worst)):
+        better = worst[a] < best - 1e-15
+        best, choice = np.where(better, worst[a], best), np.where(better, a, choice)
+    return best, choice
+
+
+def _estimates(participants: Sequence[int], errors: np.ndarray, qx: float) -> ErrorEstimates:
+    """ErrorEstimates from one matrix of pairwise errors, as _alice_min_max takes it."""
+    qber, alice = _alice_min_max(errors)
+    pairwise = {(a, b): float(errors[i, j]) for i, a in enumerate(participants)
+                for j, b in enumerate(participants) if a != b}
+    return ErrorEstimates(pairwise, float(qber), qx, participants[int(alice)])
+
+
 def pairwise_error_rows(rows: CountRows, i: int, j: int) -> np.ndarray:
-    """pairwise_error on every row."""
+    """Empirical Pr(bit_i != bit_j) on every row of type-1 counts; equals
+    (1-<ZZ>)/2."""
     if i == j:
         raise ValueError("pairwise error needs two distinct participants")
     return rows.per_round(rows.counts @ (rows.bits(i) ^ rows.bits(j)))
 
 
-def qber_rows(rows: CountRows, participants: Sequence[int] | None = None,
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """estimate_qber's min-max on every row: the QBER and the Alice choice.
-
-    It runs over the given participants, all by default; a pair gives that
-    pair's marginal.  Within a row the pairwise errors differ by 0 or by at
-    least 1/total, so only the Alice choice shows how ties are broken.
-    """
-    parts = rows.participants if participants is None else tuple(participants)
+def _pair_error_rows(rows: CountRows, parts: Sequence[int]) -> np.ndarray:
+    """errors[a, b, r], pairwise_error_rows of parts a and b, zero for a == b."""
     if len(parts) < 2:
         raise ValueError("need at least two participants")
-    pairwise = {}
-    for a, b in combinations(parts, 2):
-        pairwise[a, b] = pairwise[b, a] = pairwise_error_rows(rows, a, b)
-    best = choice = None
-    for alice in parts:
-        worst = np.max([pairwise[alice, b] for b in parts if b != alice], axis=0)
-        if best is None:
-            best, choice = worst, np.full(worst.shape, alice)
-        else:
-            better = worst < best - 1e-15
-            best, choice = np.where(better, worst, best), np.where(better, alice, choice)
-    return best, choice
+    errors = np.zeros((len(parts), len(parts), len(rows.counts)))
+    for (i, a), (j, b) in combinations(enumerate(parts), 2):
+        errors[i, j] = errors[j, i] = pairwise_error_rows(rows, a, b)
+    return errors
+
+
+def qber_rows(rows: CountRows, participants: Sequence[int] | None = None,
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """QBER on every row, with the Alice that minimizes her worst pairwise error.
+
+    It runs over the given participants, all by default; a pair gives that
+    pair's marginal.  On a Bell plan that casts several pairs, all of its
+    participants give 0.5 under any noise (cross-pair bits are uncorrelated);
+    pass each pair instead.  Within a row the pairwise errors differ by 0 or
+    by at least 1/total, so only the Alice choice shows the tie-break.
+    """
+    parts = rows.participants if participants is None else tuple(participants)
+    best, index = _alice_min_max(_pair_error_rows(rows, parts))
+    return best, np.array(parts)[index]
 
 
 def qx_rows(rows: CountRows, participants: Sequence[int] | None = None) -> np.ndarray:
-    """estimate_qx on every row, from the parity of the given participants."""
+    """Q_X = (1 - <X parity>)/2 on every row of type-2 counts, from the
+    parity of the given participants (all by default)."""
     parts = rows.participants if participants is None else participants
     parity = sum(rows.bits(u) for u in parts) % 2
     return (1.0 - rows.per_round(rows.counts @ (1 - 2 * parity))) / 2.0
+
+
+def _one_row(values: np.ndarray) -> np.ndarray:
+    """A one-row estimate; ValueError where it is undefined."""
+    if np.isnan(values).any():
+        raise ValueError("empty batch")
+    return values[..., 0]
+
+
+def pairwise_error(batch: RoundBatch, i: int, j: int) -> float:
+    """pairwise_error_rows on one batch."""
+    return float(_one_row(pairwise_error_rows(batch.rows(), i, j)))
+
+
+def estimate_qber(batch: RoundBatch) -> ErrorEstimates:
+    """qber_rows over all of one batch's participants, with every pairwise
+    error.  qx is left at 0 here; use estimate_qx on the type-2 batch and
+    combine via error_estimates."""
+    errors = _one_row(_pair_error_rows(batch.rows(), batch.participants))
+    return _estimates(batch.participants, errors, 0.0)
+
+
+def estimate_qx(batch: RoundBatch) -> float:
+    """qx_rows on one type-2 batch."""
+    return float(_one_row(qx_rows(batch.rows())))
+
+
+def error_estimates(type1: RoundBatch, type2: RoundBatch) -> ErrorEstimates:
+    return replace(estimate_qber(type1), qx=estimate_qx(type2))
 
 
 def akr_n_rows(qber: np.ndarray, qx: np.ndarray) -> np.ndarray:
@@ -346,23 +342,7 @@ def _walsh(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _parity_distribution(parities: np.ndarray) -> dict[str, float]:
-    """Outcome distribution over N-bit strings from its 2^N subset parities.
-
-    parities[a] is the expectation of (-1)^(a . b) over outcomes b; a
-    Walsh-Hadamard transform inverts that.  Outcomes below 1e-15 are dropped
-    and the rest renormalized.
-    """
-    n_parts = parities.size.bit_length() - 1
-    probs = _walsh(parities) / parities.size
-    out = {format(idx, f"0{n_parts}b"): float(p)
-           for idx, p in enumerate(probs) if p >= 1e-15}
-    norm = sum(out.values())
-    return {key: p / norm for key, p in out.items()}
-
-
-def _parity_strings(plan: ExtractionPlan, round_type: str,
-                    ) -> tuple[RoundSetting, np.ndarray, np.ndarray]:
+def _parity_strings(plan: ExtractionPlan, round_type: str) -> tuple[np.ndarray, np.ndarray]:
     """The Pauli string and sign behind each participant subset's parity.
 
     On any network state the parity of a participant subset A of the
@@ -388,7 +368,7 @@ def _parity_strings(plan: ExtractionPlan, round_type: str,
     letters = np.array(["IXYZ".index(setting.per_vertex_basis[v]) for v in verts])
     negated = np.array([int(setting.sign_convention[u] < 0) for u in parts])
     codes = ((subset_bits @ in_subset) & 1) * letters
-    return setting, codes, 1.0 - 2.0 * ((subset_bits @ negated) & 1)
+    return codes, 1.0 - 2.0 * ((subset_bits @ negated) & 1)
 
 
 def _explicit_expectations(codes: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -421,7 +401,6 @@ class CorrelatorTable:
     times the ideal value.
     """
 
-    setting: RoundSetting
     targets: tuple[int, ...]
     vertices: tuple[int, ...]
     subsets: np.ndarray
@@ -430,22 +409,21 @@ class CorrelatorTable:
 
     @classmethod
     def build(cls, plan: ExtractionPlan, round_type: str) -> "CorrelatorTable":
-        setting, codes, signs = _parity_strings(plan, round_type)
+        codes, signs = _parity_strings(plan, round_type)
         state = GraphState(plan.graph, dict(plan.preparation_frame))
         verts = plan.graph.vertices
         ideal = np.array([
             stabilizer_expectation(state, {v: "IXYZ"[c] for v, c in zip(verts, row)})
             for row in codes.tolist()])
         rows = np.flatnonzero(ideal)
-        return cls(setting, plan.targets, verts, rows, ideal[rows] * signs[rows], codes[rows])
+        return cls(plan.targets, verts, rows, ideal[rows] * signs[rows], codes[rows])
 
-    def distribution(self, model=None) -> dict[str, float]:
-        """Exact corrected outcome distribution under a noise.NoiseModel.
+    def parities(self, model=None) -> np.ndarray:
+        """The 2^N subset parities under a noise.NoiseModel (None is ideal).
 
         Each correlator is its ideal value times (1 - w) for global white
         noise w, unless it is the identity, times the model's per-qubit
-        factor of each letter (NoiseModel.pauli_factors); None is the ideal
-        state.
+        factor of each letter (NoiseModel.pauli_factors).
         """
         n_verts, n_parts = len(self.vertices), len(self.targets)
         if model is None:
@@ -455,8 +433,7 @@ class CorrelatorTable:
         values = self.weights * np.prod(
             factors[np.arange(n_verts), self.letters], axis=1)
         values[self.letters.any(axis=1)] *= keep
-        return _parity_distribution(np.bincount(self.subsets, weights=values,
-                                                minlength=1 << n_parts))
+        return np.bincount(self.subsets, weights=values, minlength=1 << n_parts)
 
 
 def correlator_tables(plan: ExtractionPlan) -> tuple[CorrelatorTable, CorrelatorTable]:
@@ -466,8 +443,35 @@ def correlator_tables(plan: ExtractionPlan) -> tuple[CorrelatorTable, Correlator
 
 def table_estimates(tables: Sequence[CorrelatorTable], model=None) -> ErrorEstimates:
     """QBER / Q_X of a plan's (type-1, type-2) tables under a noise model."""
-    b1, b2 = (RoundBatch(t.setting, t.targets, t.distribution(model)) for t in tables)
-    return error_estimates(b1, b2)
+    return _parity_estimates(tables[0].targets, *(t.parities(model) for t in tables))
+
+
+def _state_parities(plan: ExtractionPlan, round_type: str, state) -> np.ndarray:
+    """The 2^N subset parities on a state taken as by outcome_distribution."""
+    if not isinstance(state, np.ndarray):
+        return CorrelatorTable.build(plan, round_type).parities(state)
+    n = len(plan.graph.vertices)
+    dim = 1 << n
+    if state.shape not in ((dim,), (dim, dim)):
+        raise ValueError(f"explicit state has shape {state.shape}; the plan's {n} "
+                         f"vertices need ({dim},) or ({dim}, {dim})")
+    codes, signs = _parity_strings(plan, round_type)
+    # blocks of strings keep the index gather near 2^16 entries
+    block = max(1, (1 << 16) >> n)
+    return signs * np.concatenate([_explicit_expectations(codes[k:k + block], state)
+                                   for k in range(0, len(codes), block)])
+
+
+def _parity_estimates(participants: Sequence[int], type1: np.ndarray,
+                      type2: np.ndarray) -> ErrorEstimates:
+    """QBER / Q_X read off a state's type-1 and type-2 subset parities E,
+    normalized by the identity parity: a pair errs with probability
+    (1 - E_ab)/2 and Q_X = (1 - E_all)/2, each clipped to [0, 1] against
+    round-off."""
+    masks = 1 << np.arange(len(participants) - 1, -1, -1)
+    errors = np.clip((1.0 - type1[masks[:, None] ^ masks] / type1[0]) / 2.0, 0.0, 1.0)
+    qx = float(np.clip((1.0 - type2[-1] / type2[0]) / 2.0, 0.0, 1.0))
+    return _estimates(participants, errors, qx)
 
 
 def outcome_distribution(plan: ExtractionPlan, round_type: str,
@@ -480,22 +484,18 @@ def outcome_distribution(plan: ExtractionPlan, round_type: str,
     or None goes through the plan's CorrelatorTable and builds no dense
     state.  An explicit state is read through the same subset parities: each
     subset's Pauli string is evaluated on it directly, with no rotation into
-    the measurement bases.  Both end in one Walsh-Hadamard transform.
-    Raises ValueError for an explicit state of another shape.
+    the measurement bases.  Both end in one Walsh-Hadamard transform, which
+    inverts parity[a] = E[(-1)^(a . b)] over outcomes b; outcomes below
+    1e-15 are dropped and the rest renormalized.  Raises ValueError for an
+    explicit state of another shape.
     """
-    if not isinstance(state, np.ndarray):
-        return CorrelatorTable.build(plan, round_type).distribution(state)
-    n = len(plan.graph.vertices)
-    dim = 1 << n
-    if state.shape not in ((dim,), (dim, dim)):
-        raise ValueError(f"explicit state has shape {state.shape}; the plan's {n} "
-                         f"vertices need ({dim},) or ({dim}, {dim})")
-    _, codes, signs = _parity_strings(plan, round_type)
-    # blocks of strings keep the index gather near 2^16 entries
-    block = max(1, (1 << 16) >> n)
-    values = np.concatenate([_explicit_expectations(codes[k:k + block], state)
-                             for k in range(0, len(codes), block)])
-    return _parity_distribution(signs * values)
+    parities = _state_parities(plan, round_type, state)
+    n_parts = parities.size.bit_length() - 1
+    probs = _walsh(parities) / parities.size
+    out = {format(idx, f"0{n_parts}b"): float(p)
+           for idx, p in enumerate(probs) if p >= 1e-15}
+    norm = sum(out.values())
+    return {key: p / norm for key, p in out.items()}
 
 
 def simulate_protocol(plan: ExtractionPlan, n_rounds: int, seed: int,
@@ -528,14 +528,11 @@ def simulate_protocol(plan: ExtractionPlan, n_rounds: int, seed: int,
 def analytic_estimates(plan: ExtractionPlan, state=None) -> ErrorEstimates:
     """Infinite-round QBER/Q_X of a plan on a (possibly noisy) network state.
 
-    state is taken as by outcome_distribution.  The QBER is estimate_qber's
-    min-max over all of the plan's targets, so for a Bell plan that casts
-    several pairs it is 0.5 under any noise; use analysis.pairwise_rates for
-    per-pair rates of such a plan.
+    state is taken as by outcome_distribution.  Both are read off the
+    state's subset parities, with no distribution built.  The QBER is the
+    min-max of qber_rows over all of the plan's targets, so for a Bell plan
+    that casts several pairs it is 0.5 under any noise; use
+    analysis.pairwise_rates for per-pair rates of such a plan.
     """
-    if not isinstance(state, np.ndarray):
-        return table_estimates(correlator_tables(plan), state)
-    b1, b2 = (RoundBatch(compile_round_settings(plan, rt), plan.targets,
-                         outcome_distribution(plan, rt, state))
-              for rt in ("type-1", "type-2"))
-    return error_estimates(b1, b2)
+    return _parity_estimates(plan.targets, _state_parities(plan, "type-1", state),
+                             _state_parities(plan, "type-2", state))

@@ -144,12 +144,17 @@ def apply_noise(state: np.ndarray, vertices: Sequence[int],
     the 2x2 blocks [[A, B], [C, D]] of the matrix on one qubit that is
     A, D <- (A + D)/2 +- f_Z (A - D)/2 and B, C <- f_X (B + C)/2 +- f_Y (B - C)/2.
     Global white noise then mixes in the identity.  Raises ValueError if the
-    model puts noise on a vertex not in vertices.
+    state is not (2^n,) or (2^n, 2^n) for the n vertices, or if the model
+    puts noise on a vertex not in vertices.
     """
     vertices = tuple(vertices)
     n = len(vertices)
     if n > DENSITY_CAP:
         raise SizeCapError(f"density operations capped at {DENSITY_CAP} qubits")
+    dim = 1 << n
+    if state.shape not in ((dim,), (dim, dim)):
+        raise ValueError(f"state has shape {state.shape}; {n} vertices need "
+                         f"({dim},) or ({dim}, {dim})")
     factors = model.pauli_factors(vertices)
     if state.ndim == 1:
         rho = np.outer(state, state.conj())
@@ -167,7 +172,6 @@ def apply_noise(state: np.ndarray, vertices: Sequence[int],
         a[...], d[...] = mean + z_part, mean - z_part
         b[...], c[...] = x_part + y_part, x_part - y_part
     if model.white_noise:
-        dim = 1 << n
         rho = (1.0 - model.white_noise) * rho + model.white_noise * np.eye(dim) / dim
     return DensityOperator(rho, vertices)
 

@@ -1,10 +1,11 @@
-"""Dense oracles that the fast paths of graphqcka are checked against.
+"""Plain oracles that the fast paths of graphqcka are checked against.
 
-They rotate or conjugate the full amplitude vector or 4^n density matrix,
-qubit by qubit, which is slow and plainly correct: Pauli expectations on a
-dense vector, outcome distributions read off the diagonal after rotating
-every qubit into its measurement basis, and the noise channels as Kraus
-sums.
+The dense ones rotate or conjugate the full amplitude vector or 4^n density
+matrix, qubit by qubit, which is slow and plainly correct: Pauli
+expectations on a dense vector, outcome distributions read off the diagonal
+after rotating every qubit into its measurement basis, and the noise
+channels as Kraus sums.  The scalar estimators loop over a RoundBatch's
+outcome dict, one outcome at a time.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from graphqcka.graphstate import _BASIS_STATES, _apply_single_qubit
+from graphqcka.keyrates import ErrorEstimates, RoundBatch
 from graphqcka.noise import NoiseModel
 from graphqcka.pauli import PAULI_MATRICES
 from graphqcka.routing import ExtractionPlan, byproduct_correction, compile_round_settings
@@ -120,3 +122,56 @@ def kraus_noise(rho: np.ndarray, vertices: Sequence[int], model: NoiseModel) -> 
         rho = single_qubit_channel(rho, n, i, [(1.0 - q, eye), (q, x)])
     dim = 1 << n
     return (1.0 - model.white_noise) * rho + model.white_noise * np.eye(dim) / dim
+
+
+def marginal(batch: RoundBatch, subset: Sequence[int]) -> RoundBatch:
+    """Marginalize counts onto a subset of participants."""
+    idx = [batch.participants.index(v) for v in subset]
+    out: dict[str, int] = {}
+    for s, c in batch.counts.items():
+        key = "".join(s[i] for i in idx)
+        out[key] = out.get(key, 0) + c
+    return RoundBatch(batch.setting, tuple(subset), out)
+
+
+def pairwise_error(batch: RoundBatch, i: int, j: int) -> float:
+    """Empirical Pr(bit_i != bit_j) over a type-1 batch; equals (1-<ZZ>)/2."""
+    if i == j:
+        raise ValueError("pairwise error needs two distinct participants")
+    total = batch.total
+    if total == 0:
+        raise ValueError("empty batch")
+    pi, pj = batch.participants.index(i), batch.participants.index(j)
+    differ = sum(c for s, c in batch.counts.items() if s[pi] != s[pj])
+    return differ / total
+
+
+def estimate_qber(batch: RoundBatch) -> ErrorEstimates:
+    """QBER with the Alice role chosen to minimize the worst pairwise error,
+    over every pair of the batch's participants.  Ties go to the first
+    participant; qx is left at 0."""
+    parts = batch.participants
+    if len(parts) < 2:
+        raise ValueError("need at least two participants")
+    pairwise = {}
+    for a in parts:
+        for b in parts:
+            if a < b:
+                q = pairwise_error(batch, a, b)
+                pairwise[(a, b)] = q
+                pairwise[(b, a)] = q
+    best_alice, best_q = None, None
+    for alice in parts:
+        worst = max(pairwise[(alice, b)] for b in parts if b != alice)
+        if best_q is None or worst < best_q - 1e-15:
+            best_alice, best_q = alice, worst
+    return ErrorEstimates(pairwise_q=pairwise, qber=best_q, qx=0.0, alice_choice=best_alice)
+
+
+def estimate_qx(batch: RoundBatch) -> float:
+    """Q_X = (1 - <X parity>)/2 from a type-2 batch."""
+    total = batch.total
+    if total == 0:
+        raise ValueError("empty batch")
+    parity_sum = sum(c * (-1) ** (s.count("1") % 2) for s, c in batch.counts.items())
+    return (1.0 - parity_sum / total) / 2.0

@@ -6,10 +6,11 @@ import pytest
 from graphqcka import networks
 from graphqcka.analysis import _report_rows, build_report, pairwise_rates
 from graphqcka.graphstate import to_dense
-from graphqcka.keyrates import (CountRows, RoundBatch, akr_n, error_estimates,
-                                estimate_qber, outcome_distribution, qber_rows,
-                                simulate_protocol)
+from graphqcka.keyrates import (CountRows, RoundBatch, akr_n, outcome_distribution,
+                                pairwise_conference_rate, qber_rows, simulate_protocol)
 from graphqcka.noise import NoiseModel, apply_noise
+
+from oracles import estimate_qber, estimate_qx, marginal
 
 
 def ideal_batches(rounds=4000, seed=3, state=None):
@@ -31,23 +32,30 @@ def noisy_state():
 
 
 def scalar_statistics(ghz, bells):
-    """The report's scalars as scalar-estimator functions of RoundBatches,
-    each raising where it is undefined."""
+    """The report's scalars as functions of RoundBatches, built from the
+    oracle scalar estimators, each raising where it is undefined."""
     def nqkd(bs):
-        return error_estimates(bs["nqkd/type-1"], bs["nqkd/type-2"])
+        return estimate_qber(bs["nqkd/type-1"]).qber, estimate_qx(bs["nqkd/type-2"])
+
+    def rate_2(bs):
+        return pairwise_conference_rate([
+            [akr_n(estimate_qber(marginal(bs[f"bell{k}/type-1"], pair)).qber,
+                   estimate_qx(marginal(bs[f"bell{k}/type-2"], pair)))
+             for pair in plan.pairs]
+            for k, plan in enumerate(bells)])
 
     def ratio(bs):
-        r2 = pairwise_rates(bells, bs)[1]
+        r2 = rate_2(bs)
         if r2 <= 0:
             raise ValueError("pairwise rate vanished")
-        return akr_n(nqkd(bs).qber, nqkd(bs).qx) / r2
+        return akr_n(*nqkd(bs)) / r2
 
     stats = {}
     if ghz is not None:
-        stats.update(qber=lambda bs: nqkd(bs).qber, qx=lambda bs: nqkd(bs).qx,
-                     akr_n=lambda bs: akr_n(nqkd(bs).qber, nqkd(bs).qx))
+        stats.update(qber=lambda bs: nqkd(bs)[0], qx=lambda bs: nqkd(bs)[1],
+                     akr_n=lambda bs: akr_n(*nqkd(bs)))
     if bells:
-        stats["akr_2"] = lambda bs: pairwise_rates(bells, bs)[1]
+        stats["akr_2"] = rate_2
     if ghz is not None and bells:
         stats["ratio"] = ratio
     return stats
@@ -87,6 +95,20 @@ class TestPairwiseRates:
         for r in rates.values():
             assert r == pytest.approx(1.0)
         assert rate2 == pytest.approx(0.5)
+
+    def test_matches_oracle_and_rejects_empty_batch(self):
+        _, bells, batches = ideal_batches(rounds=300, state=noisy_state())
+        rates, rate2 = pairwise_rates(bells, batches)
+        assert rate2 == scalar_statistics(None, bells)["akr_2"](batches)
+        for k, plan in enumerate(bells):
+            for pair in plan.pairs:
+                est = estimate_qber(marginal(batches[f"bell{k}/type-1"], pair))
+                qx = estimate_qx(marginal(batches[f"bell{k}/type-2"], pair))
+                assert rates[f"{pair[0] + 1}-{pair[1] + 1}"] == akr_n(est.qber, qx)
+        b = batches["bell1/type-2"]
+        batches["bell1/type-2"] = RoundBatch(b.setting, b.participants, {})
+        with pytest.raises(ValueError, match="empty batch"):
+            pairwise_rates(bells, batches)
 
 
 class TestBuildReport:
@@ -171,7 +193,8 @@ def row_batches(rows, r):
 
 
 class TestReportRows:
-    """The report's array statistic against the scalar estimators, row by row."""
+    """The report's array statistic against the oracle scalar estimators,
+    row by row."""
 
     @pytest.mark.parametrize("protocols", ["both", "nqkd", "2qkd"])
     def test_matches_scalar_estimators(self, protocols):
@@ -203,7 +226,7 @@ class TestReportRows:
             for (name, pair), (qber, alice) in choices.items():
                 b = batches[f"{name}/type-1"]
                 if b.total:
-                    est = estimate_qber(b if pair is None else b.marginal(pair))
+                    est = estimate_qber(b if pair is None else marginal(b, pair))
                     assert (qber[r], alice[r]) == (est.qber, est.alice_choice)
                     if pair is None:
                         worst = [max(q for (a, _), q in est.pairwise_q.items() if a == u)

@@ -242,6 +242,31 @@ class TestCommands:
         victim.write_text(victim.read_text().replace("ZZXXZZ", "XXXXXX"))
         assert main(["analyze", *base]) == EXIT_MISSING_SETTING
 
+    @pytest.mark.parametrize("name, header, edit", [
+        ("nqkd_type1.counts", "setting", lambda line: "setting type-1 ZZZ"),
+        ("bell0_type1.counts", "participants", lambda line: "participants 1 2 3 4"),
+        ("nqkd_type1.counts", "participants", lambda line: "participants 1 2 3 4"),
+        # one letter more than the graph has, the first six as planned
+        ("bell1_type2.counts", "setting", lambda line: line + "Z"),
+    ], ids=["short-basis", "bell-participants", "ghz-participants", "long-basis"])
+    def test_analyze_rejects_mismatched_counts(self, name, header, edit, tmp_path,
+                                               graph_file, capsys):
+        """A counts file whose full basis string or participant list is not
+        the plan's exits 4 with one error line, before any report."""
+        out = tmp_path / "out"
+        base = ["--graph", str(graph_file), "--alice", "1", "--bobs", "2,5,6",
+                "--out", str(out)]
+        assert main(["simulate", *base, "--seed", "1", "--rounds", "200"]) == 0
+        victim = out / name
+        victim.write_text("".join(edit(line) + "\n" if line.startswith(header + " ")
+                                  else line + "\n"
+                                  for line in victim.read_text().splitlines()))
+        capsys.readouterr()
+        assert main(["analyze", *base]) == EXIT_MISSING_SETTING
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {victim}: ") and err.count("\n") == 1, err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("argv, code", EXIT_CODE_TABLE,
                              ids=[" ".join(argv) for argv, _ in EXIT_CODE_TABLE])
     def test_exit_code_table(self, argv, code, cli_inputs, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Key-rate estimators, protocol formulas, and round simulation tests."""
 
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from graphqcka.keyrates import (CorrelatorTable, RoleAssignment, RoundBatch,
                                 binary_entropy, error_estimates, estimate_qber,
                                 estimate_qx, outcome_distribution,
                                 pairwise_conference_rate, pairwise_error,
-                                simulate_protocol, xor_combine)
+                                qber_rows, qx_rows, simulate_protocol, xor_combine)
 from graphqcka.noise import NoiseModel, apply_noise
 from graphqcka.pauli import HADAMARD, IDENTITY, compose, pauli_layer, pauli_product
 from graphqcka.routing import (compile_round_settings, find_bell_multicast_plan,
@@ -21,7 +22,8 @@ from graphqcka.routing import (compile_round_settings, find_bell_multicast_plan,
                                verify_plan_dense)
 
 from conftest import random_frame, random_graph, random_model
-from oracles import rotated_outcome_distribution
+import oracles
+from oracles import marginal, rotated_outcome_distribution
 
 
 def batch(counts, participants=None):
@@ -101,7 +103,7 @@ class TestErrorEstimators:
         for bad in ("0a", "2 ", "1-"):
             with pytest.raises(ValueError, match=f"outcome {bad!r} is not a string of 0/1 bits"):
                 batch({"00": 3, bad: 1})
-        assert batch({"01": 2, "10": 0}).marginal((1,)).counts == {"1": 2, "0": 0}
+        assert marginal(batch({"01": 2, "10": 0}), (1,)).counts == {"1": 2, "0": 0}
 
     def test_error_estimates_combines_batches(self):
         t1 = batch({"00": 98, "01": 2})
@@ -109,6 +111,29 @@ class TestErrorEstimators:
         est = error_estimates(t1, t2)
         assert est.qber == pytest.approx(0.02)
         assert est.qx == pytest.approx(0.05)
+
+    def test_views_match_oracle(self):
+        """The one-row views against the oracle scalar estimators, exactly, on
+        seeded batches that include empty ones and exact Alice ties."""
+        nprng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(nprng.integers(1, 5))
+            outcomes = [format(i, f"0{n}b") for i in range(1 << n)]
+            counts = nprng.poisson(nprng.choice([0, 0.3, 2, 50]), size=len(outcomes))
+            parts = tuple(int(v) for v in nprng.permutation(9)[:n])
+            b = batch({s: int(c) for s, c in zip(outcomes, counts) if c or nprng.random() < 0.5},
+                      participants=parts)
+            for view, oracle in ((estimate_qber, oracles.estimate_qber),
+                                 (estimate_qx, oracles.estimate_qx),
+                                 (lambda b: pairwise_error(b, parts[0], parts[-1]),
+                                  lambda b: oracles.pairwise_error(b, parts[0], parts[-1]))):
+                try:
+                    want = oracle(b)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        view(b)
+                else:
+                    assert view(b) == want
 
 
 class TestRateFormulas:
@@ -236,9 +261,14 @@ class TestSimulation:
         assert abs(est.qx - exact.qx) < 3 * sigma_x
 
     def test_marginal(self):
+        """The row forms' participants argument reads the marginal."""
         b = batch({"000": 40, "011": 30, "110": 30})
-        m = b.marginal((0, 2))
+        m = marginal(b, (0, 2))
         assert m.counts == {"00": 40, "01": 30, "10": 30}
+        qber, alice = qber_rows(b.rows(), (0, 2))
+        est = oracles.estimate_qber(m)
+        assert (qber[0], alice[0]) == (est.qber, est.alice_choice)
+        assert qx_rows(b.rows(), (0, 2))[0] == oracles.estimate_qx(m)
 
 
 def assert_close_distributions(got, want):
@@ -430,3 +460,53 @@ class TestExplicitStates:
     def test_rejects_wrong_shape(self, shape):
         with pytest.raises(ValueError, match=r"need \(64,\) or \(64, 64\)"):
             outcome_distribution(networks.ghz_plan(), "type-1", np.zeros(shape))
+
+
+def distribution_estimates(plan, state):
+    """QBER / Q_X the long way: each outcome distribution as a float batch,
+    then the oracle scalar estimators."""
+    t1, t2 = (RoundBatch(None, plan.targets, outcome_distribution(plan, rt, state))
+              for rt in ("type-1", "type-2"))
+    est = oracles.estimate_qber(t1)
+    return est.pairwise_q, est.qber, oracles.estimate_qx(t2), est.alice_choice
+
+
+def assert_same_estimates(got, want):
+    pairwise, qber, qx, alice = want
+    assert got.alice_choice == alice
+    assert abs(got.qber - qber) <= 1e-12 and abs(got.qx - qx) <= 1e-12
+    assert set(got.pairwise_q) == set(pairwise)
+    assert max(abs(got.pairwise_q[p] - q) for p, q in pairwise.items()) <= 1e-12
+
+
+class TestParityEstimates:
+    """analytic_estimates reads the subset parities; the oracle path builds
+    each distribution and runs the oracle scalar estimators on it."""
+
+    def test_matches_distribution_path_on_searched_plans(self, rng):
+        nprng = np.random.default_rng(rng.randrange(1 << 32))
+        plans = TestPauliEngine.random_plans(rng, 20)
+        assert {p.kind for p in plans} == {"ghz", "bell_multicast"}
+        for plan in plans:
+            model = random_model(rng, plan.graph.vertices)
+            vec = network_vector(plan)
+            rho = apply_noise(vec, plan.graph.vertices, model).matrix
+            random_vec, _ = TestExplicitStates.random_states(plan.graph.n, nprng)
+            for state in (model, None, rho, vec, random_vec):
+                assert_same_estimates(analytic_estimates(plan, state),
+                                      distribution_estimates(plan, state))
+            # the identity parity normalizes a scaled vector
+            assert_same_estimates(analytic_estimates(plan, 3.7 * random_vec),
+                                  distribution_estimates(plan, random_vec))
+
+    def test_round_off_past_perfect_correlation_is_clipped(self):
+        """On this ideal vector a pair parity and the all-X parity read
+        1 + 2.2e-16; unclipped, that pair error and Q_X would be -1.1e-16, and
+        akr_n would reject the Q_X."""
+        g = Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 4), (2, 3)])
+        plan = find_ghz_plan(g, (0, 2, 3), networks.photonic_preparation_frame(g.vertices))
+        for state in (network_vector(plan), None):
+            est = analytic_estimates(plan, state)
+            assert set(est.pairwise_q.values()) == {0.0}
+            assert (est.qber, est.qx) == (0.0, 0.0)
+            assert akr_n(est.qber, est.qx) == 1.0

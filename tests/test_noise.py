@@ -75,6 +75,15 @@ class TestApplyNoise:
             apply_noise(bell_vector(), (0, 1),
                         NoiseModel(depolarizing={9: 0.5}, bit_flip={0: 0.1, 2: 0.1}))
 
+    @pytest.mark.parametrize("model", [NoiseModel(depolarizing={0: 0.1}),
+                                       NoiseModel(white_noise=0.1), NoiseModel()],
+                             ids=["per-qubit", "white-noise", "noiseless"])
+    def test_rejects_wrong_shape(self, model):
+        three_qubits = np.ones(8) / np.sqrt(8)
+        for state in (three_qubits, np.outer(three_qubits, three_qubits), np.ones((4, 2))):
+            with pytest.raises(ValueError, match=r"2 vertices need \(4,\) or \(4, 4\)"):
+                apply_noise(state, (0, 1), model)
+
     def test_bell_depolarizing_zz(self):
         lam = 0.2
         rho = apply_noise(bell_vector(), (0, 1),
