@@ -6,8 +6,8 @@ networks.photonic_preparation_frame (H on odd, Z on even 1-based
 vertices), and there is no option to change it.
 
 Exit codes: 0 success, 2 parse error, 3 no plan found, 4 a counts file
-missing or not matching its plan's basis string and participants, 5 size
-cap exceeded (1 for anything else).
+missing, not matching its plan's basis string and participants, or holding
+no outcome rows, 5 size cap exceeded (1 for anything else).
 """
 
 from __future__ import annotations
@@ -153,6 +153,9 @@ def cmd_analyze(args) -> int:
             if got != want:
                 print(f"error: {path}: basis {got[0]}, participants {got[1]} do not "
                       f"match the plan's {want[0]}, {want[1]}", file=sys.stderr)
+                return EXIT_MISSING_SETTING
+            if not batch.total:
+                print(f"error: {path}: no outcome rows", file=sys.stderr)
                 return EXIT_MISSING_SETTING
             batches[f"{tag}/{rt}"] = batch
             hashes[path.name] = sha256_file(path)

@@ -12,9 +12,13 @@ and white noise scales every non-identity string by 1 - w.  On the
 stabilizer network state each corrected parity is one such correlator
 (keyrates.CorrelatorTable), which is how pump_sweep and
 calibrate_to_targets evaluate a model: exactly, and without a density
-matrix.  apply_noise builds the noisy 4^n density matrix (a DensityOperator)
-for callers that hand keyrates an explicit state; it applies the same
-per-qubit factors to the matrix's 2x2 blocks.
+matrix.  In log space each correlator is linear in the per-qubit
+parameters, so calibrate_to_targets solves its targets as nonnegative
+least-squares systems (Lawson and Hanson, 1974) and falls back to scipy's
+least_squares only when those miss a target.  apply_noise builds the
+noisy 4^n density matrix (a DensityOperator) for callers that hand keyrates
+an explicit state; it applies the same per-qubit factors to the matrix's
+2x2 blocks.
 
 The Poisson Monte Carlo draws every resample at once into an integer count
 matrix, observed counts in row 0, and hands it to the statistic once
@@ -27,13 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .graphstate import SizeCapError
-from .keyrates import CountRows, RoundBatch, akr_n, correlator_tables, table_estimates
+from .keyrates import (CorrelatorTable, CountRows, RoundBatch, akr_n,
+                       correlator_tables, table_estimates)
 from .routing import ExtractionPlan
 
 DENSITY_CAP = 8
@@ -341,22 +346,31 @@ def calibrate_to_targets(plans: Mapping[str, ExtractionPlan],
     noisy_vertices restricts which qubits carry free parameters (default:
     all network vertices); channels restricts which of the depolarizing,
     dephasing and bit_flip families are fitted (default: all three).
-    Parameters that no target depends on are left undetermined and drift
-    with round-off, so restrict noisy_vertices / channels to what the
-    targets fix.  Each plan's correlator tables are built once, so every
-    evaluation of the fit is a product of per-qubit factors; no density
-    matrix is built.  noisy_vertices outside the network raise ValueError.
+    noisy_vertices outside the network raise ValueError.
+
+    The fit is solved exactly in log space first.  With u = -log(1 - c theta)
+    per parameter (c = 1 for depolarizing, 2 for dephasing and bit flip),
+    every correlator of the plans' tables is weight * exp(-E.u) for a 0/1
+    row E, so a Q_X target is one linear equation and a QBER target, a
+    min-max over pairs, is one equation per pair that an active-set loop
+    pins for each choice of Alice.  Each linear system goes to a
+    nonnegative least-squares solve (Lawson and Hanson, "Solving Least
+    Squares Problems", 1974, ch. 23).  The first solution that meets every
+    target to 1e-12 is returned; parameters that no target constrains come
+    back as exactly 0.0, and the result is deterministic.  Only if no
+    solution meets the targets, or a target has no such linear form (a
+    target of 0.5 or more on a correlator the plan has), does scipy's
+    least_squares refine the fit, from the best exact solution; parameters
+    that no target fixes may then drift, so restrict noisy_vertices /
+    channels to what the targets fix.
 
     Targets that ask different values of one observable cannot all be met:
     before fitting, estimators that agree at a seeded random parameter point
     count as one observable, and a ValueError names the targets that
     conflict.  The result's converged flag says whether the fit met every
-    target.
+    target; its residual is the norm of the target misses of the returned
+    model.
     """
-    # imported here, not with the module: only calibration needs it, and it
-    # takes three times as long to import as graphqcka.cli with numpy
-    from scipy.optimize import least_squares
-
     if set(targets) - set(plans):
         raise ValueError("every target needs a matching plan")
     ref = next(iter(plans.values()))
@@ -366,7 +380,7 @@ def calibrate_to_targets(plans: Mapping[str, ExtractionPlan],
     noisy_vertices = tuple(ref.graph.vertices if noisy_vertices is None
                            else noisy_vertices)
 
-    bad = set(channels) - {"depolarizing", "dephasing", "bit_flip"}
+    bad = set(channels) - set(_LOG_FORM)
     if bad or not channels:
         raise ValueError(f"unknown channels {sorted(bad)}")
 
@@ -390,13 +404,169 @@ def calibrate_to_targets(plans: Mapping[str, ExtractionPlan],
             out.extend([est.qber, est.qx])
         return np.asarray(out)
 
-    x0 = np.full(len(channels) * len(noisy_vertices), 0.01)
-    _check_shared_observables(names, wanted, estimates, x0.size)
-    fit = least_squares(lambda x: estimates(x) - wanted, x0, bounds=(0.0, 0.999),
+    def residual(params: np.ndarray) -> float:
+        return float(np.sqrt(np.sum((estimates(params) - wanted) ** 2)))
+
+    n_params = len(channels) * len(noisy_vertices)
+    _check_shared_observables(names, wanted, estimates, n_params)
+
+    def exponents(table: CorrelatorTable) -> np.ndarray:
+        """E[r, j] = 1 where parameter j's channel scales row r's letter."""
+        letters = table.letters[:, [table.vertices.index(v) for v in noisy_vertices]]
+        return np.hstack([_LOG_FORM[ch][1][letters] for ch in channels])
+
+    scale = np.repeat([_LOG_FORM[ch][0] for ch in channels], len(noisy_vertices))
+    x0, best_resid = np.full(n_params, 0.01), math.inf
+    system = _log_system(tables, names, targets, exponents)
+    for u in ([] if system is None else _exact_solutions(*system, n_params)):
+        params = np.clip(-np.expm1(-u) / scale, 0.0, _UPPER_BOUND)
+        resid = residual(params)
+        if resid < _EXACT_TOL:
+            return CalibrationResult(build(params), resid, True)
+        if resid < best_resid:
+            x0, best_resid = params, resid
+
+    # imported here, not with the module: only a fit that the exact solve
+    # misses needs it, and it takes three times as long to import as
+    # graphqcka.cli with numpy
+    from scipy.optimize import least_squares
+    fit = least_squares(lambda x: estimates(x) - wanted, x0, bounds=(0.0, _UPPER_BOUND),
                         x_scale="jac", xtol=3e-16, ftol=3e-16, gtol=3e-16,
                         max_nfev=MAX_FIT_EVALUATIONS)
-    resid = float(np.sqrt(np.sum(fit.fun ** 2)))
+    resid = residual(fit.x)
     return CalibrationResult(build(fit.x), resid, resid < 1e-6)
+
+
+# per channel: c in u = -log(1 - c theta), and over the letter codes
+# I, X, Y, Z a 1 where the channel scales the letter's expectation by exp(-u)
+_LOG_FORM = {"depolarizing": (1.0, np.array([0.0, 1.0, 1.0, 1.0])),
+             "dephasing": (2.0, np.array([0.0, 1.0, 1.0, 0.0])),
+             "bit_flip": (2.0, np.array([0.0, 0.0, 1.0, 1.0]))}
+_UPPER_BOUND = 0.999
+_EXACT_TOL = 1e-12
+_PIN_TOL = 1e-13
+
+_LogRows = tuple[np.ndarray, np.ndarray]
+
+
+def _log_rows(table: CorrelatorTable, exponents: np.ndarray, subsets: Sequence[int],
+              t: float) -> _LogRows | None:
+    """(E, beta) with E.u = beta exactly when each subset's parity is 1 - 2t,
+    E taken from the table's exponents; None if a subset has no correlator
+    (its parity is 0).  beta is not finite where that has no solution:
+    t >= 0.5 or a negative weight."""
+    index = {s: r for r, s in enumerate(table.subsets.tolist())}
+    if any(s not in index for s in subsets):
+        return None
+    rows = [index[s] for s in subsets]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = np.log(table.weights[rows] / (1.0 - 2.0 * t))
+    return exponents[rows], beta
+
+
+def _log_system(tables, names, targets, exponents,
+                ) -> tuple[list[_LogRows], list[list[_LogRows]]] | None:
+    """The exact solve's linear form of the targets, or None if one has none.
+
+    Returns the Q_X equations, one row each, and per QBER target the rows
+    of each Alice's pairs, over the Alices with a correlator on every pair:
+    an Alice lacking one has a pair error of 1/2, so she is the minimizer
+    only of a target of 1/2, which holds whatever the noise when every
+    Alice lacks one.  A Q_X target of 1/2 on a plan with no Q_X correlator
+    is constant too.
+    """
+    qx, qber = [], []
+    for name in names:
+        (type1, type2), (tq, tx) = tables[name], targets[name]
+        bits = [1 << k for k in range(len(type1.targets) - 1, -1, -1)]
+        row = _log_rows(type2, exponents(type2), [sum(bits)], tx)
+        if row is not None:
+            qx.append(row)
+        elif tx != 0.5:
+            return None
+        e1 = exponents(type1)
+        alices = [_log_rows(type1, e1, [a ^ b for b in bits if b != a], tq) for a in bits]
+        complete = [rows for rows in alices if rows is not None]
+        if complete:
+            qber.append(complete)
+        elif tq != 0.5:
+            return None
+    if not all(np.isfinite(beta).all() for _, beta in qx + sum(qber, [])):
+        return None
+    return qx, qber
+
+
+def _exact_solutions(qx: list[_LogRows], qber: list[list[_LogRows]], n_params: int):
+    """Candidate u >= 0, one per choice of Alice for every QBER target.
+
+    The Q_X rows are equalities.  Each round pins pairs of the QBER targets
+    as equalities too and solves again, until a round adds none:
+    - the chosen Alice's pairs that exceed beta, and if her worst pair falls
+      short of beta with none pinned, her pair nearest beta;
+    - once no chosen Alice adds one, the pair nearest beta of each other
+      Alice whose worst pair falls short of beta with none pinned, because
+      she would undercut the target.
+    The caller checks whether a candidate meets the targets.
+    """
+    for picks in product(*(range(len(alices)) for alices in qber)):
+        chosen, others = [], []
+        for alices, pick in zip(qber, picks):
+            for k, (e, beta) in enumerate(alices):
+                pin = np.zeros(len(beta), dtype=bool)
+                (chosen if k == pick else others).append((e, beta, pin))
+        while True:
+            eqs = qx + [(e[pin], beta[pin]) for e, beta, pin in chosen + others]
+            u = _nnls(np.vstack([np.zeros((0, n_params))] + [e for e, _ in eqs]),
+                      np.concatenate([np.zeros(0)] + [beta for _, beta in eqs]))
+            if not (_pin(chosen, u, above=True) or _pin(others, u, above=False)):
+                break
+        yield u
+
+
+def _pin(alices: list, u: np.ndarray, above: bool) -> bool:
+    """Pin, for each Alice (E, beta, pinned), her pairs above beta if above
+    is set, and her pair nearest beta if her worst pair falls short of beta
+    and none is pinned; True if any pair was pinned."""
+    grew = False
+    for e, beta, pin in alices:
+        gap = e @ u - beta
+        new = (gap > _PIN_TOL) & ~pin if above else np.zeros_like(pin)
+        if gap.max() < -_PIN_TOL and not pin.any():
+            new[np.argmax(gap)] = True
+        pin |= new
+        grew |= bool(new.any())
+    return grew
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """min |a x - b| over x >= 0, by the Lawson-Hanson active-set method.
+
+    A column enters the passive set only while the residual's gradient along
+    it is positive, so a zero column stays at exactly 0.
+    """
+    n = a.shape[1]
+    x, passive = np.zeros(n), np.zeros(n, dtype=bool)
+    tol = 10 * np.finfo(float).eps * max(a.shape) * max(
+        1.0, np.abs(a).sum(axis=0).max(initial=0.0))
+    for _ in range(3 * n):
+        w = np.where(passive, -np.inf, a.T @ (b - a @ x))
+        if passive.all() or w.max() <= tol:
+            break
+        passive[np.argmax(w)] = True
+        while True:
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            neg = passive & (s <= 0.0)
+            if not neg.any():
+                break
+            # step from x toward s until the first passive entry reaches 0
+            x_neg = x[neg]
+            alpha = np.min(x_neg / np.where(x_neg > 0.0, x_neg - s[neg], 1.0))
+            x = x + alpha * (s - x)
+            passive &= x > tol
+            x[~passive] = 0.0
+        x = s
+    return x
 
 
 _SAME_OBSERVABLE_TOL = 1e-9

@@ -267,6 +267,20 @@ class TestCommands:
         assert err.startswith(f"error: {victim}: ") and err.count("\n") == 1, err
         assert not (out / "report.json").exists()
 
+    def test_analyze_rejects_counts_without_rows(self, tmp_path, graph_file, capsys):
+        """A counts file with its headers but no outcome rows exits 4 with one
+        error line, not an empty-batch traceback."""
+        out = tmp_path / "out"
+        base = ["--graph", str(graph_file), *ROLES, "--out", str(out)]
+        assert main(["simulate", *base, "--seed", "1", "--rounds", "200"]) == 0
+        victim = out / "bell1_type2.counts"
+        victim.write_text("".join(line + "\n" for line in victim.read_text().splitlines()
+                                  if not line[:1].isdigit()))
+        capsys.readouterr()
+        assert main(["analyze", *base]) == EXIT_MISSING_SETTING
+        assert capsys.readouterr().err == f"error: {victim}: no outcome rows\n"
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("argv, code", EXIT_CODE_TABLE,
                              ids=[" ".join(argv) for argv, _ in EXIT_CODE_TABLE])
     def test_exit_code_table(self, argv, code, cli_inputs, tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import graphqcka
-from graphqcka import networks
+from graphqcka import networks, noise
 from graphqcka.graphstate import SizeCapError, build_graph_state, to_dense
 from graphqcka.keyrates import RoundBatch, akr_n, analytic_estimates, pairwise_error
 from graphqcka.noise import (DensityOperator, NoiseModel, apply_noise,
@@ -20,6 +20,49 @@ from graphqcka.graphstate import GraphState
 
 from conftest import random_model
 from oracles import kraus_noise
+
+CHANNELS = ("depolarizing", "dephasing", "bit_flip")
+
+
+def run_fresh_python(code):
+    """Run code in a new interpreter that imports graphqcka from this tree."""
+    src = str(Path(graphqcka.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def hidden_truths(sparse):
+    """40 seeded noise models on the six-vertex network with strengths below
+    0.1: every channel on every vertex or, if sparse, each channel with
+    probability 1/2 and then on each vertex with probability 1/2."""
+    for seed in range(40):
+        nprng = np.random.default_rng(seed)
+
+        def keep():
+            return not sparse or nprng.random() < 0.5
+        yield NoiseModel(**{channel: {v: nprng.uniform(0.0, 0.1)
+                                      for v in range(6) if keep()}
+                            for channel in CHANNELS if keep()})
+
+
+def target_pairs(plans, model):
+    """Each plan's analytic (QBER, Q_X) under a noise model."""
+    return {name: (est.qber, est.qx) for name, plan in plans.items()
+            for est in [analytic_estimates(plan, model)]}
+
+
+def spy_least_squares(monkeypatch):
+    """Count the calls to scipy's least_squares; returns the list of calls."""
+    import scipy.optimize
+    calls, real = [], scipy.optimize.least_squares
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    return calls
 
 
 def bell_vector():
@@ -278,12 +321,84 @@ class TestCalibration:
             "                           {'bell': (0.05, 0.05)}, noisy_vertices=(1,),\n"
             "                           channels=('depolarizing',))\n"
             "assert res.converged\n")
-        src = str(Path(graphqcka.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_fresh_python(code)
         assert proc.returncode == 0, proc.stderr
+
+    def test_exact_solve_leaves_optimizer_unloaded(self):
+        code = (
+            "import sys\n"
+            "from graphqcka import networks\n"
+            "from graphqcka.noise import calibrate_to_targets\n"
+            "res = calibrate_to_targets(\n"
+            "    {'nqkd': networks.ghz_plan(), 'bell1': networks.bell_bridge_plan()},\n"
+            "    {'nqkd': (0.03, 0.05), 'bell1': (0.05, 0.05)}, noisy_vertices=(0,),\n"
+            "    channels=('depolarizing', 'dephasing'))\n"
+            "assert res.converged\n"
+            "assert 'scipy.optimize' not in sys.modules, 'loaded by the calibration'\n")
+        proc = run_fresh_python(code)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_refines_with_least_squares_when_the_exact_solve_misses(self, monkeypatch):
+        # a pair error of 1/2 on a correlator the plan has needs a factor of
+        # 0, which no finite log-space parameter gives: bit flip 1/2 on vertex 4
+        calls = spy_least_squares(monkeypatch)
+        res = calibrate_to_targets({"bell": networks.bell_bridge_plan()},
+                                   {"bell": (0.5, 0.0)}, noisy_vertices=(4,),
+                                   channels=("bit_flip",))
+        assert calls == [1]
+        assert res.converged and res.residual < 1e-6
+        assert res.model.bit_flip[4] == pytest.approx(0.5, abs=1e-6)
+
+    def test_unconstrained_parameters_are_zero_and_deterministic(self):
+        plans = {"nqkd": networks.ghz_plan(), "bell1": networks.bell_bridge_plan()}
+        targets = {"nqkd": (0.03, 0.05), "bell1": (0.05, 0.05)}
+        res = calibrate_to_targets(plans, targets)
+        assert res.converged
+        assert calibrate_to_targets(plans, targets) == res
+        unconstrained = 0
+        for channel in CHANNELS:
+            for v in range(6):
+                moved = replace(res.model, **{channel: {**getattr(res.model, channel),
+                                                        v: 0.3}})
+                if all(analytic_estimates(p, moved) == analytic_estimates(p, res.model)
+                       for p in plans.values()):
+                    # no pair error and no Q_X of any plan depends on it
+                    assert getattr(res.model, channel)[v] == 0.0
+                    unconstrained += 1
+        assert unconstrained > 0
+
+    def test_random_truths_are_recovered(self, monkeypatch):
+        """A fit of all 18 parameters to the GHZ and bridge-pair (QBER, Q_X)
+        of each hidden model meets them through the dense oracle."""
+        plans = {"nqkd": networks.ghz_plan(), "bell": networks.bell_bridge_plan()}
+        vec = to_dense(networks.six_vertex_network_state())
+        calls = spy_least_squares(monkeypatch)
+        exact_met = least_squares_met = 0
+        for seed, truth in enumerate(hidden_truths(sparse=False)):
+            targets = target_pairs(plans, truth)
+            refined = len(calls)
+            res = calibrate_to_targets(plans, targets)
+            assert res.converged and res.residual < 1e-6, seed
+            exact_met += len(calls) == refined
+            rho = apply_noise(vec, range(6), res.model).matrix
+            for name, (tq, tx) in targets.items():
+                est = analytic_estimates(plans[name], rho)
+                assert est.qber == pytest.approx(tq, abs=1e-6), seed
+                assert est.qx == pytest.approx(tx, abs=1e-6), seed
+            # least_squares alone, from every parameter at 0.01
+            with monkeypatch.context() as m:
+                m.setattr(noise, "_log_system", lambda *args: None)
+                least_squares_met += calibrate_to_targets(plans, targets).converged
+        assert exact_met >= least_squares_met
+
+    def test_exact_solve_meets_sparse_truths(self, monkeypatch):
+        """Models with few channels leave some Alices' worst pairs short of
+        the target, which the exact solve must pin as well."""
+        plans = {"nqkd": networks.ghz_plan(), "bell": networks.bell_bridge_plan()}
+        calls = spy_least_squares(monkeypatch)
+        for seed, truth in enumerate(hidden_truths(sparse=True)):
+            res = calibrate_to_targets(plans, target_pairs(plans, truth))
+            assert res.converged and res.residual < 1e-12 and not calls, seed
 
     def test_rejects_noisy_vertex_outside_network(self):
         with pytest.raises(ValueError, match=r"noise on vertices \[9\]"):
