@@ -3,12 +3,13 @@
 Bridges the estimators in keyrates with the Poisson Monte Carlo machinery
 in noise: given type-1/type-2 batches for the multipartite protocol and/or
 the pairwise protocol's Bell plans, it produces a KeyRateReport with
-per-field uncertainties.  Values and uncertainties come from one set of
-estimators, the row forms in keyrates: the values from the observed counts
-as one row (the scalar estimators are views of it), the uncertainties from
-every row of noise.poisson_mc_many's count matrix, with NaN on the rows
-where a value is undefined.  A Bell pair is read as two bit columns of its
-plan's outcomes.
+per-field uncertainties.  The report's statistics are the row forms in
+keyrates, evaluated once per report on every row of
+noise.poisson_count_rows: row 0, the observed counts, gives the values
+(qber, qx, the Alice choice, akr_n, the per-link rates, akr_2 and the
+ratio), and the resampled rows give the uncertainties, with NaN on the
+rows where a value is undefined.  Without Monte Carlo the matrix is that
+one row.  A Bell pair is read as two bit columns of its plan's outcomes.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .keyrates import (CountRows, KeyRateReport, RoundBatch, akr_n, akr_n_rows,
-                       error_estimates, pairwise_conference_rate_rows, qber_rows,
-                       qx_rows)
-from .noise import poisson_mc_many
+from .keyrates import (CountRows, KeyRateReport, RoundBatch, akr_n_rows,
+                       pairwise_conference_rate_rows, pairwise_error_rows,
+                       qber_rows, qx_rows)
+from .noise import monte_carlo_results, poisson_count_rows
 from .routing import ExtractionPlan, network_use_accounting
 
 
@@ -33,21 +34,25 @@ def pairwise_rates(bell_plans: Sequence[ExtractionPlan],
     each over the plan's full participant set.  Raises ValueError for an
     empty batch.
     """
-    grouped = _pair_rate_rows(bell_plans, {name: b.rows() for name, b in batches.items()})
-    rate_2 = float(pairwise_conference_rate_rows(grouped)[0])
-    if math.isnan(rate_2):
+    links, rate_2 = _link_rate_rows(
+        bell_plans, {name: b.rows() for name, b in batches.items()})
+    if math.isnan(rate_2[0]):
         raise ValueError("empty batch")
-    rates = {f"{pair[0] + 1}-{pair[1] + 1}": float(r[0])
-             for plan, plan_rates in zip(bell_plans, grouped)
-             for pair, r in zip(plan.pairs, plan_rates)}
-    return rates, rate_2
+    return {link: float(r[0]) for link, r in links.items()}, float(rate_2[0])
 
 
-def _pair_rate_rows(bell_plans, rows: Mapping[str, CountRows]) -> list[list[np.ndarray]]:
-    """akr_n of every Bell pair on every row, grouped per plan."""
-    return [[akr_n_rows(qber_rows(rows[f"bell{k}/type-1"], pair)[0],
-                        qx_rows(rows[f"bell{k}/type-2"], pair)) for pair in plan.pairs]
-            for k, plan in enumerate(bell_plans)]
+def _link_rate_rows(bell_plans, rows: Mapping[str, CountRows],
+                    ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """akr_n of every Bell pair on every row, keyed "a-b" with 1-based
+    labels, and the pairwise conference rate on every row.  A pair's QBER
+    is its pairwise error; the rates of all pairs are one akr_n_rows call."""
+    pairs = [(k, pair) for k, plan in enumerate(bell_plans) for pair in plan.pairs]
+    rates = akr_n_rows(
+        np.array([pairwise_error_rows(rows[f"bell{k}/type-1"], *pair) for k, pair in pairs]),
+        np.array([qx_rows(rows[f"bell{k}/type-2"], pair) for k, pair in pairs]))
+    links = {f"{a + 1}-{b + 1}": r for (_, (a, b)), r in zip(pairs, rates)}
+    ends = np.cumsum([len(plan.pairs) for plan in bell_plans])[:-1]
+    return links, pairwise_conference_rate_rows(np.split(rates, ends))
 
 
 def build_report(ghz_plan: ExtractionPlan | None,
@@ -59,36 +64,34 @@ def build_report(ghz_plan: ExtractionPlan | None,
     Expects batches keyed "nqkd/type-1" and "nqkd/type-2" when ghz_plan is
     given, and "bell{k}/type-1" / "bell{k}/type-2" per Bell plan.  Monte
     Carlo uncertainties are attached for every scalar that is defined; the
-    ratio is undefined (None, with no uncertainty) when akr_2 is 0.
-    """
-    qber = qx = float("nan")
-    alice = None
-    rate_n = float("nan")
-    if ghz_plan is not None:
-        est = error_estimates(batches["nqkd/type-1"], batches["nqkd/type-2"])
-        qber, qx, alice = est.qber, est.qx, est.alice_choice
-        rate_n = akr_n(qber, qx)
-    rates: dict[str, float] = {}
-    rate_2 = float("nan")
-    if bell_plans:
-        rates, rate_2 = pairwise_rates(bell_plans, batches)
-    ratio = None
-    if ghz_plan is not None and bell_plans and rate_2 > 0:
-        ratio = rate_n / rate_2
+    ratio is undefined (None, with no uncertainty) when akr_2 is 0.  Raises
+    ValueError for an empty batch.
 
+    The report's statistics are evaluated once, on every row of
+    noise.poisson_count_rows (a single row when mc_samples is 0): row 0
+    gives the values, the other rows the uncertainties.
+    """
+    n_samples = max(mc_samples, 0)
+    rows = poisson_count_rows(batches, n_samples, mc_seed)
+    values, alice, link_rates = _evaluate(ghz_plan, bell_plans, rows)
+    if any(name in values and math.isnan(values[name][0]) for name in ("qber", "akr_2")):
+        raise ValueError("empty batch")
+    point = {name: float(v[0]) for name, v in values.items()}
     copies = {}
     if ghz_plan is not None:
         copies["nqkd"] = network_use_accounting([ghz_plan], "NQKD")
     if bell_plans:
         copies["2qkd"] = network_use_accounting(list(bell_plans), "2QKD")
-
-    report = KeyRateReport(akr_n=rate_n, pairwise_rates=rates, akr_2=rate_2,
-                           ratio=ratio, copies_per_bit=copies, qber=qber,
-                           qx=qx, alice_choice=alice)
-    if mc_samples > 0 and copies:
-        results = poisson_mc_many(
-            batches, lambda rows: _report_rows(ghz_plan, bell_plans, rows),
-            mc_samples, mc_seed)
+    nan = float("nan")
+    ratio = point.get("ratio", nan)
+    report = KeyRateReport(
+        akr_n=point.get("akr_n", nan),
+        pairwise_rates={link: float(r[0]) for link, r in link_rates.items()},
+        akr_2=point.get("akr_2", nan), ratio=None if math.isnan(ratio) else ratio,
+        copies_per_bit=copies, qber=point.get("qber", nan), qx=point.get("qx", nan),
+        alice_choice=None if alice is None else int(alice[0]))
+    if n_samples and values:
+        results = monte_carlo_results(values, n_samples, mc_seed)
         report.uncertainties = {name: r.std for name, r in results.items()}
     return report
 
@@ -101,15 +104,22 @@ def _report_rows(ghz_plan, bell_plans,
     both nqkd batches nonempty, akr_2 every Bell batch, and the ratio both
     rates with akr_2 positive.
     """
-    out = {}
+    return _evaluate(ghz_plan, bell_plans, rows)[0]
+
+
+def _evaluate(ghz_plan, bell_plans, rows: Mapping[str, CountRows],
+              ) -> tuple[dict[str, np.ndarray], np.ndarray | None, dict[str, np.ndarray]]:
+    """_report_rows, with the Alice choice on every row (None without
+    ghz_plan) and each link's rate rows, keyed as in pairwise_rates."""
+    out, alice, link_rates = {}, None, {}
     if ghz_plan is not None:
-        qber, qx = qber_rows(rows["nqkd/type-1"])[0], qx_rows(rows["nqkd/type-2"])
+        (qber, alice), qx = qber_rows(rows["nqkd/type-1"]), qx_rows(rows["nqkd/type-2"])
         undefined = np.isnan(qber) | np.isnan(qx)
         qber[undefined] = qx[undefined] = np.nan
         out.update(qber=qber, qx=qx, akr_n=akr_n_rows(qber, qx))
     if bell_plans:
-        out["akr_2"] = pairwise_conference_rate_rows(_pair_rate_rows(bell_plans, rows))
+        link_rates, out["akr_2"] = _link_rate_rows(bell_plans, rows)
     if "akr_n" in out and "akr_2" in out:
         with np.errstate(divide="ignore", invalid="ignore"):
             out["ratio"] = np.where(out["akr_2"] > 0, out["akr_n"] / out["akr_2"], np.nan)
-    return out
+    return out, alice, link_rates

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -157,23 +156,40 @@ class CountRows:
 
     counts[r, k] counts outcomes[k] in row r.  The *_rows estimators below
     give one float per row, NaN where the row is undefined (a zero total).
-    The scalar estimators are their views on RoundBatch.rows().
+    The scalar estimators are their views on RoundBatch.rows().  The outcome
+    bits and the row totals are read once, when the rows are made:
+    bit_matrix[k, i] is participant i's bit in outcomes[k].
     """
 
     participants: tuple[int, ...]
     outcomes: tuple[str, ...]
     counts: np.ndarray
+    bit_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    totals: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        text = "".join(self.outcomes).encode("ascii")
+        bits = (np.frombuffer(text, dtype=np.uint8).reshape(
+            len(self.outcomes), len(self.participants)) - ord("0")).astype(np.int64)
+        totals = self.counts.sum(axis=1)
+        for name, value in (("bit_matrix", bits), ("totals", totals)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def columns(self, participants: Sequence[int]) -> np.ndarray:
+        """The bit_matrix columns of the given participants, in their order."""
+        return self.bit_matrix[:, [self.participants.index(u) for u in participants]]
 
     def bits(self, participant: int) -> np.ndarray:
         """The participant's 0/1 bit in each outcome string."""
-        i = self.participants.index(participant)
-        return np.array([int(s[i]) for s in self.outcomes], dtype=np.int64)
+        return self.bit_matrix[:, self.participants.index(participant)]
 
     def per_round(self, sums: np.ndarray) -> np.ndarray:
-        """Row sums over the row totals, NaN where a total is zero."""
-        totals = self.counts.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(totals > 0, sums / totals, np.nan)
+        """Sums over the row totals, NaN where a total is zero; sums has one
+        entry per count row, or one row per count row."""
+        totals = self.totals if sums.ndim < 2 else self.totals[:, None]
+        out = np.full(sums.shape, np.nan)
+        return np.divide(sums, totals, out=out, where=totals > 0)
 
 
 def _alice_min_max(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,12 +221,18 @@ def pairwise_error_rows(rows: CountRows, i: int, j: int) -> np.ndarray:
 
 
 def _pair_error_rows(rows: CountRows, parts: Sequence[int]) -> np.ndarray:
-    """errors[a, b, r], pairwise_error_rows of parts a and b, zero for a == b."""
+    """errors[a, b, r], pairwise_error_rows of parts a and b, zero for a == b.
+
+    One integer matmul counts the disagreements of every pair: the counts
+    against the XOR of the two parts' bit columns, one column per pair.
+    """
     if len(parts) < 2:
         raise ValueError("need at least two participants")
+    first, second = np.triu_indices(len(parts), k=1)
+    bits = rows.columns(parts)
     errors = np.zeros((len(parts), len(parts), len(rows.counts)))
-    for (i, a), (j, b) in combinations(enumerate(parts), 2):
-        errors[i, j] = errors[j, i] = pairwise_error_rows(rows, a, b)
+    errors[first, second] = errors[second, first] = rows.per_round(
+        rows.counts @ (bits[:, first] ^ bits[:, second])).T
     return errors
 
 
@@ -232,8 +254,8 @@ def qber_rows(rows: CountRows, participants: Sequence[int] | None = None,
 def qx_rows(rows: CountRows, participants: Sequence[int] | None = None) -> np.ndarray:
     """Q_X = (1 - <X parity>)/2 on every row of type-2 counts, from the
     parity of the given participants (all by default)."""
-    parts = rows.participants if participants is None else participants
-    parity = sum(rows.bits(u) for u in parts) % 2
+    bits = rows.bit_matrix if participants is None else rows.columns(participants)
+    parity = bits.sum(axis=1) % 2
     return (1.0 - rows.per_round(rows.counts @ (1 - 2 * parity))) / 2.0
 
 
@@ -266,19 +288,48 @@ def error_estimates(type1: RoundBatch, type2: RoundBatch) -> ErrorEstimates:
     return replace(estimate_qber(type1), qx=estimate_qx(type2))
 
 
+def _entropy_rows(x: np.ndarray) -> np.ndarray:
+    """binary_entropy per element in its operation order, NaN where x is;
+    0 and 1, whose logs are not taken, give exactly 0."""
+    ends = (x == 0.0) | (x == 1.0)
+    inner = np.where(ends, 0.5, x)
+
+    def log2(values: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(math.log2, values.ravel().tolist()), float,
+                           values.size).reshape(values.shape)
+    h = -inner * log2(inner) - (1.0 - inner) * log2(1.0 - inner)
+    return np.where(ends, 0.0, h)
+
+
 def akr_n_rows(qber: np.ndarray, qx: np.ndarray) -> np.ndarray:
-    """akr_n per element, NaN where either input is.  It calls the scalar
-    form, because np.log2 and math.log2 differ in the last bit on some
-    inputs."""
-    return np.array([math.nan if math.isnan(q) or math.isnan(x) else akr_n(q, x)
-                     for q, x in zip(qber.tolist(), qx.tolist())])
+    """akr_n per element, NaN where either input is.  It is the scalar
+    form's arithmetic on arrays with its logs taken by math.log2 through
+    map, because np.log2 misses math.log2 by an ulp on some inputs; so it
+    equals akr_n bit for bit."""
+    qber, qx = np.asarray(qber, dtype=float), np.asarray(qx, dtype=float)
+    if ((qber < 0.0) | (qber > 1.0) | (qx < 0.0) | (qx > 1.0)).any():
+        raise ValueError("qber and qx must be in [0, 1]")
+    return 1.0 - _entropy_rows(qber) - _entropy_rows(qx)
 
 
 def pairwise_conference_rate_rows(plan_rates: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
-    """pairwise_conference_rate per row, NaN where any rate is."""
-    per_row = zip(*(np.array(rates).T.tolist() for rates in plan_rates))
-    return np.array([math.nan if any(math.isnan(r) for rates in row for r in rates)
-                     else pairwise_conference_rate(row) for row in per_row])
+    """pairwise_conference_rate per row, NaN where any rate is.
+
+    plan_rates[p][k] holds the rates of plan p's pair k on every row; the
+    plans' slowest keys add up in plan order, as in the scalar form.
+    """
+    total, vanished, undefined = 0.0, False, False
+    with np.errstate(divide="ignore"):
+        for rates in plan_rates:
+            if not len(rates):
+                vanished = True
+                continue
+            rates = np.asarray(rates, dtype=float)
+            undefined = undefined | np.isnan(rates).any(axis=0)
+            vanished = vanished | (rates <= 0.0).any(axis=0)
+            total = total + (1.0 / rates).max(axis=0)
+        rate = np.where(vanished, 0.0, np.divide(1.0, total))
+    return np.where(undefined, np.nan, rate)
 
 
 def xor_combine(keys: Sequence[str], links: Sequence[tuple[int, int]],

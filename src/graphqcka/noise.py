@@ -18,13 +18,16 @@ least-squares systems (Lawson and Hanson, 1974) and falls back to scipy's
 least_squares only when those miss a target.  apply_noise builds the
 noisy 4^n density matrix (a DensityOperator) for callers that hand keyrates
 an explicit state; it applies the same per-qubit factors to the matrix's
-2x2 blocks.
+2x2 blocks, in place on its own copy.  DensityOperator tests positivity with
+a Cholesky factorization of the matrix shifted by the eigenvalue floor, and
+computes eigenvalues only for a matrix that the factorization rejects.
 
 The Poisson Monte Carlo draws every resample at once into an integer count
-matrix, observed counts in row 0, and hands it to the statistic once
-(poisson_mc_many); a statistic returns one value per row, NaN where it is
-undefined.  poisson_mc adapts a Python statistic of RoundBatches to that by
-evaluating it row by row.
+matrix, observed counts in row 0 (poisson_count_rows), and hands it to the
+statistic once (poisson_mc_many); a statistic returns one value per row,
+NaN where it is undefined, and monte_carlo_results reads the results off
+those values.  poisson_mc adapts a Python statistic of RoundBatches to that
+by evaluating it row by row.
 """
 
 from __future__ import annotations
@@ -62,18 +65,38 @@ class DensityOperator:
         m = self.matrix
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match {n} qubits")
-        if not np.allclose(m, m.conj().T, atol=1e-9):
+        if not _hermitian(m):
             raise ValueError("density matrix must be Hermitian")
         if abs(np.trace(m).real - 1.0) > 1e-9:
             raise ValueError("density matrix must have unit trace")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < _EIG_FLOOR:
+        # m - _EIG_FLOOR * I has a Cholesky factor when lambda_min >
+        # _EIG_FLOOR, and it costs about a third of the eigenvalues; those
+        # decide, and name lambda_min, only when the factorization fails
+        shifted = m + 0.0
+        shifted.flat[::dim + 1] -= _EIG_FLOOR
+        try:
+            np.linalg.cholesky(shifted)
+            return
+        except np.linalg.LinAlgError:
+            pass
+        least = np.linalg.eigvalsh(m).min()
+        if least < _EIG_FLOOR:
             raise ValueError(f"density matrix not positive semidefinite "
-                             f"(min eigenvalue {eigs.min():.3e})")
+                             f"(min eigenvalue {least:.3e})")
 
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+
+def _hermitian(m: np.ndarray) -> bool:
+    """np.allclose(m, m^H, atol=1e-9), which holds at once when no real or
+    imaginary part of m - m^H exceeds 5e-10: those two comparisons on the
+    real parts cost a quarter of allclose, which decides the rest."""
+    re, im = m.real, m.imag
+    if np.abs(re - re.T).max() <= 5e-10 and np.abs(im + im.T).max() <= 5e-10:
+        return True
+    return np.allclose(m, m.conj().T, atol=1e-9)
 
 
 @dataclass(frozen=True)
@@ -147,10 +170,11 @@ def apply_noise(state: np.ndarray, vertices: Sequence[int],
     The per-qubit channels scale each Pauli expectation on qubit v by the
     factors that the correlator tables use (NoiseModel.pauli_factors).  On
     the 2x2 blocks [[A, B], [C, D]] of the matrix on one qubit that is
-    A, D <- (A + D)/2 +- f_Z (A - D)/2 and B, C <- f_X (B + C)/2 +- f_Y (B - C)/2.
-    Global white noise then mixes in the identity.  Raises ValueError if the
-    state is not (2^n,) or (2^n, 2^n) for the n vertices, or if the model
-    puts noise on a vertex not in vertices.
+    A, D <- (A + D)/2 +- f_Z (A - D)/2 and B, C <- f_X (B + C)/2 +- f_Y (B - C)/2,
+    written back in place into a copy of the state; the caller's array is
+    never written.  Global white noise then mixes in the identity.  Raises
+    ValueError if the state is not (2^n,) or (2^n, 2^n) for the n vertices,
+    or if the model puts noise on a vertex not in vertices.
     """
     vertices = tuple(vertices)
     n = len(vertices)
@@ -162,9 +186,11 @@ def apply_noise(state: np.ndarray, vertices: Sequence[int],
                          f"({dim},) or ({dim}, {dim})")
     factors = model.pauli_factors(vertices)
     if state.ndim == 1:
-        rho = np.outer(state, state.conj())
+        rho = np.outer(state, state.conj()).astype(complex, copy=False)
     else:
         rho = np.array(state, dtype=complex, order="C")
+    # two block-sized buffers for (P + Q) and (P - Q), reused on every qubit
+    buffers = np.empty((2, dim * dim // 4), dtype=complex)
     for i, (_, f_x, f_y, f_z) in enumerate(factors):
         if f_x == f_y == f_z == 1.0:
             continue
@@ -172,12 +198,19 @@ def apply_noise(state: np.ndarray, vertices: Sequence[int],
         blocks = rho.reshape(1 << i, 2, 1 << (n - 1 - i), 1 << i, 2, 1 << (n - 1 - i))
         a, b = blocks[:, 0, :, :, 0], blocks[:, 0, :, :, 1]
         c, d = blocks[:, 1, :, :, 0], blocks[:, 1, :, :, 1]
-        mean, z_part = (a + d) / 2, f_z * (a - d) / 2
-        x_part, y_part = f_x * (b + c) / 2, f_y * (b - c) / 2
-        a[...], d[...] = mean + z_part, mean - z_part
-        b[...], c[...] = x_part + y_part, x_part - y_part
+        plus, minus = (buffer.reshape(a.shape) for buffer in buffers)
+        for p, q, f_plus, f_minus in ((a, d, 1.0, f_z), (b, c, f_x, f_y)):
+            np.add(p, q, out=plus)
+            np.subtract(p, q, out=minus)
+            for part, f in ((plus, f_plus), (minus, f_minus)):
+                if f != 1.0:
+                    part *= f
+                part /= 2
+            np.add(plus, minus, out=p)
+            np.subtract(plus, minus, out=q)
     if model.white_noise:
-        rho = (1.0 - model.white_noise) * rho + model.white_noise * np.eye(dim) / dim
+        rho *= 1.0 - model.white_noise
+        rho.flat[::dim + 1] += model.white_noise / dim
     return DensityOperator(rho, vertices)
 
 
@@ -278,42 +311,68 @@ def poisson_mc_many(batches: Mapping[str, RoundBatch],
     resample, each in sorted batch / sorted outcome order, which gives the
     same draws as drawing one count at a time in that order.
 
-    The counts go to statistic once, as an integer matrix: row 0 holds the
-    observed counts and rows 1..n_samples the resamples, and its columns are
-    split per batch into keyrates.CountRows over the batch's sorted
-    outcomes.  statistic returns {name: float array of length 1 + n_samples}
-    with NaN where a statistic is undefined on a row (e.g. one with a batch
-    resampled to zero total).  The results are the names defined on row 0,
-    which gives the point value; a name's NaN resamples are its n_rejected,
-    and its mean and std are taken over the rest.  Raises ValueError when a
-    count is not an integer, when no statistic is defined at the observed
-    counts, or when one is defined on no resample.
+    The counts go to statistic once, as the rows of poisson_count_rows:
+    row 0 holds the observed counts and rows 1..n_samples the resamples.
+    statistic returns {name: float array of length 1 + n_samples} with NaN
+    where a statistic is undefined on a row (e.g. one with a batch resampled
+    to zero total); monte_carlo_results reads the results off those values.
+    Raises ValueError when a count is not an integer, when no statistic is
+    defined at the observed counts, or when one is defined on no resample.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    values = statistic(poisson_count_rows(batches, n_samples, seed))
+    return monte_carlo_results(values, n_samples, seed)
+
+
+def poisson_count_rows(batches: Mapping[str, RoundBatch], n_samples: int,
+                       seed: int) -> dict[str, CountRows]:
+    """The observed counts and n_samples Poisson resamples of them, per batch.
+
+    One integer matrix, row 0 the observed counts and rows 1..n_samples the
+    draws of poisson_mc_many, split by columns into a keyrates.CountRows per
+    batch over its sorted outcomes.  With n_samples = 0 it is the observed
+    row alone, drawn from no rng, and the counts need not be integers.
+    """
     layout = [(name, sorted(batches[name].counts)) for name in sorted(batches)]
-    lam = np.array([batches[name].counts[k] for name, outcomes in layout
-                    for k in outcomes], dtype=float)
-    observed = lam.astype(np.int64)
-    if not np.array_equal(observed, lam):
-        raise ValueError("Poisson resampling needs integer counts")
-    draws = np.random.default_rng(seed).poisson(lam, size=(n_samples, lam.size))
-    matrix = np.vstack([observed, draws])
+    observed = np.array([batches[name].counts[k] for name, outcomes in layout
+                         for k in outcomes])
+    if n_samples:
+        lam = observed.astype(float)
+        observed = lam.astype(np.int64)
+        if not np.array_equal(observed, lam):
+            raise ValueError("Poisson resampling needs integer counts")
+        draws = np.random.default_rng(seed).poisson(lam, size=(n_samples, lam.size))
+        matrix = np.vstack([observed, draws])
+    else:
+        matrix = observed.reshape(1, -1)
     rows, start = {}, 0
     for name, outcomes in layout:
         rows[name] = CountRows(batches[name].participants, tuple(outcomes),
                                matrix[:, start:start + len(outcomes)])
         start += len(outcomes)
+    return rows
+
+
+def monte_carlo_results(values: Mapping[str, np.ndarray], n_samples: int,
+                        seed: int) -> dict[str, MonteCarloResult]:
+    """poisson_mc_many's results from each statistic's values on every row.
+
+    The results are the names defined on row 0, which gives the point value;
+    a name's NaN resamples are its n_rejected, and its mean and std are
+    taken over the rest.  Raises ValueError when no statistic is defined at
+    the observed counts, or when one is defined on no resample.
+    """
     out = {}
-    for name, values in statistic(rows).items():
-        if math.isnan(values[0]):
+    for name, row_values in values.items():
+        if math.isnan(row_values[0]):
             continue
-        resampled = values[1:]
+        resampled = row_values[1:]
         defined = resampled[~np.isnan(resampled)]
         if not defined.size:
             raise ValueError("all Monte Carlo samples were rejected")
         out[name] = MonteCarloResult(
-            point_estimate=float(values[0]), mean=float(defined.mean()),
+            point_estimate=float(row_values[0]), mean=float(defined.mean()),
             std=float(defined.std(ddof=1)) if defined.size > 1 else 0.0,
             n_samples=n_samples, n_rejected=n_samples - defined.size, seed=seed)
     if not out:

@@ -3,9 +3,9 @@
 The dense ones rotate or conjugate the full amplitude vector or 4^n density
 matrix, qubit by qubit, which is slow and plainly correct: Pauli
 expectations on a dense vector, outcome distributions read off the diagonal
-after rotating every qubit into its measurement basis, and the noise
-channels as Kraus sums.  The scalar estimators loop over a RoundBatch's
-outcome dict, one outcome at a time.
+after rotating every qubit into its measurement basis, the noise channels
+as Kraus sums, and positivity from every eigenvalue.  The scalar estimators
+loop over a RoundBatch's outcome dict, one outcome at a time.
 """
 
 from dataclasses import dataclass
@@ -122,6 +122,13 @@ def kraus_noise(rho: np.ndarray, vertices: Sequence[int], model: NoiseModel) -> 
         rho = single_qubit_channel(rho, n, i, [(1.0 - q, eye), (q, x)])
     dim = 1 << n
     return (1.0 - model.white_noise) * rho + model.white_noise * np.eye(dim) / dim
+
+
+def psd_verdict(matrix: np.ndarray) -> tuple[bool, float]:
+    """Whether a Hermitian matrix passes DensityOperator's positivity test,
+    lambda_min >= -1e-10, read off all its eigenvalues; and lambda_min."""
+    least = float(np.linalg.eigvalsh(matrix).min())
+    return least >= -1e-10, least
 
 
 def marginal(batch: RoundBatch, subset: Sequence[int]) -> RoundBatch:

@@ -5,10 +5,12 @@ import pytest
 
 from graphqcka import networks
 from graphqcka.analysis import _report_rows, build_report, pairwise_rates
-from graphqcka.graphstate import to_dense
-from graphqcka.keyrates import (CountRows, RoundBatch, akr_n, outcome_distribution,
-                                pairwise_conference_rate, qber_rows, simulate_protocol)
+from graphqcka.graphstate import Graph, to_dense
+from graphqcka.keyrates import (CountRows, RoundBatch, akr_n, error_estimates,
+                                outcome_distribution, pairwise_conference_rate, qber_rows,
+                                simulate_protocol)
 from graphqcka.noise import NoiseModel, apply_noise
+from graphqcka.routing import find_ghz_plan
 
 from oracles import estimate_qber, estimate_qx, marginal
 
@@ -169,6 +171,34 @@ class TestBuildReport:
         report = build_report(ghz, bells, batches, mc_samples=0)
         assert report.uncertainties == {}
 
+    @pytest.mark.parametrize("rounds, seed", [(4000, 3), (10, 0), (3, 5)])
+    def test_point_values_are_the_scalar_estimators(self, rounds, seed):
+        """Row 0 of the one evaluation gives every point field, with or
+        without Monte Carlo, exactly as the scalar estimators do."""
+        ghz, bells, batches = ideal_batches(rounds, seed, state=noisy_state())
+        est = error_estimates(batches["nqkd/type-1"], batches["nqkd/type-2"])
+        rates, rate_2 = pairwise_rates(bells, batches)
+        rate_n = akr_n(est.qber, est.qx)
+        for mc_samples, mc_seed in ((0, 0), (200, 0), (200, 1), (200, 2)):
+            report = build_report(ghz, bells, batches, mc_samples=mc_samples, mc_seed=mc_seed)
+            assert (report.qber, report.qx, report.alice_choice) == (
+                est.qber, est.qx, est.alice_choice)
+            assert (report.akr_n, report.pairwise_rates, report.akr_2) == (
+                rate_n, rates, rate_2)
+            assert report.ratio == (rate_n / rate_2 if rate_2 > 0 else None)
+            assert bool(report.uncertainties) == (mc_samples > 0)
+
+    @pytest.mark.parametrize("mc_samples", [0, 200])
+    @pytest.mark.parametrize("emptied", ["nqkd/type-1", "nqkd/type-2", "bell0/type-1",
+                                         "bell1/type-2"])
+    def test_empty_batch(self, emptied, mc_samples):
+        ghz, bells, batches = ideal_batches(rounds=300)
+        b = batches[emptied]
+        batches[emptied] = RoundBatch(b.setting, b.participants,
+                                      {key: 0 for key in b.counts})
+        with pytest.raises(ValueError, match="^empty batch$"):
+            build_report(ghz, bells, batches, mc_samples=mc_samples)
+
 
 def random_rows(rng, plan, round_type, n_rows):
     """Seeded count rows over all of a plan's outcome strings.
@@ -190,6 +220,34 @@ def random_rows(rng, plan, round_type, n_rows):
 def row_batches(rows, r):
     return {name: RoundBatch(None, c.participants, dict(zip(c.outcomes, c.counts[r].tolist())))
             for name, c in rows.items()}
+
+
+def eight_vertex_ghz_plan():
+    """GHZ over six participants of an eight-vertex network: 15 pairs."""
+    g = Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (2, 7)])
+    return find_ghz_plan(g, (0, 1, 2, 3, 4, 5))
+
+
+def lacking_outcomes(rng, rows):
+    """The rows over a random subset of their outcome strings, as a batch
+    holds only the outcomes that occurred."""
+    keep = np.sort(rng.choice(len(rows.outcomes), size=rng.integers(1, len(rows.outcomes)),
+                              replace=False))
+    return CountRows(rows.participants, tuple(rows.outcomes[k] for k in keep),
+                     rows.counts[:, keep])
+
+
+def scalar_rows(stats, rows, n_rows):
+    """Each oracle statistic on every row's batches, NaN where it raises."""
+    want = {name: np.empty(n_rows) for name in stats}
+    for r in range(n_rows):
+        batches = row_batches(rows, r)
+        for name, stat in stats.items():
+            try:
+                want[name][r] = stat(batches)
+            except (ValueError, ZeroDivisionError):
+                want[name][r] = np.nan
+    return want
 
 
 class TestReportRows:
@@ -243,3 +301,44 @@ class TestReportRows:
             assert (got["akr_2"] == 0).sum() > 100
         if "ratio" in got:
             assert np.isnan(got["ratio"][got["akr_2"] == 0]).all()
+
+    @pytest.mark.parametrize("network", ["six", "eight"])
+    def test_batches_lacking_outcomes(self, network):
+        """Batches over some of their outcome strings only, and the
+        eight-vertex GHZ plan's 15 pairs, bit for bit."""
+        rng = np.random.default_rng(12)
+        if network == "six":
+            ghz, bells = networks.ghz_plan(), [networks.bell_multicast_plan(),
+                                               networks.bell_bridge_plan()]
+        else:
+            ghz, bells = eight_vertex_ghz_plan(), []
+            assert len(ghz.targets) == 6
+        plans = {"nqkd": ghz, **{f"bell{k}": plan for k, plan in enumerate(bells)}}
+        n_rows = 800
+        rows = {f"{name}/{rt}": lacking_outcomes(rng, random_rows(rng, plan, rt, n_rows))
+                for name, plan in plans.items() for rt in ("type-1", "type-2")}
+        assert all(len(c.outcomes) < 1 << len(c.participants) for c in rows.values())
+        got = _report_rows(ghz, bells, rows)
+        want = scalar_rows(scalar_statistics(ghz, bells), rows, n_rows)
+        assert list(got) == list(want)
+        for name in want:
+            assert np.array_equal(got[name], want[name], equal_nan=True), name
+        assert 0 < np.isnan(got["qber"]).sum() < n_rows
+
+    def test_single_outcome_and_zero_totals(self):
+        """Rows over one outcome string, and rows whose totals are zero."""
+        ghz, bells = networks.ghz_plan(), [networks.bell_multicast_plan(),
+                                           networks.bell_bridge_plan()]
+        plans = {"nqkd": ghz, "bell0": bells[0], "bell1": bells[1]}
+        counts = np.array([[0], [1], [7], [0]])
+        rows = {}
+        for k, (name, plan) in enumerate(plans.items()):
+            n = len(plan.targets)
+            for rt, outcome in (("type-1", "0" * n), ("type-2", "1" + "0" * (n - 1))):
+                rows[f"{name}/{rt}"] = CountRows(plan.targets, (outcome,),
+                                                 np.roll(counts, k, axis=0))
+        got = _report_rows(ghz, bells, rows)
+        want = scalar_rows(scalar_statistics(ghz, bells), rows, len(counts))
+        for name in want:
+            assert np.array_equal(got[name], want[name], equal_nan=True), name
+        assert np.isnan(got["qber"]).sum() == 2 and not np.isnan(got["qber"]).all()

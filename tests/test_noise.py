@@ -1,6 +1,7 @@
 """Noise channels, pump sweeps, Monte Carlo resampling, and calibration."""
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -19,7 +20,7 @@ from graphqcka.pauli import PAULI_MATRICES, from_name
 from graphqcka.graphstate import GraphState
 
 from conftest import random_model
-from oracles import kraus_noise
+from oracles import kraus_noise, psd_verdict
 
 CHANNELS = ("depolarizing", "dephasing", "bit_flip")
 
@@ -102,6 +103,71 @@ class TestDensityOperator:
         rho = DensityOperator(np.eye(4) / 4, (0, 1))
         assert rho.n == 2
 
+    def test_hermitian_check_is_allclose(self):
+        """The Hermitian test accepts what np.allclose(m, m^H, atol=1e-9)
+        accepts: one entry's real or imaginary part moved by amounts around
+        the tolerance, or set to NaN or inf."""
+        nprng = np.random.default_rng(14)
+        for k in range(144):
+            n = 1 + k % 4
+            dim = 1 << n
+            g = nprng.normal(size=(dim, dim)) + 1j * nprng.normal(size=(dim, dim))
+            m = g @ g.conj().T
+            m /= np.trace(m).real
+            i, j = nprng.integers(dim, size=2)
+            m[i, j] += (0.0, 3e-10, 6e-10, 9e-10, 2e-9, 1e-3)[k % 6] * (1, 1j)[k // 6 % 2]
+            if k % 12 == 11:
+                m[i, j] = (np.nan, np.inf)[k // 12 % 2]
+            hermitian = np.allclose(m, m.conj().T, atol=1e-9)
+            try:
+                DensityOperator(m, tuple(range(n)))
+            except ValueError as exc:
+                assert ("Hermitian" in str(exc)) != hermitian
+            else:
+                assert hermitian
+
+    def test_positivity_matches_eigenvalue_oracle(self, monkeypatch):
+        """Seeded U diag(lambda) U^+ on 1-8 qubits with lambda_min at -1e-8,
+        -1e-11 or exactly 0, and the rank-1 eight-qubit GHZ projector: each is
+        accepted or rejected as its eigenvalues say, a rejection names the
+        smallest, and only a rejection computes them."""
+        nprng = np.random.default_rng(13)
+        unitaries = [np.linalg.qr(nprng.normal(size=(1 << n, 1 << n))
+                                  + 1j * nprng.normal(size=(1 << n, 1 << n)))[0]
+                     for n in range(9)]
+        pool = []
+        for k in range(216):
+            n, least = 1 + k % 8, (-1e-8, -1e-11, 0.0)[k % 3]
+            # a random basis and spectrum, lambda_min at one random position
+            u = unitaries[n][:, nprng.permutation(1 << n)]
+            lam = nprng.uniform(0.0, 1.0, 1 << n)
+            low = nprng.integers(1 << n)
+            lam[low] = 0.0
+            lam *= (1.0 - least) / lam.sum()
+            lam[low] = least
+            m = (u * lam) @ u.conj().T
+            pool.append((n, (m + m.conj().T) / 2))
+        ghz = np.zeros(256)
+        ghz[[0, -1]] = 2 ** -0.5
+        pool.append((8, np.outer(ghz, ghz)))
+        verdicts = [psd_verdict(m) for _, m in pool]
+        assert sum(ok for ok, _ in verdicts) == 145
+
+        calls, real = [], np.linalg.eigvalsh
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        for (n, m), (ok, least) in zip(pool, verdicts):
+            if ok:
+                DensityOperator(m, tuple(range(n)))
+            else:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"not positive semidefinite (min eigenvalue {least:.3e})")):
+                    DensityOperator(m, tuple(range(n)))
+        assert len(calls) == 72
+
 
 class TestApplyNoise:
     def test_trace_and_hermiticity_preserved(self):
@@ -158,6 +224,25 @@ class TestApplyNoise:
             model = random_model(rng, vertices)
             got = apply_noise(rho, vertices, model).matrix
             assert np.abs(got - kraus_noise(rho, vertices, model)).max() <= 1e-12
+
+    def test_matches_kraus_sums_up_to_eight_qubits(self, rng):
+        """Vectors and density matrices of 1-8 qubits under random
+        four-channel models against the Kraus sums, and the caller's array
+        is left as it was."""
+        nprng = np.random.default_rng(rng.randrange(1 << 32))
+        for n in range(1, 9):
+            dim = 1 << n
+            vertices = tuple(rng.sample(range(10), n))
+            g = nprng.normal(size=(dim, dim)) + 1j * nprng.normal(size=(dim, dim))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+            vec = g[0] / np.linalg.norm(g[0])
+            for state, dense in ((vec, np.outer(vec, vec.conj())), (rho, rho.copy())):
+                model = random_model(rng, vertices)
+                before = state.copy()
+                got = apply_noise(state, vertices, model).matrix
+                assert np.array_equal(state, before)
+                assert np.abs(got - kraus_noise(dense, vertices, model)).max() <= 1e-12
 
     def test_white_noise_mixing(self):
         rho = apply_noise(bell_vector(), (0, 1), NoiseModel(white_noise=1.0))
