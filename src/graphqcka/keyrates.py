@@ -10,11 +10,13 @@ scalar estimators on a RoundBatch are its one-row views.
 
 Exact states go through the plan's parity strings: the parity of each
 participant subset of the corrected bits is the expectation of one Pauli
-string.  Under a noise model CorrelatorTable evaluates the strings in closed
-form, with no dense state; an explicit amplitude vector or density matrix
-is read by evaluating every string on it directly.  The analytic QBER and
-Q_X read the parities; a Walsh-Hadamard transform of them gives the
-outcome distribution.
+string.  The strings, their CorrelatorTable and the outcome keys form one
+PlanRound per plan instance and round type, built on first use.  Under a
+noise model the table evaluates the strings in closed form, with no dense
+state; an explicit amplitude vector or density matrix is read by one real
+sum per string, in float64 when its imaginary part is zero.  The analytic
+QBER and Q_X read the parities; a Walsh-Hadamard transform of them gives
+the outcome distribution.
 """
 
 from __future__ import annotations
@@ -393,63 +395,16 @@ def _walsh(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _parity_strings(plan: ExtractionPlan, round_type: str) -> tuple[np.ndarray, np.ndarray]:
-    """The Pauli string and sign behind each participant subset's parity.
-
-    On any network state the parity of a participant subset A of the
-    corrected bits is sign * <S>: S is the participants' letters on A, plus
-    the letters of the nonparticipants whose byproduct term flips an odd
-    number of A's bits, and the sign negates the bits of A that the sign
-    convention flips.  Row a is the subset with mask a, participant i at bit
-    N-1-i, so that subset and outcome indices read as the key strings.  The
-    strings come as letter codes per network vertex: 0 = I, 1 = X, 2 = Y,
-    3 = Z.
-    """
-    setting = compile_round_settings(plan, round_type)
-    parts, verts = plan.targets, plan.graph.vertices
-    n_parts = len(parts)
-    # in_subset[i, k] = 1 when vertex k's letter enters the string of
-    # participant i's singleton subset; the other strings are XORs of these
-    in_subset = np.array([[int(u == v) for v in verts] for u in parts])
-    for v in plan.nonparticipants:
-        flip = byproduct_correction(
-            plan, {w: int(w == v) for w in plan.nonparticipants}, round_type)
-        in_subset[:, verts.index(v)] = [flip[u] for u in parts]
-    subset_bits = (np.arange(1 << n_parts)[:, None] >> np.arange(n_parts - 1, -1, -1)) & 1
-    letters = np.array(["IXYZ".index(setting.per_vertex_basis[v]) for v in verts])
-    negated = np.array([int(setting.sign_convention[u] < 0) for u in parts])
-    codes = ((subset_bits @ in_subset) & 1) * letters
-    return codes, 1.0 - 2.0 * ((subset_bits @ negated) & 1)
-
-
-def _explicit_expectations(codes: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """<S> of each coded Pauli string on an amplitude vector or density matrix.
-
-    Vertex i is bit n-1-i of a basis index j.  A string with X/Y mask x,
-    Y/Z mask z and #Y letters maps |j> to i^#Y (-1)^|j & z| |j ^ x>, so
-    Tr(rho S) = i^#Y sum_j (-1)^|j & z| rho[j, j ^ x], and on a vector
-    <psi|S|psi> = i^#Y sum_j (-1)^|j & z| conj(psi[j ^ x]) psi[j].
-    """
-    n = codes.shape[1]
-    j = np.arange(1 << n)
-    j_bits = (j[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    x = ((codes == 1) | (codes == 2)) @ (1 << np.arange(n - 1, -1, -1))
-    z_sign = 1 - 2 * (((codes >= 2).astype(np.int64) @ j_bits.T) & 1)
-    flipped = j ^ x[:, None]
-    terms = state[flipped].conj() * state if state.ndim == 1 else state[j, flipped]
-    return ((terms * z_sign).sum(axis=1) * 1j ** (codes == 2).sum(axis=1)).real
-
-
 @dataclass(frozen=True)
 class CorrelatorTable:
     """The Pauli correlators behind one plan's corrected outcome distribution.
 
     Every channel of a noise model is a Pauli channel and the network is a
-    stabilizer state, so each subset parity of _parity_strings is its
-    string's ideal value (+-1 or 0) scaled by the channels.  Row t holds one
-    string with a nonzero ideal value: its letter codes per network vertex
-    (0 = I, 1 = X, 2 = Y, 3 = Z), its subset mask and its weight, the sign
-    times the ideal value.
+    stabilizer state, so each subset parity of PlanRound is its string's
+    ideal value (+-1 or 0) scaled by the channels.  Row t holds one string
+    with a nonzero ideal value: its letter codes per network vertex (0 = I,
+    1 = X, 2 = Y, 3 = Z), its subset mask and its weight, the sign times the
+    ideal value.  plan_round builds it once per plan instance, read-only.
     """
 
     targets: tuple[int, ...]
@@ -458,38 +413,92 @@ class CorrelatorTable:
     weights: np.ndarray
     letters: np.ndarray
 
+    def parity_rows(self, model, white_noise: Sequence[float]) -> np.ndarray:
+        """The 2^N subset parities, one row per white-noise weight w, under a
+        noise.NoiseModel (None is ideal) with its white noise replaced by w:
+        each correlator is its ideal value times its letters' per-qubit
+        factors (NoiseModel.pauli_factors), and times 1 - w unless it is I."""
+        n_verts, n_parts = len(self.vertices), len(self.targets)
+        factors = np.ones((n_verts, 4)) if model is None else model.pauli_factors(self.vertices)
+        values = self.weights * np.prod(factors[np.arange(n_verts), self.letters], axis=1)
+        keep = 1.0 - np.asarray(white_noise, dtype=float)
+        rows = values * np.where(self.letters.any(axis=1), keep[:, None], 1.0)
+        # one bincount over all rows: row r's subsets are offset by r * 2^N
+        index = self.subsets + (np.arange(len(keep)) << n_parts)[:, None]
+        return np.bincount(index.ravel(), weights=rows.ravel(),
+                           minlength=len(keep) << n_parts).reshape(len(keep), -1)
+
+    def parities(self, model=None) -> np.ndarray:
+        """parity_rows under a noise.NoiseModel (None is ideal) and its white noise."""
+        return self.parity_rows(model, [0.0 if model is None else model.white_noise])[0]
+
+
+@dataclass(frozen=True)
+class PlanRound:
+    """What every evaluator reads off one plan for one round type, built
+    once per plan instance (plan_round), with read-only arrays.
+
+    On any network state the parity of a participant subset A of the
+    corrected bits is sign * <S>: S is the participants' letters on A, plus
+    the letters of the nonparticipants whose byproduct term flips an odd
+    number of A's bits, and the sign negates the bits of A that the sign
+    convention flips.  Row a is the subset with mask a, participant i at bit
+    N-1-i, so that subset and outcome indices read as keys[a].  Per string
+    the explicit-state read keeps its X/Y and Y/Z masks (vertex i at bit
+    n-1-i), the parity of #Y, and the sign times the real factor +-1 of i^#Y.
+    """
+
+    setting: RoundSetting
+    keys: tuple[str, ...]
+    x_masks: np.ndarray
+    z_masks: np.ndarray
+    odd_y: np.ndarray
+    read_signs: np.ndarray
+    table: CorrelatorTable
+
     @classmethod
-    def build(cls, plan: ExtractionPlan, round_type: str) -> "CorrelatorTable":
-        codes, signs = _parity_strings(plan, round_type)
+    def build(cls, plan: ExtractionPlan, round_type: str) -> "PlanRound":
+        setting = compile_round_settings(plan, round_type)
+        parts, verts = plan.targets, plan.graph.vertices
+        n_parts = len(parts)
+        # in_subset[i, k] = 1 when vertex k's letter enters the string of
+        # participant i's singleton subset; the other strings are XORs of these
+        in_subset = np.array([[int(u == v) for v in verts] for u in parts])
+        for v in plan.nonparticipants:
+            flip = byproduct_correction(
+                plan, {w: int(w == v) for w in plan.nonparticipants}, round_type)
+            in_subset[:, verts.index(v)] = [flip[u] for u in parts]
+        subset_bits = (np.arange(1 << n_parts)[:, None] >> np.arange(n_parts - 1, -1, -1)) & 1
+        letters = np.array(["IXYZ".index(setting.per_vertex_basis[v]) for v in verts])
+        negated = np.array([int(setting.sign_convention[u] < 0) for u in parts])
+        codes = ((subset_bits @ in_subset) & 1) * letters
+        signs = 1.0 - 2.0 * ((subset_bits @ negated) & 1)
         state = GraphState(plan.graph, dict(plan.preparation_frame))
-        verts = plan.graph.vertices
         ideal = np.array([
             stabilizer_expectation(state, {v: "IXYZ"[c] for v, c in zip(verts, row)})
             for row in codes.tolist()])
         rows = np.flatnonzero(ideal)
-        return cls(plan.targets, verts, rows, ideal[rows] * signs[rows], codes[rows])
+        n_y, place = (codes == 2).sum(axis=1), 1 << np.arange(len(verts) - 1, -1, -1)
+        arrays = (((codes == 1) | (codes == 2)) @ place, (codes >= 2) @ place, n_y % 2 == 1,
+                  signs * np.array([1.0, -1.0, -1.0, 1.0])[n_y % 4],
+                  rows, ideal[rows] * signs[rows], codes[rows])
+        for array in arrays:
+            array.flags.writeable = False
+        return cls(setting, tuple(format(a, f"0{n_parts}b") for a in range(1 << n_parts)),
+                   *arrays[:4], CorrelatorTable(parts, verts, *arrays[4:]))
 
-    def parities(self, model=None) -> np.ndarray:
-        """The 2^N subset parities under a noise.NoiseModel (None is ideal).
 
-        Each correlator is its ideal value times (1 - w) for global white
-        noise w, unless it is the identity, times the model's per-qubit
-        factor of each letter (NoiseModel.pauli_factors).
-        """
-        n_verts, n_parts = len(self.vertices), len(self.targets)
-        if model is None:
-            factors, keep = np.ones((n_verts, 4)), 1.0
-        else:
-            factors, keep = model.pauli_factors(self.vertices), 1.0 - model.white_noise
-        values = self.weights * np.prod(
-            factors[np.arange(n_verts), self.letters], axis=1)
-        values[self.letters.any(axis=1)] *= keep
-        return np.bincount(self.subsets, weights=values, minlength=1 << n_parts)
+def plan_round(plan: ExtractionPlan, round_type: str) -> PlanRound:
+    """The plan's PlanRound, built on first use and kept in plan.round_cache."""
+    cache = plan.round_cache
+    if round_type not in cache:
+        cache[round_type] = PlanRound.build(plan, round_type)
+    return cache[round_type]
 
 
 def correlator_tables(plan: ExtractionPlan) -> tuple[CorrelatorTable, CorrelatorTable]:
-    """The type-1 and type-2 tables of a plan, built once per sweep or fit."""
-    return CorrelatorTable.build(plan, "type-1"), CorrelatorTable.build(plan, "type-2")
+    """The plan's type-1 and type-2 tables, built once per plan instance."""
+    return plan_round(plan, "type-1").table, plan_round(plan, "type-2").table
 
 
 def table_estimates(tables: Sequence[CorrelatorTable], model=None) -> ErrorEstimates:
@@ -497,32 +506,69 @@ def table_estimates(tables: Sequence[CorrelatorTable], model=None) -> ErrorEstim
     return _parity_estimates(tables[0].targets, *(t.parities(model) for t in tables))
 
 
-def _state_parities(plan: ExtractionPlan, round_type: str, state) -> np.ndarray:
-    """The 2^N subset parities on a state taken as by outcome_distribution."""
+def table_estimate_rows(tables: Sequence[CorrelatorTable], model,
+                        white_noise: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """QBER and Q_X of a plan's (type-1, type-2) tables, one per white-noise weight
+    that replaces the model's; each equals table_estimates under it bit for bit."""
+    errors, qx = _parity_error_rows(
+        tables[0].targets, *(t.parity_rows(model, white_noise) for t in tables))
+    return _alice_min_max(errors)[0], qx
+
+
+def _state_parities(read: PlanRound, state) -> np.ndarray:
+    """The 2^N subset parities on a state taken as by outcome_distribution.
+
+    Vertex i is bit n-1-i of a basis index j, and a string with X/Y mask x
+    and Y/Z mask z maps |j> to i^#Y (-1)^|j & z| |j ^ x>.  So <S> is i^#Y
+    times the sum over j of (-1)^|j & z| rho[j, j ^ x], or on a vector of
+    (-1)^|j & z| conj(psi[j ^ x]) psi[j]: one real sum per string, of the
+    real parts for even #Y and the imaginary parts for odd #Y.  A state with
+    a zero imaginary part is read as its real part (odd-#Y strings read 0).
+    Blocks of strings keep the index gather near 2^16 entries.
+    """
     if not isinstance(state, np.ndarray):
-        return CorrelatorTable.build(plan, round_type).parities(state)
-    n = len(plan.graph.vertices)
+        return read.table.parities(state)
+    n = len(read.table.vertices)
     dim = 1 << n
     if state.shape not in ((dim,), (dim, dim)):
         raise ValueError(f"explicit state has shape {state.shape}; the plan's {n} "
                          f"vertices need ({dim},) or ({dim}, {dim})")
-    codes, signs = _parity_strings(plan, round_type)
-    # blocks of strings keep the index gather near 2^16 entries
+    if np.iscomplexobj(state) and not state.imag.any():
+        state = state.real
+    j = np.arange(dim)
+    # sign[k] = (-1)^|k|, so a string's signs over j are sign[j & z]
+    sign = 1.0 - 2.0 * (((j[:, None] >> np.arange(n)) & 1).sum(axis=1) & 1)
+    sums = np.zeros(len(read.keys))
     block = max(1, (1 << 16) >> n)
-    return signs * np.concatenate([_explicit_expectations(codes[k:k + block], state)
-                                   for k in range(0, len(codes), block)])
+    for odd in (False, True) if np.iscomplexobj(state) else (False,):
+        rows = np.flatnonzero(read.odd_y == odd)
+        for start in range(0, len(rows), block):
+            r = rows[start:start + block]
+            flipped = j ^ read.x_masks[r, None]
+            terms = state[j, flipped] if state.ndim == 2 else state[flipped].conj() * state
+            z_sign = sign[j & read.z_masks[r, None]]
+            sums[r] = ((terms.imag if odd else terms.real) * z_sign).sum(axis=1)
+    return read.read_signs * sums
+
+
+def _parity_error_rows(participants: Sequence[int], type1: np.ndarray,
+                       type2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair errors[a, b, r] and Q_X[r] read off rows r of type-1 and type-2
+    subset parities E, normalized by the identity parity: a pair errs with
+    probability (1 - E_ab)/2 and Q_X = (1 - E_all)/2, each clipped to [0, 1]
+    against round-off."""
+    masks = 1 << np.arange(len(participants) - 1, -1, -1)
+    errors = np.clip((1.0 - type1[:, masks[:, None] ^ masks] / type1[:, :1, None]) / 2.0,
+                     0.0, 1.0)
+    qx = np.clip((1.0 - type2[:, -1] / type2[:, 0]) / 2.0, 0.0, 1.0)
+    return np.moveaxis(errors, 0, -1), qx
 
 
 def _parity_estimates(participants: Sequence[int], type1: np.ndarray,
                       type2: np.ndarray) -> ErrorEstimates:
-    """QBER / Q_X read off a state's type-1 and type-2 subset parities E,
-    normalized by the identity parity: a pair errs with probability
-    (1 - E_ab)/2 and Q_X = (1 - E_all)/2, each clipped to [0, 1] against
-    round-off."""
-    masks = 1 << np.arange(len(participants) - 1, -1, -1)
-    errors = np.clip((1.0 - type1[masks[:, None] ^ masks] / type1[0]) / 2.0, 0.0, 1.0)
-    qx = float(np.clip((1.0 - type2[-1] / type2[0]) / 2.0, 0.0, 1.0))
-    return _estimates(participants, errors, qx)
+    """_parity_error_rows on one state's parities, as ErrorEstimates."""
+    errors, qx = _parity_error_rows(participants, type1[None], type2[None])
+    return _estimates(participants, errors[..., 0], float(qx[0]))
 
 
 def outcome_distribution(plan: ExtractionPlan, round_type: str,
@@ -535,16 +581,18 @@ def outcome_distribution(plan: ExtractionPlan, round_type: str,
     or None goes through the plan's CorrelatorTable and builds no dense
     state.  An explicit state is read through the same subset parities: each
     subset's Pauli string is evaluated on it directly, with no rotation into
-    the measurement bases.  Both end in one Walsh-Hadamard transform, which
-    inverts parity[a] = E[(-1)^(a . b)] over outcomes b; outcomes below
-    1e-15 are dropped and the rest renormalized.  Raises ValueError for an
-    explicit state of another shape.
+    the measurement bases; stored complex with a zero imaginary part it
+    gives the bits of its real part.  Both read the plan's PlanRound and end
+    in one Walsh-Hadamard transform, which inverts parity[a] =
+    E[(-1)^(a . b)] over outcomes b; outcomes below 1e-15 are dropped and
+    the rest renormalized.  Raises ValueError for an explicit state of
+    another shape.
     """
-    parities = _state_parities(plan, round_type, state)
-    n_parts = parities.size.bit_length() - 1
+    read = plan_round(plan, round_type)
+    parities = _state_parities(read, state)
     probs = _walsh(parities) / parities.size
-    out = {format(idx, f"0{n_parts}b"): float(p)
-           for idx, p in enumerate(probs) if p >= 1e-15}
+    kept = np.flatnonzero(probs >= 1e-15)
+    out = dict(zip([read.keys[a] for a in kept.tolist()], probs[kept].tolist()))
     norm = sum(out.values())
     return {key: p / norm for key, p in out.items()}
 
@@ -571,7 +619,7 @@ def simulate_protocol(plan: ExtractionPlan, n_rounds: int, seed: int,
         probs = np.array([dist[k] for k in keys])
         draws = rng.multinomial(rounds, probs / probs.sum())
         counts = {k: int(c) for k, c in zip(keys, draws) if c > 0}
-        batches.append(RoundBatch(compile_round_settings(plan, round_type),
+        batches.append(RoundBatch(plan_round(plan, round_type).setting,
                                   plan.targets, counts))
     return batches[0], batches[1]
 
@@ -585,5 +633,5 @@ def analytic_estimates(plan: ExtractionPlan, state=None) -> ErrorEstimates:
     that casts several pairs it is 0.5 under any noise; use
     analysis.pairwise_rates for per-pair rates of such a plan.
     """
-    return _parity_estimates(plan.targets, _state_parities(plan, "type-1", state),
-                             _state_parities(plan, "type-2", state))
+    return _parity_estimates(plan.targets, *(_state_parities(plan_round(plan, rt), state)
+                                             for rt in ("type-1", "type-2")))

@@ -18,9 +18,10 @@ least-squares systems (Lawson and Hanson, 1974) and falls back to scipy's
 least_squares only when those miss a target.  apply_noise builds the
 noisy 4^n density matrix (a DensityOperator) for callers that hand keyrates
 an explicit state; it applies the same per-qubit factors to the matrix's
-2x2 blocks, in place on its own copy.  DensityOperator tests positivity with
-a Cholesky factorization of the matrix shifted by the eigenvalue floor, and
-computes eigenvalues only for a matrix that the factorization rejects.
+2x2 blocks, in place on its own copy, in float64 for a state whose
+imaginary part is zero.  DensityOperator tests positivity with a Cholesky
+factorization of the matrix shifted by the eigenvalue floor, real for a
+real matrix, and computes eigenvalues only when the factorization fails.
 
 The Poisson Monte Carlo draws every resample at once into an integer count
 matrix, observed counts in row 0 (poisson_count_rows), and hands it to the
@@ -33,15 +34,15 @@ by evaluating it row by row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .graphstate import SizeCapError
-from .keyrates import (CorrelatorTable, CountRows, RoundBatch, akr_n,
-                       correlator_tables, table_estimates)
+from .keyrates import (CorrelatorTable, CountRows, RoundBatch, akr_n_rows,
+                       correlator_tables, table_estimate_rows, table_estimates)
 from .routing import ExtractionPlan
 
 DENSITY_CAP = 8
@@ -52,7 +53,8 @@ _EIG_FLOOR = -1e-10
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Validated density matrix over a tuple of vertex labels."""
+    """Validated float64 or complex128 density matrix over vertex labels; a
+    float64 one takes a real Cholesky and the Hermitian check on its reals."""
 
     matrix: np.ndarray
     vertices: tuple[int, ...]
@@ -91,10 +93,12 @@ class DensityOperator:
 
 def _hermitian(m: np.ndarray) -> bool:
     """np.allclose(m, m^H, atol=1e-9), which holds at once when no real or
-    imaginary part of m - m^H exceeds 5e-10: those two comparisons on the
-    real parts cost a quarter of allclose, which decides the rest."""
-    re, im = m.real, m.imag
-    if np.abs(re - re.T).max() <= 5e-10 and np.abs(im + im.T).max() <= 5e-10:
+    imaginary part of m - m^H exceeds 5e-10: those comparisons on the real
+    parts (the imaginary one only for a complex m) cost a quarter of
+    allclose, which decides the rest."""
+    re = m.real
+    if np.abs(re - re.T).max() <= 5e-10 and (
+            not np.iscomplexobj(m) or np.abs(m.imag + m.imag.T).max() <= 5e-10):
         return True
     return np.allclose(m, m.conj().T, atol=1e-9)
 
@@ -172,7 +176,9 @@ def apply_noise(state: np.ndarray, vertices: Sequence[int],
     the 2x2 blocks [[A, B], [C, D]] of the matrix on one qubit that is
     A, D <- (A + D)/2 +- f_Z (A - D)/2 and B, C <- f_X (B + C)/2 +- f_Y (B - C)/2,
     written back in place into a copy of the state; the caller's array is
-    never written.  Global white noise then mixes in the identity.  Raises
+    never written.  Global white noise then mixes in the identity.  A state
+    with a zero imaginary part gives a float64 matrix, the real part of the
+    complex result bit for bit; any other gives complex128.  Raises
     ValueError if the state is not (2^n,) or (2^n, 2^n) for the n vertices,
     or if the model puts noise on a vertex not in vertices.
     """
@@ -185,12 +191,14 @@ def apply_noise(state: np.ndarray, vertices: Sequence[int],
         raise ValueError(f"state has shape {state.shape}; {n} vertices need "
                          f"({dim},) or ({dim}, {dim})")
     factors = model.pauli_factors(vertices)
+    real = not (np.iscomplexobj(state) and state.imag.any())
+    state, dtype = (state.real, float) if real else (state, complex)
     if state.ndim == 1:
-        rho = np.outer(state, state.conj()).astype(complex, copy=False)
+        rho = np.outer(state, state.conj()).astype(dtype, copy=False)
     else:
-        rho = np.array(state, dtype=complex, order="C")
+        rho = np.array(state, dtype=dtype, order="C")
     # two block-sized buffers for (P + Q) and (P - Q), reused on every qubit
-    buffers = np.empty((2, dim * dim // 4), dtype=complex)
+    buffers = np.empty((2, dim * dim // 4), dtype=dtype)
     for i, (_, f_x, f_y, f_z) in enumerate(factors):
         if f_x == f_y == f_z == 1.0:
             continue
@@ -239,21 +247,18 @@ def pump_sweep(plan: ExtractionPlan, model: NoiseModel,
 
     The raw generation rate grows as p^3 while the white-noise weight w(p)
     degrades the AKR monotonically, so the product has an interior optimum.
-    The plan's two correlator tables are built once; each power point only
-    re-evaluates them with the model's white noise replaced by w(p), so no
-    density matrix is built.  Raises ValueError if the model puts noise on
-    a vertex the plan's network lacks.
+    The plan's two correlator tables (built once per plan instance) take
+    each correlator's per-qubit factor product once, and each power only
+    rescales the non-identity correlators by 1 - w(p), so no density matrix
+    is built.  Raises ValueError if the model puts noise on a vertex the
+    plan's network lacks.
     """
     powers = np.asarray(list(powers), dtype=float)
     if powers.size < 3:
         raise ValueError("sweep needs at least three power samples")
-    tables = correlator_tables(plan)
     raw = model.raw_rate_at_power(powers)
     wn = np.array([model.white_noise_at_power(p) for p in powers])
-    akrs = np.empty_like(powers)
-    for k, w in enumerate(wn):
-        est = table_estimates(tables, replace(model, white_noise=float(w)))
-        akrs[k] = akr_n(est.qber, est.qx)
+    akrs = akr_n_rows(*table_estimate_rows(correlator_tables(plan), model, wn))
     keyrates = raw * np.maximum(akrs, 0.0)
     best = int(np.argmax(keyrates))
     return PumpSweepResult(powers, raw, wn, akrs, keyrates,

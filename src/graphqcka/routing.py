@@ -32,6 +32,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -106,6 +107,12 @@ class ExtractionPlan:
     @property
     def nonparticipants(self) -> tuple[int, ...]:
         return tuple(sorted(self.nonparticipant_bases))
+
+    @cached_property
+    def round_cache(self) -> dict:
+        """Per-round-type data derived from this instance (keyrates.plan_round);
+        outside ==, repr and plan_to_json, and empty on a replaced plan."""
+        return {}
 
 
 class NoPlanFoundError(ValueError):

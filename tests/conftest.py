@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import itertools
+import json
 import random
 import re
 
@@ -39,6 +40,18 @@ def random_model(rng, vertices):
         return {v: rng.uniform(0.0, 0.2) for v in vertices if rng.random() < 0.7}
     return NoiseModel(depolarizing=channel(), dephasing=channel(),
                       bit_flip=channel(), white_noise=rng.uniform(0.0, 0.2))
+
+
+README_GRAPH = "6\n1 2\n2 4\n3 4\n4 6\n5 6\n"
+README_CONFIG = {"graph": "graph.txt", "alice": 1, "bobs": [2, 5, 6], "seed": 42,
+                 "rounds": 10000, "out": "run",
+                 "noise": {"white_noise": 0.05, "depolarizing": {"3": 0.02}}}
+
+
+def write_readme_run(directory):
+    """The README's graph.txt and run.json, with paths relative to directory."""
+    (directory / "graph.txt").write_text(README_GRAPH)
+    (directory / "run.json").write_text(json.dumps(README_CONFIG, indent=2) + "\n")
 
 
 def identity_state(g):

@@ -1,5 +1,6 @@
 """File formats and end-to-end command-line flows."""
 
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,8 @@ from graphqcka.io import (ParseError, RunConfig, parse_counts, parse_graph,
                           serialize_graph, write_counts)
 from graphqcka.keyrates import RoundBatch
 from graphqcka.routing import compile_round_settings
+
+from conftest import write_readme_run
 
 SIX_VERTEX_TEXT = "6\n1 2\n2 4\n3 4\n4 6\n5 6\n"
 
@@ -316,3 +319,20 @@ class TestCommands:
                                    "out": str(tmp_path / "c1")}))
         assert main(["simulate", "--config", str(cfg), "--rounds", "100"]) == 0
         assert (tmp_path / "c1" / "nqkd_type1.counts").exists()
+
+
+class TestReadmeRun:
+    def test_outputs_are_pinned(self, tmp_path, monkeypatch):
+        """The README run (extract, simulate, analyze, sweep from its run.json,
+        relative paths, in a fresh directory) writes report.json and sweep.csv
+        with these exact bytes.  A change that moves a reported digit fails
+        here; one meant to do so updates the digests and says why."""
+        monkeypatch.chdir(tmp_path)
+        write_readme_run(tmp_path)
+        for stage in ("extract", "simulate", "analyze", "sweep"):
+            assert main([stage, "--config", "run.json"]) == 0
+        digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+                   for name in ("report.json", "sweep.csv")}
+        assert digests == {
+            "report.json": "a7cc8662d5564dfa4866c6c0699221172abd97bd6b0f3654be0bc110eb709b42",
+            "sweep.csv": "84006dcc9222dd73f8091086456562fceabe6101f743620833e06761e9f23763"}

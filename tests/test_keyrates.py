@@ -7,19 +7,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from graphqcka import networks, routing
+from graphqcka import keyrates, networks, routing
 from graphqcka.graphstate import Graph, GraphState, local_complement
-from graphqcka.keyrates import (CorrelatorTable, RoleAssignment, RoundBatch,
+from graphqcka.keyrates import (RoleAssignment, RoundBatch,
                                 akr_2, akr_n, akr_n_rows, analytic_estimates,
-                                binary_entropy, error_estimates, estimate_qber,
-                                estimate_qx, outcome_distribution,
-                                pairwise_conference_rate, pairwise_error,
+                                binary_entropy, correlator_tables, error_estimates,
+                                estimate_qber, estimate_qx, outcome_distribution,
+                                pairwise_conference_rate, pairwise_error, plan_round,
                                 qber_rows, qx_rows, simulate_protocol, xor_combine)
-from graphqcka.noise import NoiseModel, apply_noise
+from graphqcka.noise import NoiseModel, apply_noise, calibrate_to_targets, pump_sweep
 from graphqcka.pauli import HADAMARD, IDENTITY, compose, pauli_layer, pauli_product
 from graphqcka.routing import (compile_round_settings, find_bell_multicast_plan,
-                               find_ghz_plan, network_vector, realize_plan,
-                               verify_plan_dense)
+                               find_ghz_plan, network_vector, plan_from_json,
+                               plan_to_json, realize_plan, verify_plan_dense)
 
 from conftest import random_frame, random_graph, random_model
 import oracles
@@ -319,7 +319,7 @@ class TestPauliEngine:
                 assert_matches_density_path(plan, random_model(rng, plan.graph.vertices))
             # a GHZ state's all-Z correlators are the even-size subsets, each +-1
             if plan.kind == "ghz":
-                table = CorrelatorTable.build(plan, "type-1")
+                table = correlator_tables(plan)[0]
                 n = len(plan.targets)
                 assert table.subsets.tolist() == [a for a in range(1 << n)
                                                   if a.bit_count() % 2 == 0]
@@ -460,6 +460,108 @@ class TestExplicitStates:
     def test_rejects_wrong_shape(self, shape):
         with pytest.raises(ValueError, match=r"need \(64,\) or \(64, 64\)"):
             outcome_distribution(networks.ghz_plan(), "type-1", np.zeros(shape))
+
+    def test_real_state_stored_complex_reads_the_same(self, rng):
+        """A real-valued vector or density matrix gives the same bits from
+        analytic_estimates and outcome_distribution stored as float64 or as
+        complex128 with a zero imaginary part."""
+        nprng = np.random.default_rng(rng.randrange(1 << 32))
+        plans = TestPauliEngine.random_plans(rng, 8) + [
+            networks.ghz_plan(), networks.bell_multicast_plan(), networks.bell_bridge_plan()]
+        for plan in plans:
+            dim = 1 << plan.graph.n
+            g = nprng.normal(size=(dim, dim))
+            # the network state where its amplitudes are real, as they are
+            # for the reference plans, else a random real vector
+            source = network_vector(plan)
+            if source.imag.any():
+                source = g[1] / np.linalg.norm(g[1])
+            noisy = apply_noise(source, plan.graph.vertices,
+                                random_model(rng, plan.graph.vertices)).matrix
+            for m in (g[0] / np.linalg.norm(g[0]), g @ g.T / np.trace(g @ g.T), noisy):
+                assert m.dtype == np.float64
+                stored = m.astype(complex)
+                assert analytic_estimates(plan, m) == analytic_estimates(plan, stored)
+                for rt in ("type-1", "type-2"):
+                    assert outcome_distribution(plan, rt, m) == outcome_distribution(
+                        plan, rt, stored)
+
+
+class TestPlanCache:
+    """Each plan instance builds its PlanRounds (strings, tables, keys) once."""
+
+    @staticmethod
+    def count_evaluations(monkeypatch):
+        """The stabilizer_expectation calls that building tables makes."""
+        calls, real = [], keyrates.stabilizer_expectation
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(keyrates, "stabilizer_expectation", spy)
+        return calls
+
+    def test_second_evaluation_builds_nothing(self, monkeypatch):
+        model = NoiseModel(depolarizing={2: 0.04}, dephasing={5: 0.02}, white_noise=0.03)
+        est = analytic_estimates(networks.ghz_plan(), model)
+        evaluations = {
+            "analytic_estimates": lambda plan: analytic_estimates(plan, model),
+            "simulate_protocol": lambda plan: simulate_protocol(plan, 100, 3, state=model),
+            "pump_sweep": lambda plan: pump_sweep(plan, model, np.linspace(5.0, 200.0, 5)),
+            "calibrate_to_targets": lambda plan: calibrate_to_targets(
+                {"ghz": plan}, {"ghz": (est.qber, est.qx)}, channels=("depolarizing",)),
+        }
+        calls = self.count_evaluations(monkeypatch)
+        for name, evaluate in evaluations.items():
+            plan = networks.ghz_plan()
+            evaluate(plan)
+            assert calls, name
+            calls.clear()
+            evaluate(plan)
+            for other in evaluations.values():
+                other(plan)
+            assert not calls, name
+
+    def test_replaced_plan_gets_its_own_tables(self, monkeypatch):
+        plan = networks.ghz_plan()
+        model = NoiseModel(bit_flip={0: 0.05})
+        dist = outcome_distribution(plan, "type-1", model)
+        calls = self.count_evaluations(monkeypatch)
+        twin = replace(plan)
+        assert outcome_distribution(twin, "type-1", model) == dist
+        assert calls and plan_round(twin, "type-1") is not plan_round(plan, "type-1")
+        # a changed byproduct term, as test_changed_term_fails_verification
+        # makes it, is read from the new plan, not from the old one's tables
+        swap = {"I": "Y", "Y": "I", "X": "Z", "Z": "X"}
+        terms = {v: dict(letters) for v, letters in plan.byproduct_terms.items()}
+        v, u = plan.nonparticipants[0], plan.targets[1]
+        terms[v][u] = swap[terms[v][u]]
+        broken = replace(plan, byproduct_terms=terms)
+        got = outcome_distribution(broken, "type-1", model)
+        assert got != dist
+        assert got == outcome_distribution(plan_from_json(plan_to_json(broken)),
+                                           "type-1", model)
+
+    def test_cached_arrays_are_read_only(self):
+        plan = networks.bell_multicast_plan()
+        for read in (plan_round(plan, "type-1"), plan_round(plan, "type-2")):
+            table = read.table
+            for array in (read.x_masks, read.z_masks, read.odd_y, read.read_signs,
+                          table.subsets, table.weights, table.letters):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+        assert correlator_tables(plan) == (plan_round(plan, "type-1").table,
+                                           plan_round(plan, "type-2").table)
+
+    def test_filled_cache_leaves_the_plan_as_it_was(self):
+        plan, twin = networks.ghz_plan(), networks.ghz_plan()
+        before = repr(plan), plan_to_json(plan)
+        analytic_estimates(plan, network_vector(plan))
+        simulate_protocol(plan, 50, 1)
+        assert set(plan.round_cache) == {"type-1", "type-2"}
+        assert (repr(plan), plan_to_json(plan)) == before
+        assert plan == twin and twin == plan
+        assert plan_from_json(plan_to_json(plan)) == plan
 
 
 def distribution_estimates(plan, state):

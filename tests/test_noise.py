@@ -11,15 +11,17 @@ import numpy as np
 import pytest
 
 import graphqcka
-from graphqcka import networks, noise
+from graphqcka import cli, networks, noise
 from graphqcka.graphstate import SizeCapError, build_graph_state, to_dense
-from graphqcka.keyrates import RoundBatch, akr_n, analytic_estimates, pairwise_error
+from graphqcka.io import RunConfig
+from graphqcka.keyrates import (RoundBatch, akr_n, analytic_estimates, correlator_tables,
+                                pairwise_error, table_estimates)
 from graphqcka.noise import (DensityOperator, NoiseModel, apply_noise,
                              calibrate_to_targets, poisson_mc, pump_sweep)
 from graphqcka.pauli import PAULI_MATRICES, from_name
 from graphqcka.graphstate import GraphState
 
-from conftest import random_model
+from conftest import random_model, write_readme_run
 from oracles import kraus_noise, psd_verdict
 
 CHANNELS = ("depolarizing", "dephasing", "bit_flip")
@@ -106,16 +108,20 @@ class TestDensityOperator:
     def test_hermitian_check_is_allclose(self):
         """The Hermitian test accepts what np.allclose(m, m^H, atol=1e-9)
         accepts: one entry's real or imaginary part moved by amounts around
-        the tolerance, or set to NaN or inf."""
+        the tolerance, or set to NaN or inf; the last 72 matrices are real
+        (float64), so only a real part moves."""
         nprng = np.random.default_rng(14)
-        for k in range(144):
+        for k in range(216):
             n = 1 + k % 4
             dim = 1 << n
-            g = nprng.normal(size=(dim, dim)) + 1j * nprng.normal(size=(dim, dim))
+            g = nprng.normal(size=(dim, dim))
+            if k < 144:
+                g = g + 1j * nprng.normal(size=(dim, dim))
             m = g @ g.conj().T
             m /= np.trace(m).real
             i, j = nprng.integers(dim, size=2)
-            m[i, j] += (0.0, 3e-10, 6e-10, 9e-10, 2e-9, 1e-3)[k % 6] * (1, 1j)[k // 6 % 2]
+            m[i, j] += (0.0, 3e-10, 6e-10, 9e-10, 2e-9, 1e-3)[k % 6] * (
+                (1, 1j)[k // 6 % 2] if k < 144 else 1)
             if k % 12 == 11:
                 m[i, j] = (np.nan, np.inf)[k // 12 % 2]
             hermitian = np.allclose(m, m.conj().T, atol=1e-9)
@@ -152,6 +158,24 @@ class TestDensityOperator:
         pool.append((8, np.outer(ghz, ghz)))
         verdicts = [psd_verdict(m) for _, m in pool]
         assert sum(ok for ok, _ in verdicts) == 145
+        # the same on real matrices, which take the real Cholesky: seeded
+        # O diag(lambda) O^T, and the GHZ projector stored real
+        real_pool = [(8, np.outer(ghz, ghz).real)]
+        for k in range(216):
+            n, least = 1 + k % 8, (-1e-8, -1e-11, 0.0)[k % 3]
+            o = np.linalg.qr(nprng.normal(size=(1 << n, 1 << n)))[0]
+            lam = nprng.uniform(0.0, 1.0, 1 << n)
+            low = nprng.integers(1 << n)
+            lam[low] = 0.0
+            lam *= (1.0 - least) / lam.sum()
+            lam[low] = least
+            m = (o * lam) @ o.T
+            real_pool.append((n, (m + m.T) / 2))
+        real_verdicts = [psd_verdict(m) for _, m in real_pool]
+        assert all(m.dtype == np.float64 for _, m in real_pool)
+        assert sum(ok for ok, _ in real_verdicts) == 145
+        pool += real_pool
+        verdicts += real_verdicts
 
         calls, real = [], np.linalg.eigvalsh
 
@@ -166,7 +190,7 @@ class TestDensityOperator:
                 with pytest.raises(ValueError, match=re.escape(
                         f"not positive semidefinite (min eigenvalue {least:.3e})")):
                     DensityOperator(m, tuple(range(n)))
-        assert len(calls) == 72
+        assert len(calls) == 72 + 72
 
 
 class TestApplyNoise:
@@ -244,6 +268,32 @@ class TestApplyNoise:
                 assert np.array_equal(state, before)
                 assert np.abs(got - kraus_noise(dense, vertices, model)).max() <= 1e-12
 
+    def test_real_states_stay_real_up_to_eight_qubits(self, rng):
+        """Real-valued vectors and density matrices of 1-8 qubits, stored as
+        float64 or as complex128 with a zero imaginary part, give a float64
+        matrix that matches the Kraus sums to 1e-12, with the same bits from
+        either storage; a nonzero imaginary part keeps the matrix complex."""
+        nprng = np.random.default_rng(rng.randrange(1 << 32))
+        for n in range(1, 9):
+            dim = 1 << n
+            vertices = tuple(rng.sample(range(10), n))
+            g = nprng.normal(size=(dim, dim))
+            rho = g @ g.T
+            rho /= np.trace(rho)
+            vec = g[0] / np.linalg.norm(g[0])
+            for state, dense in ((vec, np.outer(vec, vec)), (rho, rho)):
+                model = random_model(rng, vertices)
+                want = kraus_noise(dense, vertices, model)
+                got = [apply_noise(stored, vertices, model).matrix
+                       for stored in (state, state.astype(complex))]
+                for m in got:
+                    assert m.dtype == np.float64
+                    assert np.abs(m - want).max() <= 1e-12
+                assert np.array_equal(got[0], got[1])
+                phases = np.exp(1j * np.arange(dim))
+                phased = state * (phases if state.ndim == 1 else np.outer(phases, phases.conj()))
+                assert apply_noise(phased, vertices, model).matrix.dtype == np.complex128
+
     def test_white_noise_mixing(self):
         rho = apply_noise(bell_vector(), (0, 1), NoiseModel(white_noise=1.0))
         assert np.allclose(rho.matrix, np.eye(4) / 4, atol=1e-12)
@@ -302,6 +352,34 @@ class TestPumpSweep:
             noisy = replace(model, white_noise=model.white_noise_at_power(p))
             est = analytic_estimates(plan, apply_noise(vec, range(6), noisy).matrix)
             assert akr == pytest.approx(akr_n(est.qber, est.qx), abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["ghz", "multicast", "bridge", "readme"])
+    def test_equals_one_evaluation_per_power(self, name, tmp_path, monkeypatch):
+        """akr and key_rates equal, bit for bit, a loop that evaluates the
+        tables once per power under the model with that power's white noise;
+        on the reference plans and on the README run's sweep."""
+        if name == "readme":
+            monkeypatch.chdir(tmp_path)
+            write_readme_run(tmp_path)
+            cfg = RunConfig.from_json("run.json")
+            plan, model = cli._extract_plans(cfg)[1]["nqkd"], cfg.noise_model()
+            powers = np.linspace(*cfg.sweep_powers)
+        else:
+            plan = {"ghz": networks.ghz_plan, "multicast": networks.bell_multicast_plan,
+                    "bridge": networks.bell_bridge_plan}[name]()
+            model = NoiseModel(depolarizing={2: 0.02}, dephasing={0: 0.01},
+                               bit_flip={5: 0.03}, white_noise=0.5)
+            powers = np.linspace(5.0, 200.0, 40)
+        sweep = pump_sweep(plan, model, powers)
+        tables = correlator_tables(plan)
+        akr = []
+        for p in powers:
+            est = table_estimates(
+                tables, replace(model, white_noise=model.white_noise_at_power(p)))
+            akr.append(akr_n(est.qber, est.qx))
+        assert np.array_equal(sweep.akr, akr)
+        assert np.array_equal(sweep.key_rates,
+                              model.raw_rate_at_power(powers) * np.maximum(akr, 0.0))
 
 
 class TestPoissonMc:
