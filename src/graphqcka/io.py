@@ -102,6 +102,7 @@ def parse_counts(path: str | Path) -> RoundBatch:
     round_type = basis = None
     participants = None
     counts: dict[str, int] = {}
+    total = 0
     for lineno, line in lines:
         parts = line.split()
         if parts[0] == "setting":
@@ -131,6 +132,10 @@ def parse_counts(path: str | Path) -> RoundBatch:
                 raise ParseError(f"{path}:{lineno}: non-integer count") from None
             if c < 0:
                 raise ParseError(f"{path}:{lineno}: negative count")
+            total += c
+            # Poisson resamples of the counts are drawn and summed in int64
+            if total >= 2**62:
+                raise ParseError(f"{path}:{lineno}: counts sum to 2**62 or more")
             counts[parts[0]] = c
     if round_type is None or participants is None:
         raise ParseError(f"{path}: missing setting/participants headers")
@@ -178,8 +183,10 @@ class RunConfig:
              "sweep_powers must be [low_mw, high_mw, points] with "
              "0 <= low_mw <= high_mw and at least 3 integer points, "
              f"got {list(self.sweep_powers)}"),
-            (_is_int(self.rounds) and self.rounds >= 1,
-             f"rounds must be a positive integer, got {self.rounds!r}"),
+            (isinstance(self.graph, str) and isinstance(self.out, str),
+             "graph and out must be path strings"),
+            (_is_int(self.rounds) and 1 <= self.rounds < 2**62,
+             f"rounds must be a positive integer below 2**62, got {self.rounds!r}"),
             (_is_real(self.type2_fraction) and 0.0 < self.type2_fraction < 1.0,
              f"type2_fraction must be in (0, 1), got {self.type2_fraction!r}"),
             (self.seed is None or (_is_int(self.seed) and self.seed >= 0),

@@ -13,9 +13,9 @@ stabilizer network state each corrected parity is one such correlator
 (keyrates.CorrelatorTable), which is how pump_sweep and
 calibrate_to_targets evaluate a model: exactly, and without a density
 matrix.  In log space each correlator is linear in the per-qubit
-parameters, so calibrate_to_targets solves its targets as nonnegative
-least-squares systems (Lawson and Hanson, 1974) and falls back to scipy's
-least_squares only when those miss a target.  apply_noise builds the
+parameters, so calibrate_to_targets solves its targets exactly as
+nonnegative least-squares systems (Lawson and Hanson, 1974), with a
+parameter pinned at its bound for each target of 1/2.  apply_noise builds the
 noisy 4^n density matrix (a DensityOperator) for callers that hand keyrates
 an explicit state; it applies the same per-qubit factors to the matrix's
 2x2 blocks, in place on its own copy, in float64 for a state whose
@@ -46,7 +46,6 @@ from .keyrates import (CorrelatorTable, CountRows, RoundBatch, akr_n_rows,
 from .routing import ExtractionPlan
 
 DENSITY_CAP = 8
-MAX_FIT_EVALUATIONS = 400
 
 _EIG_FLOOR = -1e-10
 
@@ -412,28 +411,26 @@ def calibrate_to_targets(plans: Mapping[str, ExtractionPlan],
     dephasing and bit_flip families are fitted (default: all three).
     noisy_vertices outside the network raise ValueError.
 
-    The fit is solved exactly in log space first.  With u = -log(1 - c theta)
-    per parameter (c = 1 for depolarizing, 2 for dephasing and bit flip),
-    every correlator of the plans' tables is weight * exp(-E.u) for a 0/1
-    row E, so a Q_X target is one linear equation and a QBER target, a
-    min-max over pairs, is one equation per pair that an active-set loop
-    pins for each choice of Alice.  Each linear system goes to a
-    nonnegative least-squares solve (Lawson and Hanson, "Solving Least
-    Squares Problems", 1974, ch. 23).  The first solution that meets every
+    The fit is solved exactly in log space.  With u = -log(1 - c theta) per
+    parameter (c = 1 for depolarizing, 2 for dephasing and bit flip), every
+    correlator of the plans' tables is weight * exp(-E.u) for a 0/1 row E,
+    so a Q_X target is one linear equation and a QBER target, a min-max over
+    pairs, is one equation per pair that an active-set loop pins for each
+    choice of Alice.  Each linear system goes to a nonnegative least-squares
+    solve (Lawson and Hanson, "Solving Least Squares Problems", 1974,
+    ch. 23).  A target of 1/2 on a correlator the plan has needs u = inf, so
+    one of its parameters is pinned at its bound 1/c (_log_systems): every
+    fitted parameter lies in [0, 1/c].  The first solution that meets every
     target to 1e-12 is returned; parameters that no target constrains come
-    back as exactly 0.0, and the result is deterministic.  Only if no
-    solution meets the targets, or a target has no such linear form (a
-    target of 0.5 or more on a correlator the plan has), does scipy's
-    least_squares refine the fit, from the best exact solution; parameters
-    that no target fixes may then drift, so restrict noisy_vertices /
-    channels to what the targets fix.
+    back as exactly 0.0, and the result is deterministic.
 
     Targets that ask different values of one observable cannot all be met:
     before fitting, estimators that agree at a seeded random parameter point
     count as one observable, and a ValueError names the targets that
-    conflict.  The result's converged flag says whether the fit met every
-    target; its residual is the norm of the target misses of the returned
-    model.
+    conflict.  Targets with no exact solution otherwise (a target above 1/2,
+    or one that no pin set reaches) give converged=False, with the candidate
+    nearest the targets, or the noiseless fit when there is none.  The
+    residual is the norm of the target misses of the returned model.
     """
     if set(targets) - set(plans):
         raise ValueError("every target needs a matching plan")
@@ -449,12 +446,9 @@ def calibrate_to_targets(plans: Mapping[str, ExtractionPlan],
         raise ValueError(f"unknown channels {sorted(bad)}")
 
     def build(params: np.ndarray) -> NoiseModel:
-        m = len(noisy_vertices)
-        kwargs = {}
-        for k, ch in enumerate(channels):
-            kwargs[ch] = {v: float(params[k * m + i])
-                          for i, v in enumerate(noisy_vertices)}
-        return NoiseModel(**kwargs)
+        per_channel = np.reshape(params, (len(channels), -1)).tolist()
+        return NoiseModel(**{ch: dict(zip(noisy_vertices, values))
+                             for ch, values in zip(channels, per_channel)})
 
     names = sorted(targets)
     wanted = np.array([t for name in names for t in targets[name]], dtype=float)
@@ -462,11 +456,8 @@ def calibrate_to_targets(plans: Mapping[str, ExtractionPlan],
 
     def estimates(params: np.ndarray) -> np.ndarray:
         model = build(params)
-        out = []
-        for name in names:
-            est = table_estimates(tables[name], model)
-            out.extend([est.qber, est.qx])
-        return np.asarray(out)
+        ests = [table_estimates(tables[name], model) for name in names]
+        return np.array([value for est in ests for value in (est.qber, est.qx)])
 
     def residual(params: np.ndarray) -> float:
         return float(np.sqrt(np.sum((estimates(params) - wanted) ** 2)))
@@ -480,25 +471,18 @@ def calibrate_to_targets(plans: Mapping[str, ExtractionPlan],
         return np.hstack([_LOG_FORM[ch][1][letters] for ch in channels])
 
     scale = np.repeat([_LOG_FORM[ch][0] for ch in channels], len(noisy_vertices))
-    x0, best_resid = np.full(n_params, 0.01), math.inf
-    system = _log_system(tables, names, targets, exponents)
-    for u in ([] if system is None else _exact_solutions(*system, n_params)):
-        params = np.clip(-np.expm1(-u) / scale, 0.0, _UPPER_BOUND)
-        resid = residual(params)
-        if resid < _EXACT_TOL:
-            return CalibrationResult(build(params), resid, True)
-        if resid < best_resid:
-            x0, best_resid = params, resid
-
-    # imported here, not with the module: only a fit that the exact solve
-    # misses needs it, and it takes three times as long to import as
-    # graphqcka.cli with numpy
-    from scipy.optimize import least_squares
-    fit = least_squares(lambda x: estimates(x) - wanted, x0, bounds=(0.0, _UPPER_BOUND),
-                        x_scale="jac", xtol=3e-16, ftol=3e-16, gtol=3e-16,
-                        max_nfev=MAX_FIT_EVALUATIONS)
-    resid = residual(fit.x)
-    return CalibrationResult(build(fit.x), resid, resid < 1e-6)
+    best = None
+    for pins, system in _log_systems(tables, names, targets, exponents):
+        for u in _exact_solutions(*system, n_params):
+            u[pins] = np.inf
+            params = -np.expm1(-u) / scale
+            resid = residual(params)
+            if resid < _EXACT_TOL:
+                return CalibrationResult(build(params), resid, True)
+            if best is None or resid < best[0]:
+                best = resid, params
+    resid, params = best or (residual(np.zeros(n_params)), np.zeros(n_params))
+    return CalibrationResult(build(params), resid, False)
 
 
 # per channel: c in u = -log(1 - c theta), and over the letter codes
@@ -506,7 +490,6 @@ def calibrate_to_targets(plans: Mapping[str, ExtractionPlan],
 _LOG_FORM = {"depolarizing": (1.0, np.array([0.0, 1.0, 1.0, 1.0])),
              "dephasing": (2.0, np.array([0.0, 1.0, 1.0, 0.0])),
              "bit_flip": (2.0, np.array([0.0, 0.0, 1.0, 1.0]))}
-_UPPER_BOUND = 0.999
 _EXACT_TOL = 1e-12
 _PIN_TOL = 1e-13
 
@@ -514,50 +497,63 @@ _LogRows = tuple[np.ndarray, np.ndarray]
 
 
 def _log_rows(table: CorrelatorTable, exponents: np.ndarray, subsets: Sequence[int],
-              t: float) -> _LogRows | None:
+              t: float, pins: list[int]) -> _LogRows | None:
     """(E, beta) with E.u = beta exactly when each subset's parity is 1 - 2t,
-    E taken from the table's exponents; None if a subset has no correlator
-    (its parity is 0).  beta is not finite where that has no solution:
-    t >= 0.5 or a negative weight."""
+    E taken from the table's exponents; None if a subset's correlator is
+    lacking or pinned (its parity is 0).  beta is +inf for t = 1/2, and not
+    finite where there is no solution: t > 1/2 or a negative weight."""
     index = {s: r for r, s in enumerate(table.subsets.tolist())}
-    if any(s not in index for s in subsets):
+    rows = [index.get(s) for s in subsets]
+    if None in rows or exponents[rows][:, pins].any():
         return None
-    rows = [index[s] for s in subsets]
     with np.errstate(divide="ignore", invalid="ignore"):
         beta = np.log(table.weights[rows] / (1.0 - 2.0 * t))
     return exponents[rows], beta
 
 
-def _log_system(tables, names, targets, exponents,
-                ) -> tuple[list[_LogRows], list[list[_LogRows]]] | None:
-    """The exact solve's linear form of the targets, or None if one has none.
+def _log_systems(tables, names, targets, exponents):
+    """(pins, (Q_X rows, QBER rows)): the exact solve's linear form of the
+    targets for each set of parameters pinned at u = inf that makes it finite.
 
-    Returns the Q_X equations, one row each, and per QBER target the rows
-    of each Alice's pairs, over the Alices with a correlator on every pair:
-    an Alice lacking one has a pair error of 1/2, so she is the minimizer
-    only of a target of 1/2, which holds whatever the noise when every
-    Alice lacks one.  A Q_X target of 1/2 on a plan with no Q_X correlator
-    is constant too.
+    Per QBER target come the rows of the pairs of each Alice with a
+    correlator on every pair: an Alice lacking one has a pair error of 1/2,
+    so she is the minimizer only of a target of 1/2, which holds whatever
+    the noise when every Alice lacks one; a Q_X target of 1/2 with no Q_X
+    correlator is constant too.  A correlator with a pinned parameter counts
+    as lacking.  A target of 1/2 on a correlator the plan has gives rows of
+    beta = +inf, so the pins are drawn from their parameters, smallest set
+    first and in parameter order, at most one per Q_X row or Alice of them.
     """
-    qx, qber = [], []
-    for name in names:
-        (type1, type2), (tq, tx) = tables[name], targets[name]
-        bits = [1 << k for k in range(len(type1.targets) - 1, -1, -1)]
-        row = _log_rows(type2, exponents(type2), [sum(bits)], tx)
-        if row is not None:
-            qx.append(row)
-        elif tx != 0.5:
-            return None
-        e1 = exponents(type1)
-        alices = [_log_rows(type1, e1, [a ^ b for b in bits if b != a], tq) for a in bits]
-        complete = [rows for rows in alices if rows is not None]
-        if complete:
-            qber.append(complete)
-        elif tq != 0.5:
-            return None
-    if not all(np.isfinite(beta).all() for _, beta in qx + sum(qber, [])):
-        return None
-    return qx, qber
+    def form(pins: list[int]) -> tuple[list[_LogRows], list[list[_LogRows]]] | None:
+        qx, qber = [], []
+        for name in names:
+            (type1, type2), (tq, tx) = tables[name], targets[name]
+            bits = [1 << k for k in range(len(type1.targets) - 1, -1, -1)]
+            row = _log_rows(type2, exponents(type2), [sum(bits)], tx, pins)
+            if row is not None:
+                qx.append(row)
+            elif tx != 0.5:
+                return None
+            e1 = exponents(type1)
+            alices = [_log_rows(type1, e1, [a ^ b for b in bits if b != a], tq, pins)
+                      for a in bits]
+            complete = [rows for rows in alices if rows is not None]
+            if complete:
+                qber.append(complete)
+            elif tq != 0.5:
+                return None
+        return qx, qber
+
+    free = form([])
+    rows = [] if free is None else free[0] + sum(free[1], [])
+    infinite = [e[np.isposinf(beta)].any(axis=0) for e, beta in rows if np.isposinf(beta).any()]
+    params = np.flatnonzero(np.any(infinite, axis=0)).tolist()
+    for size in range(len(infinite) + 1):
+        for pins in map(list, combinations(params, size)):
+            system = form(pins) if pins else free
+            if system is not None and all(np.isfinite(beta).all()
+                                          for _, beta in system[0] + sum(system[1], [])):
+                yield pins, system
 
 
 def _exact_solutions(qx: list[_LogRows], qber: list[list[_LogRows]], n_params: int):

@@ -116,6 +116,9 @@ EXIT_CODE_TABLE = [
     (["sweep", "--config", "{negative_sweep_config}"], EXIT_PARSE),
     (["sweep", "--config", "{fractional_sweep_config}"], EXIT_PARSE),
     (["sweep", "--config", "{negative_pump_config}"], EXIT_PARSE),
+    (["simulate", "--config", "{graph_number_config}"], EXIT_PARSE),
+    (["simulate", "--config", "{out_number_config}"], EXIT_PARSE),
+    (["simulate", "--config", "{huge_rounds_config}"], EXIT_PARSE),
     (["extract", "--graph", "{disconnected}", "--alice", "1", "--bobs", "3"],
      EXIT_NO_PLAN),
     (["analyze", "--graph", "{graph}", *ROLES], EXIT_MISSING_SETTING),
@@ -150,7 +153,10 @@ def cli_inputs(tmp_path, graph_file):
     for name, extra in (("negative_sweep_config", {"sweep_powers": [-5, 200, 10]}),
                         ("fractional_sweep_config", {"sweep_powers": [5, 200, 3.5]}),
                         ("negative_pump_config",
-                         {"noise": {"pump_contamination_coefficient": -1}})):
+                         {"noise": {"pump_contamination_coefficient": -1}}),
+                        ("graph_number_config", {"graph": 3, "seed": 1}),
+                        ("out_number_config", {"out": 3, "seed": 1}),
+                        ("huge_rounds_config", {"rounds": 10**30, "seed": 1})):
         texts[name] = json.dumps({"graph": str(graph_file), "alice": 1,
                                   "bobs": [2, 5, 6], "out": str(tmp_path / "out"),
                                   **extra})
@@ -283,6 +289,28 @@ class TestCommands:
         assert main(["analyze", *base]) == EXIT_MISSING_SETTING
         assert capsys.readouterr().err == f"error: {victim}: no outcome rows\n"
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("count, code", [
+        (9223372036854775807, EXIT_PARSE), (99999999999999999999, EXIT_PARSE),
+        (2**62, EXIT_PARSE), (10**16, 0)])
+    def test_analyze_bounds_counts(self, count, code, tmp_path, graph_file, capsys):
+        """A counts file whose counts sum to 2**62 or more exits 2 naming the
+        line that reaches it; a count of 10**16 is analyzed."""
+        out = tmp_path / "out"
+        base = ["--graph", str(graph_file), *ROLES, "--out", str(out)]
+        assert main(["simulate", *base, "--seed", "1", "--rounds", "200"]) == 0
+        victim = out / "nqkd_type1.counts"
+        lines = victim.read_text().splitlines()
+        lineno = next(k for k, line in enumerate(lines, start=1) if line[:1].isdigit())
+        lines[lineno - 1] = f"{lines[lineno - 1].split()[0]} {count}"
+        victim.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["analyze", *base]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith(f"error: {victim}:{lineno}: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("argv, code", EXIT_CODE_TABLE,
                              ids=[" ".join(argv) for argv, _ in EXIT_CODE_TABLE])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import graphqcka
-from graphqcka import cli, networks, noise
+from graphqcka import cli, networks
 from graphqcka.graphstate import SizeCapError, build_graph_state, to_dense
 from graphqcka.io import RunConfig
 from graphqcka.keyrates import (RoundBatch, akr_n, analytic_estimates, correlator_tables,
@@ -54,18 +54,6 @@ def target_pairs(plans, model):
     """Each plan's analytic (QBER, Q_X) under a noise model."""
     return {name: (est.qber, est.qx) for name, plan in plans.items()
             for est in [analytic_estimates(plan, model)]}
-
-
-def spy_least_squares(monkeypatch):
-    """Count the calls to scipy's least_squares; returns the list of calls."""
-    import scipy.optimize
-    calls, real = [], scipy.optimize.least_squares
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
-    return calls
 
 
 def bell_vector():
@@ -474,43 +462,96 @@ class TestCalibration:
                                          "bell1": (0.10, 0.10)})
 
     def test_optimizer_imported_only_to_calibrate(self):
+        # the calibration is a closed-form solve: no scipy module is loaded,
+        # neither by the CLI nor by a fit
         code = (
             "import sys\n"
+            "def scipy_loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "import graphqcka.cli\n"
-            "assert 'scipy.optimize' not in sys.modules, 'loaded by graphqcka.cli'\n"
+            "assert not scipy_loaded(), scipy_loaded()\n"
             "from graphqcka import networks\n"
             "from graphqcka.noise import calibrate_to_targets\n"
             "res = calibrate_to_targets({'bell': networks.bell_bridge_plan()},\n"
             "                           {'bell': (0.05, 0.05)}, noisy_vertices=(1,),\n"
             "                           channels=('depolarizing',))\n"
-            "assert res.converged\n")
+            "assert res.converged\n"
+            "assert not scipy_loaded(), scipy_loaded()\n")
         proc = run_fresh_python(code)
         assert proc.returncode == 0, proc.stderr
 
     def test_exact_solve_leaves_optimizer_unloaded(self):
+        # an exact fit, a pin, an infeasible fit and a conflict load no scipy
         code = (
             "import sys\n"
+            "import graphqcka.cli\n"
             "from graphqcka import networks\n"
             "from graphqcka.noise import calibrate_to_targets\n"
-            "res = calibrate_to_targets(\n"
-            "    {'nqkd': networks.ghz_plan(), 'bell1': networks.bell_bridge_plan()},\n"
-            "    {'nqkd': (0.03, 0.05), 'bell1': (0.05, 0.05)}, noisy_vertices=(0,),\n"
-            "    channels=('depolarizing', 'dephasing'))\n"
-            "assert res.converged\n"
-            "assert 'scipy.optimize' not in sys.modules, 'loaded by the calibration'\n")
+            "ghz, bridge = networks.ghz_plan(), networks.bell_bridge_plan()\n"
+            "exact = calibrate_to_targets(\n"
+            "    {'nqkd': ghz, 'bell1': bridge}, {'nqkd': (0.03, 0.05), 'bell1': (0.05, 0.05)},\n"
+            "    noisy_vertices=(0,), channels=('depolarizing', 'dephasing'))\n"
+            "pinned = calibrate_to_targets({'bell': bridge}, {'bell': (0.5, 0.0)})\n"
+            "infeasible = calibrate_to_targets({'bell': bridge}, {'bell': (0.6, 0.0)})\n"
+            "assert exact.converged and pinned.converged and not infeasible.converged\n"
+            "try:\n"
+            "    calibrate_to_targets({'nqkd': ghz, 'bell1': bridge},\n"
+            "                         {'nqkd': (0.03, 0.03), 'bell1': (0.10, 0.10)})\n"
+            "except ValueError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('conflicting targets were fitted')\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n")
         proc = run_fresh_python(code)
         assert proc.returncode == 0, proc.stderr
 
-    def test_refines_with_least_squares_when_the_exact_solve_misses(self, monkeypatch):
+    def test_pins_a_channel_at_its_bound_for_a_target_of_one_half(self):
         # a pair error of 1/2 on a correlator the plan has needs a factor of
-        # 0, which no finite log-space parameter gives: bit flip 1/2 on vertex 4
-        calls = spy_least_squares(monkeypatch)
+        # 0, which only u = inf gives: bit flip exactly 1/2 on vertex 4
         res = calibrate_to_targets({"bell": networks.bell_bridge_plan()},
                                    {"bell": (0.5, 0.0)}, noisy_vertices=(4,),
                                    channels=("bit_flip",))
-        assert calls == [1]
-        assert res.converged and res.residual < 1e-6
-        assert res.model.bit_flip[4] == pytest.approx(0.5, abs=1e-6)
+        assert res.converged and res.residual < 1e-12
+        assert res.model.bit_flip[4] == 0.5
+
+    def test_pin_takes_the_first_parameter_of_its_row(self):
+        # the bridge pair's Q_X correlator XYXXXY holds both vertices, its
+        # type-1 correlator neither; parameter order is noisy_vertices order
+        for first, second in ((3, 2), (2, 3)):
+            res = calibrate_to_targets({"bell": networks.bell_bridge_plan()},
+                                       {"bell": (0.0, 0.5)}, noisy_vertices=(first, second),
+                                       channels=("depolarizing",))
+            assert res.converged and res.residual < 1e-12
+            assert res.model.depolarizing == {first: 1.0, second: 0.0}
+
+    def test_smallest_pin_set_serves_every_alice(self):
+        # bit flip on vertex 4 or on vertex 0 alone zeroes a ZZ pair of each
+        # of the four GHZ Alices and leaves the Q_X correlator XYXXXY as is
+        plan = networks.ghz_plan()
+        for first, second in ((4, 0), (0, 4)):
+            res = calibrate_to_targets({"nqkd": plan}, {"nqkd": (0.5, 0.0)},
+                                       noisy_vertices=(first, second),
+                                       channels=("bit_flip",))
+            assert res.converged and res.residual < 1e-12
+            assert res.model.bit_flip == {first: 0.5, second: 0.0}
+
+    def test_pinned_q_x_beside_a_fitted_qber(self):
+        plan = networks.bell_bridge_plan()
+        res = calibrate_to_targets({"bell": plan}, {"bell": (0.05, 0.5)})
+        assert res.converged and res.residual < 1e-12
+        est = analytic_estimates(plan, res.model)
+        assert est.qx == 0.5 and est.qber == pytest.approx(0.05, abs=1e-12)
+        # the pinned parameter sits at its bound 1/c
+        bounds = {"depolarizing": 1.0, "dephasing": 0.5, "bit_flip": 0.5}
+        assert any(value == bounds[channel] for channel in CHANNELS
+                   for value in getattr(res.model, channel).values())
+
+    def test_infeasible_targets_do_not_converge(self):
+        plans = {"bell": networks.bell_bridge_plan()}
+        res = calibrate_to_targets(plans, {"bell": (0.6, 0.0)})
+        assert not res.converged and res.residual > 0
+        assert calibrate_to_targets(plans, {"bell": (0.6, 0.0)}) == res
 
     def test_unconstrained_parameters_are_zero_and_deterministic(self):
         plans = {"nqkd": networks.ghz_plan(), "bell1": networks.bell_bridge_plan()}
@@ -530,38 +571,28 @@ class TestCalibration:
                     unconstrained += 1
         assert unconstrained > 0
 
-    def test_random_truths_are_recovered(self, monkeypatch):
+    def test_random_truths_are_recovered(self):
         """A fit of all 18 parameters to the GHZ and bridge-pair (QBER, Q_X)
         of each hidden model meets them through the dense oracle."""
         plans = {"nqkd": networks.ghz_plan(), "bell": networks.bell_bridge_plan()}
         vec = to_dense(networks.six_vertex_network_state())
-        calls = spy_least_squares(monkeypatch)
-        exact_met = least_squares_met = 0
         for seed, truth in enumerate(hidden_truths(sparse=False)):
             targets = target_pairs(plans, truth)
-            refined = len(calls)
             res = calibrate_to_targets(plans, targets)
             assert res.converged and res.residual < 1e-6, seed
-            exact_met += len(calls) == refined
             rho = apply_noise(vec, range(6), res.model).matrix
             for name, (tq, tx) in targets.items():
                 est = analytic_estimates(plans[name], rho)
                 assert est.qber == pytest.approx(tq, abs=1e-6), seed
                 assert est.qx == pytest.approx(tx, abs=1e-6), seed
-            # least_squares alone, from every parameter at 0.01
-            with monkeypatch.context() as m:
-                m.setattr(noise, "_log_system", lambda *args: None)
-                least_squares_met += calibrate_to_targets(plans, targets).converged
-        assert exact_met >= least_squares_met
 
-    def test_exact_solve_meets_sparse_truths(self, monkeypatch):
+    def test_exact_solve_meets_sparse_truths(self):
         """Models with few channels leave some Alices' worst pairs short of
         the target, which the exact solve must pin as well."""
         plans = {"nqkd": networks.ghz_plan(), "bell": networks.bell_bridge_plan()}
-        calls = spy_least_squares(monkeypatch)
         for seed, truth in enumerate(hidden_truths(sparse=True)):
             res = calibrate_to_targets(plans, target_pairs(plans, truth))
-            assert res.converged and res.residual < 1e-12 and not calls, seed
+            assert res.converged and res.residual < 1e-12, seed
 
     def test_rejects_noisy_vertex_outside_network(self):
         with pytest.raises(ValueError, match=r"noise on vertices \[9\]"):
