@@ -96,21 +96,16 @@ def build_report(ghz_plan: ExtractionPlan | None,
     return report
 
 
-def _report_rows(ghz_plan, bell_plans,
-                 rows: Mapping[str, CountRows]) -> dict[str, np.ndarray]:
-    """The report's scalars on every row of counts, NaN where undefined.
-
-    Row by row these are build_report's values: qber, qx and akr_n need
-    both nqkd batches nonempty, akr_2 every Bell batch, and the ratio both
-    rates with akr_2 positive.
-    """
-    return _evaluate(ghz_plan, bell_plans, rows)[0]
-
-
 def _evaluate(ghz_plan, bell_plans, rows: Mapping[str, CountRows],
               ) -> tuple[dict[str, np.ndarray], np.ndarray | None, dict[str, np.ndarray]]:
-    """_report_rows, with the Alice choice on every row (None without
-    ghz_plan) and each link's rate rows, keyed as in pairwise_rates."""
+    """The report's scalars on every row of counts, NaN where undefined,
+    the Alice choice on every row (None without ghz_plan), and each link's
+    rate rows, keyed as in pairwise_rates.
+
+    Row by row the scalars are build_report's values: qber, qx and akr_n
+    need both nqkd batches nonempty, akr_2 every Bell batch, and the ratio
+    both rates with akr_2 positive.
+    """
     out, alice, link_rates = {}, None, {}
     if ghz_plan is not None:
         (qber, alice), qx = qber_rows(rows["nqkd/type-1"]), qx_rows(rows["nqkd/type-2"])

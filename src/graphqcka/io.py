@@ -179,9 +179,9 @@ class RunConfig:
             (len(self.sweep_powers) == 3
              and all(_is_real(v) for v in self.sweep_powers)
              and 0 <= self.sweep_powers[0] <= self.sweep_powers[1]
-             and _is_int(self.sweep_powers[2]) and self.sweep_powers[2] >= 3,
+             and _is_int(self.sweep_powers[2]) and 3 <= self.sweep_powers[2] <= 10**5,
              "sweep_powers must be [low_mw, high_mw, points] with "
-             "0 <= low_mw <= high_mw and at least 3 integer points, "
+             "0 <= low_mw <= high_mw and 3 to 100000 integer points, "
              f"got {list(self.sweep_powers)}"),
             (isinstance(self.graph, str) and isinstance(self.out, str),
              "graph and out must be path strings"),
@@ -191,8 +191,9 @@ class RunConfig:
              f"type2_fraction must be in (0, 1), got {self.type2_fraction!r}"),
             (self.seed is None or (_is_int(self.seed) and self.seed >= 0),
              f"seed must be a nonnegative integer, got {self.seed!r}"),
-            (_is_int(self.mc_samples) and self.mc_samples >= 0,
-             f"mc_samples must be a nonnegative integer, got {self.mc_samples!r}"),
+            # the report's count matrix holds mc_samples + 1 rows
+            (_is_int(self.mc_samples) and 0 <= self.mc_samples <= 10**5,
+             f"mc_samples must be an integer in [0, 100000], got {self.mc_samples!r}"),
         )
         for ok, message in checks:
             if not ok:

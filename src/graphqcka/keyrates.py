@@ -28,8 +28,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .graphstate import GraphState, stabilizer_expectation
-from .routing import (ExtractionPlan, RoundSetting, byproduct_correction,
-                      compile_round_settings)
+from .routing import (ExtractionPlan, RoundSetting, compile_round_settings,
+                      parity_strings)
 
 
 @dataclass(frozen=True)
@@ -439,13 +439,13 @@ class PlanRound:
     once per plan instance (plan_round), with read-only arrays.
 
     On any network state the parity of a participant subset A of the
-    corrected bits is sign * <S>: S is the participants' letters on A, plus
-    the letters of the nonparticipants whose byproduct term flips an odd
-    number of A's bits, and the sign negates the bits of A that the sign
-    convention flips.  Row a is the subset with mask a, participant i at bit
-    N-1-i, so that subset and outcome indices read as keys[a].  Per string
-    the explicit-state read keeps its X/Y and Y/Z masks (vertex i at bit
-    n-1-i), the parity of #Y, and the sign times the real factor +-1 of i^#Y.
+    corrected bits is sign * <S>: S takes the letters of the XOR of A's
+    rows of routing.parity_strings, and the sign negates the bits of A that
+    the sign convention flips.  Row a is the subset with mask a, participant
+    i at bit N-1-i, so that subset and outcome indices read as keys[a].  Per
+    string the explicit-state read keeps its X/Y and Y/Z masks (vertex i at
+    bit n-1-i), the parity of #Y, and the sign times the real factor +-1 of
+    i^#Y.
     """
 
     setting: RoundSetting
@@ -461,17 +461,10 @@ class PlanRound:
         setting = compile_round_settings(plan, round_type)
         parts, verts = plan.targets, plan.graph.vertices
         n_parts = len(parts)
-        # in_subset[i, k] = 1 when vertex k's letter enters the string of
-        # participant i's singleton subset; the other strings are XORs of these
-        in_subset = np.array([[int(u == v) for v in verts] for u in parts])
-        for v in plan.nonparticipants:
-            flip = byproduct_correction(
-                plan, {w: int(w == v) for w in plan.nonparticipants}, round_type)
-            in_subset[:, verts.index(v)] = [flip[u] for u in parts]
         subset_bits = (np.arange(1 << n_parts)[:, None] >> np.arange(n_parts - 1, -1, -1)) & 1
         letters = np.array(["IXYZ".index(setting.per_vertex_basis[v]) for v in verts])
         negated = np.array([int(setting.sign_convention[u] < 0) for u in parts])
-        codes = ((subset_bits @ in_subset) & 1) * letters
+        codes = ((subset_bits @ parity_strings(plan, round_type)) & 1) * letters
         signs = 1.0 - 2.0 * ((subset_bits @ negated) & 1)
         state = GraphState(plan.graph, dict(plan.preparation_frame))
         ideal = np.array([

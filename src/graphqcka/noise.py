@@ -335,17 +335,20 @@ def poisson_count_rows(batches: Mapping[str, RoundBatch], n_samples: int,
 
     One integer matrix, row 0 the observed counts and rows 1..n_samples the
     draws of poisson_mc_many, split by columns into a keyrates.CountRows per
-    batch over its sorted outcomes.  With n_samples = 0 it is the observed
-    row alone, drawn from no rng, and the counts need not be integers.
+    batch over its sorted outcomes.  Row 0 holds the counts as given, and
+    only the Poisson means pass through float64.  With n_samples = 0 it is
+    the observed row alone, drawn from no rng, and the counts need not be
+    integers.
     """
     layout = [(name, sorted(batches[name].counts)) for name in sorted(batches)]
     observed = np.array([batches[name].counts[k] for name, outcomes in layout
                          for k in outcomes])
     if n_samples:
         lam = observed.astype(float)
-        observed = lam.astype(np.int64)
-        if not np.array_equal(observed, lam):
-            raise ValueError("Poisson resampling needs integer counts")
+        if observed.dtype.kind != "i":
+            observed = lam.astype(np.int64)
+            if not np.array_equal(observed, lam):
+                raise ValueError("Poisson resampling needs integer counts")
         draws = np.random.default_rng(seed).poisson(lam, size=(n_samples, lam.size))
         matrix = np.vstack([observed, draws])
     else:

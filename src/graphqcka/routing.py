@@ -13,9 +13,9 @@ the graph still measures the same state in one of the same 3^k physical
 bases (Bouchet's vertex-minor lemma, as used by Dahlberg, Helsen and
 Wehner, arXiv:1805.05306).  Turning a graph state into a specific GHZ state
 or set of Bell pairs by local operations is NP-complete in general
-(arXiv:1907.08019), so the exhaustive search stays behind small caps: at
-most DENSE_CAP vertices, so every plan it returns is checked against the
-dense oracle, and at most NONPARTICIPANT_CAP nonparticipants.
+(arXiv:1907.08019), so the search stays behind NONPARTICIPANT_CAP
+nonparticipants.  Each plan is checked exactly, at every size, by one Pauli
+string per stabilizer generator of its target (verify_plan).
 
 The pairwise (2QKD) side needs Bell pairs that together link all users,
 cast from as few network copies as the greedy cover finds.  The cover makes
@@ -38,7 +38,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graphstate import (
-    DENSE_CAP,
     Graph,
     GraphState,
     SizeCapError,
@@ -46,6 +45,7 @@ from .graphstate import (
     local_complement,
     measure_vertex,
     project_dense,
+    stabilizer_expectation,
     to_dense,
 )
 from .pauli import (
@@ -77,7 +77,7 @@ class RoundSetting:
 
 @dataclass(frozen=True)
 class ExtractionPlan:
-    """A verified recipe turning the network graph state into a target resource.
+    """A recipe, checked by verify_plan, turning the network state into a resource.
 
     nonparticipant_bases holds the compiled physical letters; the logical
     (graph-rule) bases chosen by the plan are kept alongside.  Searched plans
@@ -156,7 +156,7 @@ def _star_reduction(residual: Graph) -> tuple[tuple[int, ...], int] | None:
     degrees = [mask.bit_count() for mask in residual.adj]
     if sorted(degrees) == [1] * (n - 1) + [n - 1]:
         return (), verts[degrees.index(n - 1)]
-    if degrees == [n - 1] * n:
+    if n >= 3 and degrees == [n - 1] * n:
         return (verts[0],), verts[0]
     return None
 
@@ -208,7 +208,7 @@ def _logical_target_vector(plan_kind: str, targets: tuple[int, ...],
 
 def realize_plan(graph: Graph, kind: str, participants: Iterable[int],
                  lc_sequence: Sequence[int], logical_bases: Mapping[int, str],
-                 pairs: Sequence[tuple[int, int]] = (), verify: bool = True,
+                 pairs: Sequence[tuple[int, int]] = (),
                  preparation_frame: Mapping[int, LocalClifford] | None = None,
                  ) -> ExtractionPlan | None:
     """Build the full plan (frames, byproduct terms) for a candidate recipe.
@@ -217,7 +217,7 @@ def realize_plan(graph: Graph, kind: str, participants: Iterable[int],
     physical letters are derived from the frames.  The search passes an
     empty lc_sequence; a nonempty one gives an explicit route, measured after
     those virtual complementations.  Returns None when the recipe does not
-    produce the requested resource.
+    produce the requested resource, verify_plan included, at every size.
     """
     targets = tuple(sorted(participants))
     pairs = tuple(tuple(sorted(p)) for p in pairs)
@@ -238,8 +238,6 @@ def realize_plan(graph: Graph, kind: str, participants: Iterable[int],
         return None
 
     if kind == "ghz":
-        if len(residual.connected_components()) != 1:
-            return None
         red = _star_reduction(residual)
         if red is None:
             return None
@@ -291,9 +289,33 @@ def realize_plan(graph: Graph, kind: str, participants: Iterable[int],
         byproduct_terms=byproduct_terms,
         preparation_frame=prep,
     )
-    if verify and graph.n <= DENSE_CAP and not verify_plan_dense(plan):
-        return None
-    return plan
+    return plan if verify_plan(plan) else None
+
+
+def verify_plan(plan: ExtractionPlan) -> bool:
+    """Whether each outcome branch leaves the participants in the resource,
+    up to frames and byproducts: iff every stabilizer generator of it (Z Z
+    on consecutive targets and X on all for GHZ, Z Z and X X per Bell pair)
+    has corrected parity +1, the mean over branches, which is one Pauli
+    string on the network state (parity_strings; Anders and Briegel,
+    quant-ph/0504117).  No branch is walked."""
+    state = GraphState(plan.graph, dict(plan.preparation_frame))
+    verts, targets = plan.graph.vertices, plan.targets
+    if plan.kind == "ghz":
+        generators = {"type-1": list(zip(targets, targets[1:])), "type-2": [targets]}
+    else:
+        generators = dict.fromkeys(("type-1", "type-2"), plan.pairs)
+    for round_type, subsets in generators.items():
+        setting = compile_round_settings(plan, round_type)
+        strings = parity_strings(plan, round_type)
+        for subset in subsets:
+            in_string = strings[[targets.index(u) for u in subset]].sum(axis=0) % 2
+            letters = {v: setting.per_vertex_basis[v]
+                       for v, bit in zip(verts, in_string) if bit}
+            sign = np.prod([setting.sign_convention[u] for u in subset])
+            if sign * stabilizer_expectation(state, letters) != 1:
+                return False
+    return True
 
 
 def network_vector(plan: ExtractionPlan) -> np.ndarray:
@@ -305,7 +327,7 @@ def verify_plan_dense(plan: ExtractionPlan, tol: float = 1e-10) -> bool:
     """Dense-oracle check: every nonparticipant outcome branch of the plan
     leaves the participants in the ideal resource state up to the recorded
     frames and the product of the byproduct terms of the nonparticipants
-    that read 1.  Raises SizeCapError above DENSE_CAP vertices."""
+    that read 1.  The test oracle of verify_plan, capped at DENSE_CAP vertices."""
     graph = plan.graph
     network = network_vector(plan)
     nonparts = plan.nonparticipants
@@ -339,8 +361,6 @@ def _search_plans(g: Graph, kind: str, participants: frozenset[int],
                   pairs: tuple[tuple[int, int], ...] = (),
                   preparation_frame: Mapping[int, LocalClifford] | None = None):
     """First plan over the 3^k nonparticipant bases, fewest non-Z letters first."""
-    if g.n > DENSE_CAP:
-        raise SizeCapError(f"plan search capped at {DENSE_CAP} vertices, got {g.n}")
     nonparts = sorted(set(g.vertices) - participants)
     if len(nonparts) > NONPARTICIPANT_CAP:
         raise SizeCapError(
@@ -351,7 +371,7 @@ def _search_plans(g: Graph, kind: str, participants: frozenset[int],
     for bases in basis_assignments:
         plan = realize_plan(
             g, kind, participants, (), dict(zip(nonparts, bases)), pairs,
-            verify=True, preparation_frame=preparation_frame)
+            preparation_frame=preparation_frame)
         if plan is not None:
             return plan
     return None
@@ -442,24 +462,36 @@ def compile_round_settings(plan: ExtractionPlan, round_type: str) -> RoundSettin
     return RoundSetting(round_type, bases, signs)
 
 
+def parity_strings(plan: ExtractionPlan, round_type: str) -> np.ndarray:
+    """strings[i, k] = 1 when vertex k's compiled letter enters the parity
+    string of participant i's corrected bit: its own, and each
+    nonparticipant's whose byproduct term anticommutes with the logical
+    basis of i.  A participant subset's string is the XOR of its rows."""
+    logical = "Z" if round_type == "type-1" else "X"
+    verts = plan.graph.vertices
+    strings = np.array([[int(u == v) for v in verts] for u in plan.targets])
+    for v, terms in plan.byproduct_terms.items():
+        strings[:, verts.index(v)] = [not paulis_commute(terms[u], logical)
+                                      for u in plan.targets]
+    return strings
+
+
 def byproduct_correction(plan: ExtractionPlan, nonparticipant_outcomes: Mapping[int, int],
                          round_type: str = "type-1") -> dict[int, int]:
     """Outcome-bit flip mask for the participants, given nonparticipant bits.
 
     A Pauli byproduct flips a participant's bit exactly when it anticommutes
     with that participant's logical measurement basis, and the byproduct is
-    a product of terms, so the flip is the XOR of the terms' flips.
+    a product of terms, so the flip is the XOR of the terms' flips: of the
+    parity_strings columns of the nonparticipants that read 1.
     """
     missing = set(plan.nonparticipants) - set(nonparticipant_outcomes)
     if missing:
         raise ValueError(f"missing outcomes for nonparticipants {sorted(missing)}")
-    logical = "Z" if round_type == "type-1" else "X"
-    flips = dict.fromkeys(plan.targets, 0)
-    for v, terms in plan.byproduct_terms.items():
-        if nonparticipant_outcomes[v]:
-            for u, letter in terms.items():
-                flips[u] ^= not paulis_commute(letter, logical)
-    return flips
+    columns = [plan.graph.vertices.index(v) for v in plan.nonparticipants
+               if nonparticipant_outcomes[v]]
+    flips = parity_strings(plan, round_type)[:, columns].sum(axis=1) % 2
+    return dict(zip(plan.targets, flips.tolist()))
 
 
 def network_use_accounting(plans: Sequence[ExtractionPlan], protocol: str) -> int:

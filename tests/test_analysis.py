@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphqcka import networks
-from graphqcka.analysis import _report_rows, build_report, pairwise_rates
+from graphqcka.analysis import _evaluate, build_report, pairwise_rates
 from graphqcka.graphstate import Graph, to_dense
 from graphqcka.keyrates import (CountRows, RoundBatch, akr_n, error_estimates,
                                 outcome_distribution, pairwise_conference_rate, qber_rows,
@@ -266,7 +266,7 @@ class TestReportRows:
         n_rows = 3000
         rows = {f"{name}/{rt}": random_rows(rng, plan, rt, n_rows)
                 for name, plan in plans.items() for rt in ("type-1", "type-2")}
-        got = _report_rows(ghz, bells, rows)
+        got = _evaluate(ghz, bells, rows)[0]
         stats = scalar_statistics(ghz, bells)
         assert list(got) == list(stats)
         # the Alice choice is the only trace of the tie-break on count rows
@@ -318,7 +318,7 @@ class TestReportRows:
         rows = {f"{name}/{rt}": lacking_outcomes(rng, random_rows(rng, plan, rt, n_rows))
                 for name, plan in plans.items() for rt in ("type-1", "type-2")}
         assert all(len(c.outcomes) < 1 << len(c.participants) for c in rows.values())
-        got = _report_rows(ghz, bells, rows)
+        got = _evaluate(ghz, bells, rows)[0]
         want = scalar_rows(scalar_statistics(ghz, bells), rows, n_rows)
         assert list(got) == list(want)
         for name in want:
@@ -337,7 +337,7 @@ class TestReportRows:
             for rt, outcome in (("type-1", "0" * n), ("type-2", "1" + "0" * (n - 1))):
                 rows[f"{name}/{rt}"] = CountRows(plan.targets, (outcome,),
                                                  np.roll(counts, k, axis=0))
-        got = _report_rows(ghz, bells, rows)
+        got = _evaluate(ghz, bells, rows)[0]
         want = scalar_rows(scalar_statistics(ghz, bells), rows, len(counts))
         for name in want:
             assert np.array_equal(got[name], want[name], equal_nan=True), name

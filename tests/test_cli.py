@@ -1,11 +1,15 @@
 """File formats and end-to-end command-line flows."""
 
+import contextlib
 import hashlib
+import io
 import json
+import shutil
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from graphqcka import networks
+from graphqcka import graphstate, networks, routing
 from graphqcka.cli import (EXIT_CAP, EXIT_MISSING_SETTING, EXIT_NO_PLAN,
                            EXIT_PARSE, main)
 from graphqcka.io import (ParseError, RunConfig, parse_counts, parse_graph,
@@ -119,13 +123,15 @@ EXIT_CODE_TABLE = [
     (["simulate", "--config", "{graph_number_config}"], EXIT_PARSE),
     (["simulate", "--config", "{out_number_config}"], EXIT_PARSE),
     (["simulate", "--config", "{huge_rounds_config}"], EXIT_PARSE),
+    (["analyze", "--config", "{huge_mc_samples_config}"], EXIT_PARSE),
+    (["sweep", "--config", "{huge_sweep_config}"], EXIT_PARSE),
     (["extract", "--graph", "{disconnected}", "--alice", "1", "--bobs", "3"],
      EXIT_NO_PLAN),
     (["analyze", "--graph", "{graph}", *ROLES], EXIT_MISSING_SETTING),
     (["extract", "--graph", "{graph30}", *ROLES], EXIT_CAP),
-    # 13 vertices, 6 nonparticipants: over the search's vertex cap only
+    # 13 vertices, 7 nonparticipants: over the search's nonparticipant cap
     (["extract", "--graph", "{path13}", "--protocol", "nqkd", "--alice", "1",
-      "--bobs", "2,3,4,5,6,7"], EXIT_CAP),
+      "--bobs", "2,3,4,5,6"], EXIT_CAP),
     (["orbit", "--graph", "{path13}"], EXIT_CAP),
 ]
 
@@ -156,7 +162,9 @@ def cli_inputs(tmp_path, graph_file):
                          {"noise": {"pump_contamination_coefficient": -1}}),
                         ("graph_number_config", {"graph": 3, "seed": 1}),
                         ("out_number_config", {"out": 3, "seed": 1}),
-                        ("huge_rounds_config", {"rounds": 10**30, "seed": 1})):
+                        ("huge_rounds_config", {"rounds": 10**30, "seed": 1}),
+                        ("huge_mc_samples_config", {"mc_samples": 10**12, "seed": 1}),
+                        ("huge_sweep_config", {"sweep_powers": [5, 200, 10**12]})):
         texts[name] = json.dumps({"graph": str(graph_file), "alice": 1,
                                   "bobs": [2, 5, 6], "out": str(tmp_path / "out"),
                                   **extra})
@@ -364,3 +372,94 @@ class TestReadmeRun:
         assert digests == {
             "report.json": "a7cc8662d5564dfa4866c6c0699221172abd97bd6b0f3654be0bc110eb709b42",
             "sweep.csv": "84006dcc9222dd73f8091086456562fceabe6101f743620833e06761e9f23763"}
+
+    def test_extract_builds_no_dense_state(self, tmp_path, monkeypatch):
+        """extract on the README config checks every plan in GF(2): with the
+        dense oracles made to raise it writes the same plan files."""
+        def dense(*args, **kwargs):
+            raise AssertionError("dense oracle called")
+
+        monkeypatch.setattr(graphstate, "to_dense", dense)
+        monkeypatch.setattr(routing, "to_dense", dense)
+        monkeypatch.setattr(routing, "verify_plan_dense", dense)
+        monkeypatch.chdir(tmp_path)
+        write_readme_run(tmp_path)
+        assert main(["extract", "--config", "run.json"]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (tmp_path / "run").glob("plan_*.json")}
+        assert digests == {
+            "plan_nqkd_0.json": "7db84aa828610c7a97a5bc62b6a096304f97a28b3cd090d232ef09c314d84b60",
+            "plan_2qkd_0.json": "b3657d850ccfeceee2417015cbdbffae8d95c4614a8eec9a5d6506e9d89de578",
+            "plan_2qkd_1.json": "c8539e74242022769180febe8b9b258c56a1f5ec3568afe4a4857ef6d35a9b59"}
+
+
+@pytest.fixture(scope="module")
+def readme_artifacts(tmp_path_factory):
+    """The README run's graph, config, plans and counts files, made once."""
+    base = tmp_path_factory.mktemp("readme")
+    write_readme_run(base)
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.chdir(base)
+        for stage in ("extract", "simulate"):
+            assert main([stage, "--config", "run.json"]) == 0
+    return base
+
+
+# values that a fuzzed config key takes, well-formed ones among them
+FUZZ_VALUES = (None, True, -1, 0, 1, 3, 1.5, 10**5 + 1, 2**62, 10**12, 10**30,
+               float("inf"), "", "x", "nqkd", "2qkd", [], [1, 2], [5, 200, 3],
+               [5, float("inf"), 3], {}, {"3": 0.5}, {"white_noise": 2})
+FUZZ_LINES = ("", "x", "0", "1", "7", "24", "25", "1 1", "1 2", "1 7", "2 5",
+              "1 2 3", "-1 2", "99999999999999999999", "# comment",
+              "0000 -1", "0000 9223372036854775807", "0000 10000000000000000",
+              "0000 5 5", "00 5", "1111 5", "setting type-1 ZZZ",
+              "setting type-3 ZZXXZZ", "participants 1 2", "participants x")
+COUNTS_FILES = tuple(f"{tag}_{suffix}.counts" for tag in ("nqkd", "bell0", "bell1")
+                     for suffix in ("type1", "type2"))
+STAGES = ("extract", "simulate", "analyze", "sweep")
+CONFIG_KEYS = ("graph", "alice", "bobs", "protocol", "rounds", "type2_fraction", "seed",
+               "out", "mc_samples", "noise", "sweep_powers", "bogus")
+MUTATIONS = st.one_of(
+    st.tuples(st.just("config"), st.sampled_from(STAGES), st.sampled_from(CONFIG_KEYS),
+              st.sampled_from(FUZZ_VALUES)),
+    st.tuples(st.just("graph.txt"), st.just("extract"), st.integers(0, 6),
+              st.sampled_from(FUZZ_LINES)),
+    st.tuples(st.sampled_from(COUNTS_FILES).map("run/".__add__), st.just("analyze"),
+              st.integers(0, 8), st.sampled_from(FUZZ_LINES)))
+
+
+class TestMalformedInput:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutation=MUTATIONS)
+    @example(mutation=("run/nqkd_type1.counts", "analyze", 3, "0000 9223372036854775807"))
+    @example(mutation=("config", "simulate", "graph", 3))
+    @example(mutation=("config", "simulate", "rounds", 10**30))
+    @example(mutation=("config", "analyze", "mc_samples", 10**12))
+    @example(mutation=("config", "sweep", "sweep_powers", [5, 200, 10**12]))
+    def test_exits_with_a_documented_code_and_one_line(self, mutation, readme_artifacts,
+                                                       tmp_path_factory, monkeypatch):
+        """One change to the README run's config, graph or a counts file: the
+        stage exits with a documented code and, unless it succeeds, prints one
+        error line and no traceback."""
+        target, stage, where, value = mutation
+        work = tmp_path_factory.mktemp("fuzz")
+        shutil.copytree(readme_artifacts, work, dirs_exist_ok=True)
+        monkeypatch.chdir(work)
+        if target == "config":
+            config = json.loads((work / "run.json").read_text())
+            config[where] = value
+            (work / "run.json").write_text(json.dumps(config))
+        else:
+            lines = (work / target).read_text().splitlines()
+            lines[where:where + 1] = [value]
+            (work / target).write_text("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([stage, "--config", "run.json"])
+        assert code in (0, EXIT_PARSE, EXIT_NO_PLAN, EXIT_MISSING_SETTING, EXIT_CAP)
+        err = err.getvalue()
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, err

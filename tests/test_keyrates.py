@@ -379,8 +379,7 @@ class TestPauliEngine:
             bases = {v: rng.choice("XYZ") for v in set(g.vertices) - set(targets)}
             prep = rng.choice([None, networks.photonic_preparation_frame(g.vertices),
                                random_frame(g, rng)])
-            plan = realize_plan(g, "ghz", targets, lcs, bases, verify=False,
-                                preparation_frame=prep)
+            plan = realize_plan(g, "ghz", targets, lcs, bases, preparation_frame=prep)
             if plan is not None:
                 plans.append(plan)
         for plan in plans:

@@ -17,7 +17,8 @@ from graphqcka.io import RunConfig
 from graphqcka.keyrates import (RoundBatch, akr_n, analytic_estimates, correlator_tables,
                                 pairwise_error, table_estimates)
 from graphqcka.noise import (DensityOperator, NoiseModel, apply_noise,
-                             calibrate_to_targets, poisson_mc, pump_sweep)
+                             calibrate_to_targets, poisson_count_rows, poisson_mc,
+                             pump_sweep)
 from graphqcka.pauli import PAULI_MATRICES, from_name
 from graphqcka.graphstate import GraphState
 
@@ -417,6 +418,15 @@ class TestPoissonMc:
     def test_needs_samples(self):
         with pytest.raises(ValueError):
             poisson_mc({}, lambda b: 0.0, n_samples=0, seed=0)
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_observed_row_holds_the_counts_as_given(self, n_samples):
+        """Row 0 is the integer counts, also past float64's 2**53, so a
+        report's point values do not depend on mc_samples."""
+        counts = {"00": 2**53 + 1, "11": 2**62 - 2**53 - 2}
+        rows = poisson_count_rows({"b": RoundBatch(None, (0, 1), counts)}, n_samples, seed=0)
+        assert rows["b"].counts.shape == (1 + n_samples, 2)
+        assert rows["b"].counts[0].tolist() == [2**53 + 1, 2**62 - 2**53 - 2]
 
 
 class TestCalibration:

@@ -1,20 +1,24 @@
 """Extraction-plan search, compilation, and accounting tests."""
 
+import functools
 import itertools
 import random
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import all_graphs, random_frame, random_graph
 from graphqcka import networks, routing
 from graphqcka.graphstate import Graph, SizeCapError
+from graphqcka.pauli import ALL_CLIFFORDS, PAULI_MATRICES
 from graphqcka.routing import (byproduct_correction, circuit_success_probability,
                                compile_round_settings, find_bell_multicast_plan,
                                find_ghz_plan, find_pairwise_plan_set, lc_orbit,
                                network_use_accounting, plan_from_json, plan_to_json,
-                               realize_plan, verify_plan_dense)
+                               realize_plan, verify_plan, verify_plan_dense)
 
 NETWORK = networks.six_vertex_graph()
 PREP = networks.six_vertex_preparation_frame()
@@ -69,16 +73,18 @@ class TestGhzPlans:
         plan = find_ghz_plan(Graph.from_edges(2, [(0, 1)]), (0, 1))
         assert plan is not None and plan.nonparticipants == ()
         assert verify_plan_dense(plan)
+        # measuring every vertex leaves no GHZ state
+        assert realize_plan(plan.graph, "ghz", (), (), {0: "Z", 1: "Z"}) is None
 
     def test_eleven_vertex_plan_is_dense_verified(self):
         path11 = Graph.from_edges(11, [(v, v + 1) for v in range(10)])
         plan = find_ghz_plan(path11, (0, 2, 4, 6, 8, 10))
         assert plan is not None and verify_plan_dense(plan)
 
-    def test_search_capped_at_dense_cap(self):
+    def test_search_capped_at_nonparticipant_cap(self):
         path13 = Graph.from_edges(13, [(v, v + 1) for v in range(12)])
-        with pytest.raises(SizeCapError):
-            find_ghz_plan(path13, range(6, 13))
+        with pytest.raises(SizeCapError, match="nonparticipants, got 7"):
+            find_ghz_plan(path13, range(7, 13))
 
     def test_ring_graph_users(self):
         plan = find_ghz_plan(networks.ring_graph(), (0, 2, 3, 5))
@@ -311,7 +317,7 @@ class TestSearchCompleteness:
             nonparts = sorted(set(g.vertices) - set(targets))
             lcs = [rng.choice(g.vertices) for _ in range(rng.randint(0, 3))]
             bases = {v: rng.choice("XYZ") for v in nonparts}
-            plan = realize_plan(g, "ghz", targets, lcs, bases, verify=False,
+            plan = realize_plan(g, "ghz", targets, lcs, bases,
                                 preparation_frame=random_frame(g, rng))
             if plan is not None:
                 plans += 1
@@ -319,6 +325,266 @@ class TestSearchCompleteness:
         complete = [r for r in residuals if r.n >= 3 and all(
             len(r.neighbors(v)) == r.n - 1 for v in r.vertices)]
         assert plans >= 20 and complete
+
+
+def _corrupted(plan, rng):
+    """The plan with one participant frame, one byproduct term letter or
+    one nonparticipant basis changed, each kind that the plan has."""
+    u = rng.choice(plan.targets)
+    frame = rng.choice([c for c in ALL_CLIFFORDS if c != plan.participant_frame[u]])
+    out = [("frame", replace(plan, participant_frame={**plan.participant_frame, u: frame}))]
+    if plan.nonparticipants:
+        v = rng.choice(plan.nonparticipants)
+        terms = {w: dict(letters) for w, letters in plan.byproduct_terms.items()}
+        terms[v][u] = rng.choice([p for p in "IXYZ" if p != terms[v][u]])
+        out.append(("term", replace(plan, byproduct_terms=terms)))
+        v = rng.choice(plan.nonparticipants)
+        bases = dict(plan.nonparticipant_bases)
+        bases[v] = rng.choice([p for p in "XYZ" if p != bases[v]])
+        out.append(("basis", replace(plan, nonparticipant_bases=bases)))
+    return out
+
+
+def _random_candidate(rng):
+    """A random search or explicit route, GHZ or Bell, on up to 10 vertices."""
+    n = rng.randint(3, 10)
+    # a random tree plus sparse extra edges, so that large graphs have plans
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {p for p in itertools.combinations(range(n), 2) if rng.random() < 1.5 / n}
+    g = Graph.from_edges(n, edges)
+    prep = random_frame(g, rng)
+    verts = rng.sample(g.vertices, n)
+    if rng.random() < 0.5:
+        kind, targets, pairs = "ghz", verts[:rng.randint(max(2, n - 4), n)], ()
+    else:
+        users = verts[:2 * rng.randint(max(1, (n - 3) // 2), n // 2)]
+        kind, targets = "bell_multicast", users
+        pairs = [tuple(users[i:i + 2]) for i in range(0, len(users), 2)]
+    if rng.random() < 0.2 and n - len(targets) <= 3:
+        if kind == "ghz":
+            return find_ghz_plan(g, targets, preparation_frame=prep)
+        return find_bell_multicast_plan(g, pairs, preparation_frame=prep)
+    lcs = [rng.choice(g.vertices) for _ in range(rng.randint(0, 3))]
+    bases = {v: rng.choice("XYZ") for v in set(g.vertices) - set(targets)}
+    return realize_plan(g, kind, targets, lcs, bases, pairs, preparation_frame=prep)
+
+
+def _pauli_images(matrix):
+    """letter -> (letter', sign) with matrix P matrix^+ = sign P'."""
+    images = {"I": ("I", 1)}
+    for letter in "XYZ":
+        image = matrix @ PAULI_MATRICES[letter] @ matrix.conj().T
+        images[letter], = [(p, s) for p in "XYZ" for s in (1, -1)
+                           if np.allclose(image, s * PAULI_MATRICES[p])]
+    return images
+
+
+@functools.lru_cache(maxsize=None)
+def _correction_images(frame, terms):
+    """_pauli_images of the frame's matrix times the Pauli terms."""
+    matrix = frame.matrix
+    for letter in terms:
+        matrix = matrix @ PAULI_MATRICES[letter]
+    return _pauli_images(matrix)
+
+
+class Tableau:
+    """Aaronson-Gottesman stabilizer tableau (quant-ph/0406196).
+
+    Rows 0..n-1 are destabilizers and n..2n-1 stabilizers.  Row i is the
+    Pauli string (-1)^r[i] times the letters of the bitmasks x[i] and z[i]
+    over the qubits, both bits set meaning Y = iXZ; qubit q is vertex q.
+    Clifford gates act through the Pauli images of their matrices, so the
+    package's Clifford tables are not used.
+    """
+
+    BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+    def __init__(self, graph, frame):
+        n = self.n = graph.n
+        # destabilizers Z_v, stabilizers X_v Z_N(v)
+        self.x = [0] * n + [1 << v for v in range(n)]
+        self.z = [1 << v for v in range(n)] + list(graph.adj)
+        self.r = [0] * (2 * n)
+        for v, clifford in frame.items():
+            self.apply(v, clifford.matrix)
+
+    def copy(self):
+        out = object.__new__(Tableau)
+        out.n, out.x, out.z, out.r = self.n, list(self.x), list(self.z), list(self.r)
+        return out
+
+    def apply(self, q, matrix):
+        images = _pauli_images(matrix)
+        for i in range(2 * self.n):
+            bits = (self.x[i] >> q & 1, self.z[i] >> q & 1)
+            if bits != (0, 0):
+                letter = "IZXY"[2 * bits[0] + bits[1]]
+                image, sign = images[letter]
+                bx, bz = self.BITS[image]
+                self.x[i] = self.x[i] & ~(1 << q) | bx << q
+                self.z[i] = self.z[i] & ~(1 << q) | bz << q
+                self.r[i] ^= sign < 0
+
+    def string(self, letters):
+        x = z = 0
+        for q, letter in letters.items():
+            bx, bz = self.BITS[letter]
+            x, z = x | bx << q, z | bz << q
+        return x, z
+
+    @staticmethod
+    def product(x1, z1, r1, x2, z2, r2):
+        """The string 1 times string 2; with Y = iXZ the power of i is
+        2 r1 + 2 r2 + |x1 z1| + |x2 z2| + 2 |z1 x2| - |x3 z3|."""
+        x3, z3 = x1 ^ x2, z1 ^ z2
+        k = (2 * r1 + 2 * r2 + (x1 & z1).bit_count() + (x2 & z2).bit_count()
+             + 2 * (z1 & x2).bit_count() - (x3 & z3).bit_count())
+        return x3, z3, k % 4 // 2
+
+    def anticommutes(self, i, x, z):
+        return ((self.x[i] & z).bit_count() + (self.z[i] & x).bit_count()) % 2
+
+    def measure(self, letters, bit):
+        """Project onto the (-1)^bit eigenspace of the Pauli string; False
+        when that outcome has probability 0."""
+        x, z = self.string(letters)
+        n = self.n
+        stab = [i for i in range(n, 2 * n) if self.anticommutes(i, x, z)]
+        if not stab:
+            return self.expectation(letters) == (-1) ** bit
+        p = stab[0]
+        row = (self.x[p], self.z[p], self.r[p])
+        for i in range(2 * n):
+            if i != p and self.anticommutes(i, x, z):
+                self.x[i], self.z[i], self.r[i] = self.product(
+                    *row, self.x[i], self.z[i], self.r[i])
+        self.x[p - n], self.z[p - n], self.r[p - n] = row
+        self.x[p], self.z[p], self.r[p] = x, z, bit
+        return True
+
+    def expectation(self, letters):
+        """<P> of the Pauli string: 0, or +-1 when +-P is a stabilizer."""
+        x, z = self.string(letters)
+        n = self.n
+        if any(self.anticommutes(i, x, z) for i in range(n, 2 * n)):
+            return 0
+        acc = (0, 0, 0)
+        for i in range(n):
+            if self.anticommutes(i, x, z):
+                acc = self.product(self.x[n + i], self.z[n + i], self.r[n + i], *acc)
+        assert acc[:2] == (x, z)
+        return 1 - 2 * acc[2]
+
+
+def tableau_verdict(plan):
+    """Whether every nonparticipant branch of the plan, measured on a
+    stabilizer tableau of the network state, leaves each target stabilizer
+    generator at +1 once the branch's frames and byproducts are undone."""
+    if plan.kind == "ghz":
+        t = plan.targets
+        generators = [{a: "Z", b: "Z"} for a, b in zip(t, t[1:])] + [dict.fromkeys(t, "X")]
+    else:
+        generators = [dict.fromkeys(pair, letter) for pair in plan.pairs for letter in "ZX"]
+    network = Tableau(plan.graph, plan.preparation_frame)
+    reached = 0
+    for combo in itertools.product((0, 1), repeat=len(plan.nonparticipants)):
+        state = network.copy()
+        outcomes = dict(zip(plan.nonparticipants, combo))
+        if not all(state.measure({v: plan.nonparticipant_bases[v]}, bit)
+                   for v, bit in outcomes.items()):
+            continue
+        reached += 1
+        # the participants hold (x)_u e_u |target>, e_u = frame_u times the
+        # terms of the nonparticipants that read 1
+        images = {u: _correction_images(plan.participant_frame[u], tuple(
+            plan.byproduct_terms[v][u] for v, bit in outcomes.items() if bit))
+            for u in plan.targets}
+        for generator in generators:
+            letters, sign = {}, 1
+            for u, letter in generator.items():
+                letters[u], s = images[u][letter]
+                sign *= s
+            if sign * state.expectation(letters) != 1:
+                return False
+    assert reached
+    return True
+
+
+class TestVerifier:
+    def test_agrees_with_dense_oracle(self):
+        """verify_plan against verify_plan_dense on 500 plans of up to 10
+        vertices and one to three corrupted variants of each."""
+        rng = random.Random(18)
+        plans, verdicts = [], set()
+        while len(plans) < 500:
+            plan = _random_candidate(rng)
+            if plan is None:
+                continue
+            plans.append(plan)
+            assert verify_plan(plan) and verify_plan_dense(plan)
+            for change, variant in _corrupted(plan, rng):
+                verdict = verify_plan(variant)
+                assert verdict == verify_plan_dense(variant), (change, variant)
+                verdicts.add((change, verdict))
+        assert {p.kind for p in plans} == {"ghz", "bell_multicast"}
+        assert any(p.lc_sequence for p in plans) and max(p.graph.n for p in plans) >= 8
+        # a changed frame or term letter always changes the resource; a
+        # changed basis is harmless on a vertex that no parity string reads
+        assert verdicts == {("frame", False), ("term", False), ("basis", False),
+                            ("basis", True)}
+
+    LARGE = [
+        ("path13", Graph.from_edges(13, [(v, v + 1) for v in range(12)]),
+         "ghz", range(0, 13, 2)),
+        ("path14", Graph.from_edges(14, [(v, v + 1) for v in range(13)]),
+         "bell_multicast", ((0, 2), (4, 6), (8, 10), (12, 13))),
+        ("path20", Graph.from_edges(20, [(v, v + 1) for v in range(19)]),
+         "bell_multicast", [(3 * i, 3 * i + 1) for i in range(6)] + [(18, 19)]),
+        # path13 with eleven more targets on its last vertex
+        ("spider24", Graph.from_edges(24, [(v, v + 1) for v in range(12)]
+                                      + [(12, w) for w in range(13, 24)]),
+         "ghz", [v for v in range(24) if v % 2 == 0 or v > 12]),
+    ]
+
+    @pytest.mark.parametrize("graph, kind, users", [case[1:] for case in LARGE],
+                             ids=[case[0] for case in LARGE])
+    def test_large_plans_hold_on_a_tableau(self, graph, kind, users, monkeypatch):
+        """Plans found on 13-24 vertices, past the dense oracle, hold in every
+        nonparticipant branch of a stabilizer-tableau simulation; a corrupted
+        variant that verify_plan rejects fails there too."""
+        verified = []
+        check = routing.verify_plan
+
+        def recording(plan):
+            verified.append(plan.graph.n)
+            return check(plan)
+
+        monkeypatch.setattr(routing, "verify_plan", recording)
+        prep = networks.photonic_preparation_frame(graph.vertices)
+        plan = (find_ghz_plan(graph, users, prep) if kind == "ghz"
+                else find_bell_multicast_plan(graph, users, prep))
+        assert plan is not None and len(plan.nonparticipants) == 6
+        assert verified and set(verified) == {graph.n}
+        assert tableau_verdict(plan)
+        rejected = 0
+        for _, variant in _corrupted(plan, random.Random(graph.n)):
+            assert tableau_verdict(variant) == check(variant)
+            rejected += not check(variant)
+        assert rejected
+
+    def test_tableau_matches_dense_oracle(self):
+        """The tableau simulation itself, against verify_plan_dense on small
+        plans and their corrupted variants."""
+        rng = random.Random(19)
+        checked = 0
+        while checked < 40:
+            plan = _random_candidate(rng)
+            if plan is None:
+                continue
+            for variant in (plan, *(v for _, v in _corrupted(plan, rng))):
+                assert tableau_verdict(variant) == verify_plan_dense(variant)
+                checked += 1
 
 
 class TestCompilation:
