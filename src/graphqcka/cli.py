@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import build_report
-from .graphstate import SizeCapError
+from .graphstate import DENSE_CAP, SizeCapError
 from .io import (ParseError, RunConfig, parse_counts, parse_graph,
                  report_to_json, sha256_file, write_counts)
 from .keyrates import simulate_protocol
@@ -60,6 +60,8 @@ def _extract_plans(cfg: RunConfig):
     if outside:
         raise ParseError(f"participants {outside} are not vertices 1..{graph.n} "
                          f"of {cfg.graph}")
+    if len(parts) > DENSE_CAP:
+        raise SizeCapError(f"runs capped at {DENSE_CAP} users, got {len(parts)}")
     stray = sorted(v + 1 for v in cfg.noise_model().keyed_vertices()
                    if v not in graph.vertices)
     if stray:

@@ -178,9 +178,9 @@ class RunConfig:
                  if v is not None), "alice and bobs must be integer labels"),
             (len(self.sweep_powers) == 3
              and all(_is_real(v) for v in self.sweep_powers)
-             and 0 <= self.sweep_powers[0] <= self.sweep_powers[1]
+             and 0 <= self.sweep_powers[0] <= self.sweep_powers[1] < math.inf
              and _is_int(self.sweep_powers[2]) and 3 <= self.sweep_powers[2] <= 10**5,
-             "sweep_powers must be [low_mw, high_mw, points] with "
+             "sweep_powers must be [low_mw, high_mw, points] with finite "
              "0 <= low_mw <= high_mw and 3 to 100000 integer points, "
              f"got {list(self.sweep_powers)}"),
             (isinstance(self.graph, str) and isinstance(self.out, str),

@@ -129,9 +129,9 @@ class NoiseModel:
                     raise ValueError(f"{name}[{v}] = {val} outside [0, 1]")
         if not 0.0 <= self.white_noise <= 1.0:
             raise ValueError("white_noise must be in [0, 1]")
-        if not (self.pump_rate_coefficient >= 0.0
-                and self.pump_contamination_coefficient >= 0.0):
-            raise ValueError("pump coefficients must be nonnegative")
+        if not (0.0 <= self.pump_rate_coefficient < np.inf
+                and 0.0 <= self.pump_contamination_coefficient < np.inf):
+            raise ValueError("pump coefficients must be finite and nonnegative")
 
     def keyed_vertices(self) -> set[int]:
         """Vertices that a per-qubit channel names."""
@@ -335,10 +335,9 @@ def poisson_count_rows(batches: Mapping[str, RoundBatch], n_samples: int,
 
     One integer matrix, row 0 the observed counts and rows 1..n_samples the
     draws of poisson_mc_many, split by columns into a keyrates.CountRows per
-    batch over its sorted outcomes.  Row 0 holds the counts as given, and
-    only the Poisson means pass through float64.  With n_samples = 0 it is
-    the observed row alone, drawn from no rng, and the counts need not be
-    integers.
+    batch over its sorted outcomes.  Row 0 holds the counts as given; only
+    the Poisson means pass through float64.  With n_samples = 0 it is row 0
+    alone, drawn from no rng, and the counts need not be integers.
     """
     layout = [(name, sorted(batches[name].counts)) for name in sorted(batches)]
     observed = np.array([batches[name].counts[k] for name, outcomes in layout

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import shutil
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -133,6 +134,15 @@ EXIT_CODE_TABLE = [
     (["extract", "--graph", "{path13}", "--protocol", "nqkd", "--alice", "1",
       "--bobs", "2,3,4,5,6"], EXIT_CAP),
     (["orbit", "--graph", "{path13}"], EXIT_CAP),
+    # more than 12 users: the link-set scan and outcome tables are exponential
+    (["extract", "--graph", "{star24}", "--alice", "1",
+      "--bobs", ",".join(str(v) for v in range(2, 25))], EXIT_CAP),
+    (["simulate", "--graph", "{star13}", "--protocol", "nqkd", "--alice", "1",
+      "--bobs", ",".join(str(v) for v in range(2, 14)), "--seed", "1"], EXIT_CAP),
+    (["extract", "--graph", "{star13}", "--protocol", "nqkd", "--alice", "1",
+      "--bobs", ",".join(str(v) for v in range(2, 13))], 0),
+    (["sweep", "--config", "{infinite_sweep_config}"], EXIT_PARSE),
+    (["sweep", "--config", "{infinite_pump_config}"], EXIT_PARSE),
 ]
 
 
@@ -144,6 +154,8 @@ def cli_inputs(tmp_path, graph_file):
         "disconnected": "4\n1 2\n3 4\n",
         "graph30": "30\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 30)),
         "path13": "13\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 13)),
+        "star13": "13\n" + "".join(f"1 {v}\n" for v in range(2, 14)),
+        "star24": "24\n" + "".join(f"1 {v}\n" for v in range(2, 25)),
         "unknown_key_config": json.dumps({"graph": str(graph_file), "alice": 1,
                                           "bobs": [2, 5, 6], "bogus": 1}),
         "bad_json_config": "{\"graph\": ",
@@ -164,7 +176,10 @@ def cli_inputs(tmp_path, graph_file):
                         ("out_number_config", {"out": 3, "seed": 1}),
                         ("huge_rounds_config", {"rounds": 10**30, "seed": 1}),
                         ("huge_mc_samples_config", {"mc_samples": 10**12, "seed": 1}),
-                        ("huge_sweep_config", {"sweep_powers": [5, 200, 10**12]})):
+                        ("huge_sweep_config", {"sweep_powers": [5, 200, 10**12]}),
+                        ("infinite_sweep_config", {"sweep_powers": [5, float("inf"), 3]}),
+                        ("infinite_pump_config",
+                         {"noise": {"pump_contamination_coefficient": float("inf")}})):
         texts[name] = json.dumps({"graph": str(graph_file), "alice": 1,
                                   "bobs": [2, 5, 6], "out": str(tmp_path / "out"),
                                   **extra})
@@ -437,11 +452,16 @@ class TestMalformedInput:
     @example(mutation=("config", "simulate", "rounds", 10**30))
     @example(mutation=("config", "analyze", "mc_samples", 10**12))
     @example(mutation=("config", "sweep", "sweep_powers", [5, 200, 10**12]))
+    @example(mutation=("config", "sweep", "sweep_powers", [5, float("inf"), 3]))
+    @example(mutation=("config", "sweep", "noise",
+                       {"pump_contamination_coefficient": float("inf")}))
     def test_exits_with_a_documented_code_and_one_line(self, mutation, readme_artifacts,
                                                        tmp_path_factory, monkeypatch):
         """One change to the README run's config, graph or a counts file: the
         stage exits with a documented code and, unless it succeeds, prints one
-        error line and no traceback."""
+        error line and no traceback.  No stage may warn: pytest captures
+        warnings before they reach stderr, so they are recorded here, and a
+        numpy RuntimeWarning marks NaN or inf in what a stage wrote."""
         target, stage, where, value = mutation
         work = tmp_path_factory.mktemp("fuzz")
         shutil.copytree(readme_artifacts, work, dirs_exist_ok=True)
@@ -455,8 +475,11 @@ class TestMalformedInput:
             lines[where:where + 1] = [value]
             (work / target).write_text("\n".join(lines) + "\n")
         err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main([stage, "--config", "run.json"])
+        assert not caught, [str(w.message) for w in caught]
         assert code in (0, EXIT_PARSE, EXIT_NO_PLAN, EXIT_MISSING_SETTING, EXIT_CAP)
         err = err.getvalue()
         if code == 0:
