@@ -174,12 +174,17 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    graph, plans = _extract_plans(cfg)
+    # under "both" the sweep reads the GHZ plan alone, so only it is searched
+    graph, plans = _extract_plans(
+        replace(cfg, protocol="nqkd") if cfg.protocol == "both" else cfg)
     plan = plans.get("nqkd")
     if plan is None:
         plan = plans["2qkd"][0]
     model = cfg.noise_model()
-    result = pump_sweep(plan, model, np.linspace(*cfg.sweep_powers))
+    try:
+        result = pump_sweep(plan, model, np.linspace(*cfg.sweep_powers))
+    except ValueError as exc:
+        raise ParseError(f"sweep_powers: {exc}") from None
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["p_mW,akr,rate_hz,keyrate_hz"]

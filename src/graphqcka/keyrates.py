@@ -5,8 +5,11 @@ type-2 all-X parameter rounds) and the pairwise alternative where N-1 Bell
 keys are XOR-combined into a conference key, together with the error
 estimators and asymptotic rate formulas for both.
 
-Each estimator is written once, over rows of counts (CountRows); the
-scalar estimators on a RoundBatch are its one-row views.
+Each estimator and rate formula is written once, over rows: the
+estimators over rows of counts (CountRows), with the scalar estimators on
+a RoundBatch as their one-row views, and binary_entropy, akr_n, akr_2 and
+pairwise_conference_rate as one-element views of _entropy_rows,
+akr_n_rows and pairwise_conference_rate_rows.
 
 Exact states go through the plan's parity strings: the parity of each
 participant subset of the corrected bits is the expectation of one Pauli
@@ -111,41 +114,33 @@ class KeyRateReport:
 
 
 def binary_entropy(x: float) -> float:
-    """H(x) = -x log2 x - (1-x) log2 (1-x), with H(0) = H(1) = 0."""
+    """H(x) = -x log2 x - (1-x) log2 (1-x), with H(0) = H(1) = 0; raises
+    ValueError for x outside [0, 1] or NaN."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"binary entropy argument must be in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return _entropy_rows(np.asarray(x, dtype=float)).item()
 
 
 def akr_n(qber: float, qx: float) -> float:
-    """Asymptotic conference key rate of the multipartite protocol."""
+    """Asymptotic conference key rate of the multipartite protocol, akr_n_rows
+    on one element; raises ValueError for an input outside [0, 1] or NaN."""
     if not (0.0 <= qber <= 1.0 and 0.0 <= qx <= 1.0):
         raise ValueError("qber and qx must be in [0, 1]")
-    return 1.0 - binary_entropy(qber) - binary_entropy(qx)
+    return akr_n_rows(qber, qx).item()
 
 
 def akr_2(r_ab1: float, r_b2b3: float, r_ab2: float) -> float:
-    """Conference rate of the pairwise protocol over the two-copy schedule.
-
-    Any non-positive pairwise rate means no conference key can cross that
-    link; the result is then 0.
-    """
-    if min(r_ab1, r_b2b3, r_ab2) <= 0.0:
-        return 0.0
-    return 1.0 / (1.0 / r_ab2 + max(1.0 / r_ab1, 1.0 / r_b2b3))
+    """Conference rate of the pairwise protocol over the two-copy schedule:
+    pairwise_conference_rate of the plans [[r_ab1, r_b2b3], [r_ab2]]."""
+    return pairwise_conference_rate([[r_ab1, r_b2b3], [r_ab2]])
 
 
 def pairwise_conference_rate(plan_rates: Sequence[Sequence[float]]) -> float:
     """General form of the two-copy schedule: one copy per plan and round,
-    each plan limited by its slowest pairwise key."""
-    total = 0.0
-    for rates in plan_rates:
-        if not rates or min(rates) <= 0.0:
-            return 0.0
-        total += max(1.0 / r for r in rates)
-    return 1.0 / total
+    each plan limited by its slowest pairwise key; pairwise_conference_rate_rows
+    on one row."""
+    return pairwise_conference_rate_rows(
+        [[[r] for r in rates] for rates in plan_rates]).item()
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +286,10 @@ def error_estimates(type1: RoundBatch, type2: RoundBatch) -> ErrorEstimates:
 
 
 def _entropy_rows(x: np.ndarray) -> np.ndarray:
-    """binary_entropy per element in its operation order, NaN where x is;
-    0 and 1, whose logs are not taken, give exactly 0."""
+    """Binary entropy per element, NaN where x is; 0 and 1, whose logs are not
+    taken, give exactly 0.  The logs are math.log2 through map: np.log2
+    misses it by an ulp on some inputs, and the README digests pin the
+    report bytes that these logs give."""
     ends = (x == 0.0) | (x == 1.0)
     inner = np.where(ends, 0.5, x)
 
@@ -304,10 +301,8 @@ def _entropy_rows(x: np.ndarray) -> np.ndarray:
 
 
 def akr_n_rows(qber: np.ndarray, qx: np.ndarray) -> np.ndarray:
-    """akr_n per element, NaN where either input is.  It is the scalar
-    form's arithmetic on arrays with its logs taken by math.log2 through
-    map, because np.log2 misses math.log2 by an ulp on some inputs; so it
-    equals akr_n bit for bit."""
+    """1 - H(qber) - H(qx) per element, NaN where either input is; raises
+    ValueError for an input outside [0, 1]."""
     qber, qx = np.asarray(qber, dtype=float), np.asarray(qx, dtype=float)
     if ((qber < 0.0) | (qber > 1.0) | (qx < 0.0) | (qx > 1.0)).any():
         raise ValueError("qber and qx must be in [0, 1]")
@@ -315,11 +310,14 @@ def akr_n_rows(qber: np.ndarray, qx: np.ndarray) -> np.ndarray:
 
 
 def pairwise_conference_rate_rows(plan_rates: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
-    """pairwise_conference_rate per row, NaN where any rate is.
+    """1 / (sum over plans of the slowest key's 1 / rate) per row: 0 where a
+    plan has no pair or a rate is not positive, NaN where any rate is.
 
     plan_rates[p][k] holds the rates of plan p's pair k on every row; the
-    plans' slowest keys add up in plan order, as in the scalar form.
+    plans add up in plan order.  Raises ValueError for no plans.
     """
+    if not len(plan_rates):
+        raise ValueError("conference rate needs at least one plan")
     total, vanished, undefined = 0.0, False, False
     with np.errstate(divide="ignore"):
         for rates in plan_rates:
@@ -494,15 +492,10 @@ def correlator_tables(plan: ExtractionPlan) -> tuple[CorrelatorTable, Correlator
     return plan_round(plan, "type-1").table, plan_round(plan, "type-2").table
 
 
-def table_estimates(tables: Sequence[CorrelatorTable], model=None) -> ErrorEstimates:
-    """QBER / Q_X of a plan's (type-1, type-2) tables under a noise model."""
-    return _parity_estimates(tables[0].targets, *(t.parities(model) for t in tables))
-
-
 def table_estimate_rows(tables: Sequence[CorrelatorTable], model,
                         white_noise: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """QBER and Q_X of a plan's (type-1, type-2) tables, one per white-noise weight
-    that replaces the model's; each equals table_estimates under it bit for bit."""
+    that replaces the model's; each equals analytic_estimates under it bit for bit."""
     errors, qx = _parity_error_rows(
         tables[0].targets, *(t.parity_rows(model, white_noise) for t in tables))
     return _alice_min_max(errors)[0], qx
@@ -555,13 +548,6 @@ def _parity_error_rows(participants: Sequence[int], type1: np.ndarray,
                      0.0, 1.0)
     qx = np.clip((1.0 - type2[:, -1] / type2[:, 0]) / 2.0, 0.0, 1.0)
     return np.moveaxis(errors, 0, -1), qx
-
-
-def _parity_estimates(participants: Sequence[int], type1: np.ndarray,
-                      type2: np.ndarray) -> ErrorEstimates:
-    """_parity_error_rows on one state's parities, as ErrorEstimates."""
-    errors, qx = _parity_error_rows(participants, type1[None], type2[None])
-    return _estimates(participants, errors[..., 0], float(qx[0]))
 
 
 def outcome_distribution(plan: ExtractionPlan, round_type: str,
@@ -626,5 +612,6 @@ def analytic_estimates(plan: ExtractionPlan, state=None) -> ErrorEstimates:
     that casts several pairs it is 0.5 under any noise; use
     analysis.pairwise_rates for per-pair rates of such a plan.
     """
-    return _parity_estimates(plan.targets, *(_state_parities(plan_round(plan, rt), state)
-                                             for rt in ("type-1", "type-2")))
+    errors, qx = _parity_error_rows(plan.targets, *(
+        _state_parities(plan_round(plan, rt), state)[None] for rt in ("type-1", "type-2")))
+    return _estimates(plan.targets, errors[..., 0], float(qx[0]))

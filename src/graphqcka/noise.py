@@ -42,7 +42,7 @@ import numpy as np
 
 from .graphstate import SizeCapError
 from .keyrates import (CorrelatorTable, CountRows, RoundBatch, akr_n_rows,
-                       correlator_tables, table_estimate_rows, table_estimates)
+                       analytic_estimates, correlator_tables, table_estimate_rows)
 from .routing import ExtractionPlan
 
 DENSITY_CAP = 8
@@ -250,13 +250,16 @@ def pump_sweep(plan: ExtractionPlan, model: NoiseModel,
     each correlator's per-qubit factor product once, and each power only
     rescales the non-identity correlators by 1 - w(p), so no density matrix
     is built.  Raises ValueError if the model puts noise on a vertex the
-    plan's network lacks.
+    plan's network lacks, or if its raw rate or white-noise weight
+    overflows float64 at a power.
     """
     powers = np.asarray(list(powers), dtype=float)
     if powers.size < 3:
         raise ValueError("sweep needs at least three power samples")
-    raw = model.raw_rate_at_power(powers)
-    wn = np.array([model.white_noise_at_power(p) for p in powers])
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw, wn = model.raw_rate_at_power(powers), model.white_noise_at_power(powers)
+    if not (np.isfinite(raw).all() and np.isfinite(wn).all()):
+        raise ValueError(f"the pump model overflows float64 at {powers.max():g} mW")
     akrs = akr_n_rows(*table_estimate_rows(correlator_tables(plan), model, wn))
     keyrates = raw * np.maximum(akrs, 0.0)
     best = int(np.argmax(keyrates))
@@ -458,7 +461,7 @@ def calibrate_to_targets(plans: Mapping[str, ExtractionPlan],
 
     def estimates(params: np.ndarray) -> np.ndarray:
         model = build(params)
-        ests = [table_estimates(tables[name], model) for name in names]
+        ests = [analytic_estimates(plans[name], model) for name in names]
         return np.array([value for est in ests for value in (est.qber, est.qx)])
 
     def residual(params: np.ndarray) -> float:

@@ -143,6 +143,12 @@ EXIT_CODE_TABLE = [
       "--bobs", ",".join(str(v) for v in range(2, 13))], 0),
     (["sweep", "--config", "{infinite_sweep_config}"], EXIT_PARSE),
     (["sweep", "--config", "{infinite_pump_config}"], EXIT_PARSE),
+    # the raw rate p**3 overflows float64
+    (["sweep", "--config", "{overflow_sweep_config}"], EXIT_PARSE),
+    # under "both" the sweep searches the GHZ plan alone: the 2QKD scan over
+    # 12 users on a star does not finish
+    (["sweep", "--graph", "{star13}", "--alice", "1",
+      "--bobs", ",".join(str(v) for v in range(2, 13))], 0),
 ]
 
 
@@ -178,6 +184,7 @@ def cli_inputs(tmp_path, graph_file):
                         ("huge_mc_samples_config", {"mc_samples": 10**12, "seed": 1}),
                         ("huge_sweep_config", {"sweep_powers": [5, 200, 10**12]}),
                         ("infinite_sweep_config", {"sweep_powers": [5, float("inf"), 3]}),
+                        ("overflow_sweep_config", {"sweep_powers": [0, 1e308, 3]}),
                         ("infinite_pump_config",
                          {"noise": {"pump_contamination_coefficient": float("inf")}})):
         texts[name] = json.dumps({"graph": str(graph_file), "alice": 1,
@@ -346,8 +353,9 @@ class TestCommands:
         if code == 0:
             assert err == ""
         else:
-            # one line, no traceback
+            # one line, no traceback, and no sweep written
             assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_sweep_outputs(self, tmp_path, graph_file):
         out = tmp_path / "sweep"
@@ -453,6 +461,7 @@ class TestMalformedInput:
     @example(mutation=("config", "analyze", "mc_samples", 10**12))
     @example(mutation=("config", "sweep", "sweep_powers", [5, 200, 10**12]))
     @example(mutation=("config", "sweep", "sweep_powers", [5, float("inf"), 3]))
+    @example(mutation=("config", "sweep", "sweep_powers", [0, 1e308, 3]))
     @example(mutation=("config", "sweep", "noise",
                        {"pump_contamination_coefficient": float("inf")}))
     def test_exits_with_a_documented_code_and_one_line(self, mutation, readme_artifacts,

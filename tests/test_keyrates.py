@@ -1,6 +1,7 @@
 """Key-rate estimators, protocol formulas, and round simulation tests."""
 
 import itertools
+import math
 import re
 from dataclasses import replace
 
@@ -13,7 +14,8 @@ from graphqcka.keyrates import (RoleAssignment, RoundBatch,
                                 akr_2, akr_n, akr_n_rows, analytic_estimates,
                                 binary_entropy, correlator_tables, error_estimates,
                                 estimate_qber, estimate_qx, outcome_distribution,
-                                pairwise_conference_rate, pairwise_error, plan_round,
+                                pairwise_conference_rate, pairwise_conference_rate_rows,
+                                pairwise_error, plan_round,
                                 qber_rows, qx_rows, simulate_protocol, xor_combine)
 from graphqcka.noise import NoiseModel, apply_noise, calibrate_to_targets, pump_sweep
 from graphqcka.pauli import HADAMARD, IDENTITY, compose, pauli_layer, pauli_product
@@ -57,6 +59,10 @@ class TestBinaryEntropy:
             binary_entropy(-0.1)
         with pytest.raises(ValueError):
             binary_entropy(1.1)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="must be in"):
+            binary_entropy(float("nan"))
 
 
 class TestErrorEstimators:
@@ -148,8 +154,9 @@ class TestRateFormulas:
             vals = [akr_n(q, qx) for q in grid]
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
         assert akr_n(0.07, 0.21) == pytest.approx(akr_n(0.21, 0.07))
-        with pytest.raises(ValueError):
-            akr_n(1.5, 0.0)
+        for qber, qx in ((1.5, 0.0), (0.0, -0.1), (math.nan, 0.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="must be in"):
+                akr_n(qber, qx)
 
     def test_akr_2_values(self):
         assert akr_2(1.0, 1.0, 1.0) == pytest.approx(0.5)
@@ -160,18 +167,35 @@ class TestRateFormulas:
         assert akr_2(1.0, 1.0, -0.2) == 0.0
 
     def test_akr_n_rows_is_the_scalar_form_on_every_fraction(self):
-        # every count ratio d/T with T <= 150; np.log2 misses math.log2 by an
-        # ulp on a few of them, so a vectorized entropy fails here
+        # every count ratio d/T with T <= 150, against the scalar arithmetic
+        # with math.log2; np.log2 misses math.log2 by an ulp on a few of
+        # them, so a vectorized entropy fails here
+        def entropy(x):
+            if x in (0.0, 1.0):
+                return 0.0
+            return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
         q = np.array(sorted({d / t for t in range(1, 151) for d in range(t + 1)}))
         qx = np.random.default_rng(2).permutation(q)
         qx[::97] = np.nan
-        want = [np.nan if np.isnan(x) else akr_n(a, x) for a, x in zip(q, qx)]
+        want = [np.nan if np.isnan(x) else 1.0 - entropy(a) - entropy(x)
+                for a, x in zip(q.tolist(), qx.tolist())]
         assert np.array_equal(akr_n_rows(q, qx), want, equal_nan=True)
 
     def test_pairwise_conference_rate_generalizes(self):
         assert pairwise_conference_rate([[1.0], [1.0]]) == pytest.approx(0.5)
         assert pairwise_conference_rate([[1.0, 1.0], [0.5]]) == pytest.approx(1 / 3)
         assert pairwise_conference_rate([[1.0], [0.0]]) == 0.0
+
+    def test_nan_link_rate_gives_nan(self):
+        assert math.isnan(pairwise_conference_rate([[1.0, math.nan]]))
+        assert math.isnan(akr_2(1.0, math.nan, 1.0))
+        rows = pairwise_conference_rate_rows([[np.array([1.0, math.nan, 0.0])], [[0.5] * 3]])
+        assert np.array_equal(rows, [1 / 3, np.nan, 0.0], equal_nan=True)
+
+    def test_empty_plan_list_raises(self):
+        for form in (pairwise_conference_rate, pairwise_conference_rate_rows):
+            with pytest.raises(ValueError, match="at least one plan"):
+                form([])
 
 
 class TestXorCombine:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,8 +15,7 @@ import graphqcka
 from graphqcka import cli, networks
 from graphqcka.graphstate import SizeCapError, build_graph_state, to_dense
 from graphqcka.io import RunConfig
-from graphqcka.keyrates import (RoundBatch, akr_n, analytic_estimates, correlator_tables,
-                                pairwise_error, table_estimates)
+from graphqcka.keyrates import RoundBatch, akr_n, analytic_estimates, pairwise_error
 from graphqcka.noise import (DensityOperator, NoiseModel, apply_noise,
                              calibrate_to_targets, poisson_count_rows, poisson_mc,
                              pump_sweep)
@@ -325,6 +325,18 @@ class TestPumpSweep:
         with pytest.raises(ValueError):
             pump_sweep(networks.ghz_plan(), NoiseModel(), [5.0, 10.0])
 
+    @pytest.mark.parametrize("model, high", [
+        (NoiseModel(), 1e308),
+        (NoiseModel(pump_rate_coefficient=1e300), 1e5),
+        (NoiseModel(pump_contamination_coefficient=1e300), 1e10)])
+    def test_rejects_overflow_without_warning(self, model, high):
+        """A raw rate or white-noise weight beyond float64 is an error, not an
+        inf or NaN row."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"overflows float64 at"):
+                pump_sweep(networks.ghz_plan(), model, [0.0, 1.0, high])
+
     def test_rejects_noise_on_missing_vertex(self):
         with pytest.raises(ValueError, match=r"noise on vertices \[9\]"):
             pump_sweep(networks.ghz_plan(), NoiseModel(dephasing={9: 0.1}),
@@ -344,9 +356,9 @@ class TestPumpSweep:
 
     @pytest.mark.parametrize("name", ["ghz", "multicast", "bridge", "readme"])
     def test_equals_one_evaluation_per_power(self, name, tmp_path, monkeypatch):
-        """akr and key_rates equal, bit for bit, a loop that evaluates the
-        tables once per power under the model with that power's white noise;
-        on the reference plans and on the README run's sweep."""
+        """akr and key_rates equal, bit for bit, a loop that evaluates
+        analytic_estimates once per power under the model with that power's
+        white noise; on the reference plans and on the README run's sweep."""
         if name == "readme":
             monkeypatch.chdir(tmp_path)
             write_readme_run(tmp_path)
@@ -360,11 +372,10 @@ class TestPumpSweep:
                                bit_flip={5: 0.03}, white_noise=0.5)
             powers = np.linspace(5.0, 200.0, 40)
         sweep = pump_sweep(plan, model, powers)
-        tables = correlator_tables(plan)
         akr = []
         for p in powers:
-            est = table_estimates(
-                tables, replace(model, white_noise=model.white_noise_at_power(p)))
+            est = analytic_estimates(
+                plan, replace(model, white_noise=model.white_noise_at_power(p)))
             akr.append(akr_n(est.qber, est.qx))
         assert np.array_equal(sweep.akr, akr)
         assert np.array_equal(sweep.key_rates,
