@@ -5,9 +5,10 @@ the plans are searched on the graph state with
 networks.photonic_preparation_frame (H on odd, Z on even 1-based
 vertices), and there is no option to change it.
 
-Exit codes: 0 success, 2 parse error, 3 no plan found, 4 a counts file
-missing, not matching its plan's basis string and participants, or holding
-no outcome rows, 5 size cap exceeded (1 for anything else).
+Exit codes: 0 success, 2 parse error (and sweep under protocol 2qkd, which
+has no AKR_2 sweep), 3 no plan found, 4 a counts file missing, not matching
+its plan's basis string and participants, or holding no outcome rows, 5
+size cap exceeded (1 for anything else).
 """
 
 from __future__ import annotations
@@ -174,12 +175,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    # under "both" the sweep reads the GHZ plan alone, so only it is searched
-    graph, plans = _extract_plans(
-        replace(cfg, protocol="nqkd") if cfg.protocol == "both" else cfg)
-    plan = plans.get("nqkd")
-    if plan is None:
-        plan = plans["2qkd"][0]
+    if cfg.protocol == "2qkd":
+        raise ParseError("sweep takes the GHZ plan (protocol nqkd or both); "
+                         "it has no AKR_2 sweep for 2qkd")
+    # the sweep reads the GHZ plan alone, so only it is searched
+    plan = _extract_plans(replace(cfg, protocol="nqkd"))[1]["nqkd"]
     model = cfg.noise_model()
     try:
         result = pump_sweep(plan, model, np.linspace(*cfg.sweep_powers))

@@ -136,7 +136,6 @@ class MeasurementRecord:
     vertex: int
     basis: str
     outcome: int
-    byproduct: Mapping[int, str]     # remaining vertex -> Pauli letter absorbed into its frame
     probability: float
 
 
@@ -260,9 +259,9 @@ def local_complement(gs: GraphState, v: int) -> GraphState:
 def measure_vertex(gs: GraphState, basis: str, v: int, outcome: int) -> tuple[GraphState, MeasurementRecord]:
     """Measure the physical qubit v in a Pauli basis, removing it from the graph.
 
-    Returns the post-measurement state of the requested outcome branch and a
-    record holding the graph-level byproduct Paulis that were merged into the
-    remaining frames.
+    Returns the state of the requested outcome branch and its record; the
+    two outcomes leave one graph.  Only the probability-0 outcome of an
+    X-type measurement of an isolated vertex raises ValueError.
     """
     if basis not in ("X", "Y", "Z"):
         raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
@@ -289,19 +288,17 @@ def measure_vertex(gs: GraphState, basis: str, v: int, outcome: int) -> tuple[Gr
                 graph = work.graph.delete_vertex(v)
                 frame = _canonical_frame(graph, {u: work.frame[u] for u in graph.vertices})
                 return (GraphState(graph, frame),
-                        MeasurementRecord(v, basis, outcome, {}, 1.0))
+                        MeasurementRecord(v, basis, outcome, 1.0))
             work = local_complement(work, min(nbrs))
 
     graph_bit = outcome ^ (sign == -1)
     graph = work.graph.delete_vertex(v)
     frame = {u: work.frame[u] for u in graph.vertices}
-    byproduct: dict[int, str] = {}
     if graph_bit:
         for n in work.graph.neighbors(v):
             frame[n] = compose(frame[n], PAULI_GATES["Z"])
-            byproduct[n] = "Z"
     return (GraphState(graph, _canonical_frame(graph, frame)),
-            MeasurementRecord(v, basis, outcome, byproduct, 0.5))
+            MeasurementRecord(v, basis, outcome, 0.5))
 
 
 def project_dense(vec: np.ndarray, vertices: tuple[int, ...],

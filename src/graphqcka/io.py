@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .graphstate import Graph
-from .keyrates import KeyRateReport, RoleAssignment, RoundBatch
+from .keyrates import KeyRateReport, RoundBatch
 from .noise import NoiseModel
 from .routing import RoundSetting
 from . import __version__
@@ -220,11 +220,10 @@ class RunConfig:
         """0-based sorted participant labels; the roles must be disjoint."""
         if self.alice is None or not self.bobs:
             raise ParseError("config must set alice and bobs")
-        try:
-            roles = RoleAssignment(self.alice - 1, tuple(b - 1 for b in self.bobs))
-        except ValueError as exc:
-            raise ParseError(f"invalid roles: {exc}") from None
-        return roles.participants
+        users = [self.alice - 1, *(b - 1 for b in self.bobs)]
+        if len(set(users)) != len(users):
+            raise ParseError("invalid roles: roles must be disjoint")
+        return tuple(sorted(users))
 
     def noise_model(self) -> NoiseModel:
         try:

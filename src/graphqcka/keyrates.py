@@ -35,26 +35,6 @@ from .routing import (ExtractionPlan, RoundSetting, compile_round_settings,
                       parity_strings)
 
 
-@dataclass(frozen=True)
-class RoleAssignment:
-    """Protocol roles over the network vertices."""
-
-    alice: int
-    bobs: tuple[int, ...]
-    nonparticipants: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        members = [self.alice, *self.bobs, *self.nonparticipants]
-        if len(set(members)) != len(members):
-            raise ValueError("roles must be disjoint")
-        if len(self.bobs) < 1:
-            raise ValueError("at least two participants required")
-
-    @property
-    def participants(self) -> tuple[int, ...]:
-        return tuple(sorted((self.alice, *self.bobs)))
-
-
 @dataclass
 class RoundBatch:
     """Counts over corrected participant outcome strings for one setting."""

@@ -24,11 +24,11 @@ factorization of the matrix shifted by the eigenvalue floor, real for a
 real matrix, and computes eigenvalues only when the factorization fails.
 
 The Poisson Monte Carlo draws every resample at once into an integer count
-matrix, observed counts in row 0 (poisson_count_rows), and hands it to the
-statistic once (poisson_mc_many); a statistic returns one value per row,
-NaN where it is undefined, and monte_carlo_results reads the results off
-those values.  poisson_mc adapts a Python statistic of RoundBatches to that
-by evaluating it row by row.
+matrix, observed counts in row 0 (poisson_count_rows); a statistic gives one
+value per row, NaN where it is undefined, and monte_carlo_results reads the
+results off those values.  analysis.build_report evaluates its row
+statistics on the matrix; poisson_mc evaluates one Python statistic of
+RoundBatches row by row.
 """
 
 from __future__ import annotations
@@ -286,50 +286,31 @@ def poisson_mc(batches: Mapping[str, RoundBatch],
                n_samples: int, seed: int) -> MonteCarloResult:
     """Uncertainty of one counts statistic under independent Poisson resampling.
 
-    The single-statistic form of poisson_mc_many, which documents the
-    resampling, the rejections and the errors raised.  statistic is a
-    Python function of RoundBatches, so it is evaluated row by row: on the
-    observed batches for row 0, and on a RoundBatch per batch built from
-    each resampled row.  It is undefined (NaN) where it raises ValueError or
-    ZeroDivisionError.
-    """
-    def row_by_row(rows: Mapping[str, CountRows]) -> dict[str, np.ndarray]:
-        values = []
-        for r in range(n_samples + 1):
-            resampled = batches if r == 0 else {
-                name: RoundBatch(batches[name].setting, c.participants,
-                                 dict(zip(c.outcomes, c.counts[r].tolist())))
-                for name, c in rows.items()}
-            try:
-                values.append(statistic(resampled))
-            except (ValueError, ZeroDivisionError):
-                values.append(math.nan)
-        return {"statistic": np.array(values, dtype=float)}
-    return poisson_mc_many(batches, row_by_row, n_samples, seed)["statistic"]
-
-
-def poisson_mc_many(batches: Mapping[str, RoundBatch],
-                    statistic: Callable[[Mapping[str, CountRows]], Mapping[str, np.ndarray]],
-                    n_samples: int, seed: int) -> dict[str, MonteCarloResult]:
-    """Uncertainties of several counts statistics from one Poisson resampling.
-
     Every count is replaced by a Poisson draw with its observed value as the
-    mean.  Fully deterministic in the seed: one rng.poisson call draws every
-    resample, each in sorted batch / sorted outcome order, which gives the
-    same draws as drawing one count at a time in that order.
-
-    The counts go to statistic once, as the rows of poisson_count_rows:
-    row 0 holds the observed counts and rows 1..n_samples the resamples.
-    statistic returns {name: float array of length 1 + n_samples} with NaN
-    where a statistic is undefined on a row (e.g. one with a batch resampled
-    to zero total); monte_carlo_results reads the results off those values.
-    Raises ValueError when a count is not an integer, when no statistic is
-    defined at the observed counts, or when one is defined on no resample.
+    mean, all drawn at once by poisson_count_rows, so the result is fully
+    deterministic in the seed.  statistic is a Python function of
+    RoundBatches, evaluated row by row: on the observed batches for row 0,
+    and on a RoundBatch per batch built from each resampled row.  It is
+    undefined (NaN) where it raises ValueError or ZeroDivisionError, and
+    monte_carlo_results reads the result off those values.  Raises
+    ValueError when a count is not an integer, when the statistic is
+    undefined at the observed counts, or when it is defined on no resample.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    values = statistic(poisson_count_rows(batches, n_samples, seed))
-    return monte_carlo_results(values, n_samples, seed)
+    rows = poisson_count_rows(batches, n_samples, seed)
+    values = []
+    for r in range(n_samples + 1):
+        resampled = batches if r == 0 else {
+            name: RoundBatch(batches[name].setting, c.participants,
+                             dict(zip(c.outcomes, c.counts[r].tolist())))
+            for name, c in rows.items()}
+        try:
+            values.append(statistic(resampled))
+        except (ValueError, ZeroDivisionError):
+            values.append(math.nan)
+    return monte_carlo_results({"statistic": np.array(values, dtype=float)},
+                               n_samples, seed)["statistic"]
 
 
 def poisson_count_rows(batches: Mapping[str, RoundBatch], n_samples: int,
@@ -337,7 +318,7 @@ def poisson_count_rows(batches: Mapping[str, RoundBatch], n_samples: int,
     """The observed counts and n_samples Poisson resamples of them, per batch.
 
     One integer matrix, row 0 the observed counts and rows 1..n_samples the
-    draws of poisson_mc_many, split by columns into a keyrates.CountRows per
+    Poisson draws, split by columns into a keyrates.CountRows per
     batch over its sorted outcomes.  Row 0 holds the counts as given; only
     the Poisson means pass through float64.  With n_samples = 0 it is row 0
     alone, drawn from no rng, and the counts need not be integers.
@@ -365,7 +346,7 @@ def poisson_count_rows(batches: Mapping[str, RoundBatch], n_samples: int,
 
 def monte_carlo_results(values: Mapping[str, np.ndarray], n_samples: int,
                         seed: int) -> dict[str, MonteCarloResult]:
-    """poisson_mc_many's results from each statistic's values on every row.
+    """Monte Carlo results from each statistic's values on every count row.
 
     The results are the names defined on row 0, which gives the point value;
     a name's NaN resamples are its n_rejected, and its mean and std are
@@ -528,6 +509,9 @@ def _log_systems(tables, names, targets, exponents):
     as lacking.  A target of 1/2 on a correlator the plan has gives rows of
     beta = +inf, so the pins are drawn from their parameters, smallest set
     first and in parameter order, at most one per Q_X row or Alice of them.
+    Pins only drop rows, so a target other than 1/2 whose Q_X row, or every
+    complete Alice of whose QBER, has a beta that is not finite leaves no
+    form, and no pin set is tried.
     """
     def form(pins: list[int]) -> tuple[list[_LogRows], list[list[_LogRows]]] | None:
         qx, qber = [], []
@@ -535,18 +519,18 @@ def _log_systems(tables, names, targets, exponents):
             (type1, type2), (tq, tx) = tables[name], targets[name]
             bits = [1 << k for k in range(len(type1.targets) - 1, -1, -1)]
             row = _log_rows(type2, exponents(type2), [sum(bits)], tx, pins)
+            if tx != 0.5 and (row is None or not np.isfinite(row[1]).all()):
+                return None
             if row is not None:
                 qx.append(row)
-            elif tx != 0.5:
-                return None
             e1 = exponents(type1)
             alices = [_log_rows(type1, e1, [a ^ b for b in bits if b != a], tq, pins)
                       for a in bits]
             complete = [rows for rows in alices if rows is not None]
+            if tq != 0.5 and not any(np.isfinite(beta).all() for _, beta in complete):
+                return None
             if complete:
                 qber.append(complete)
-            elif tq != 0.5:
-                return None
         return qx, qber
 
     free = form([])

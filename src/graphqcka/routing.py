@@ -19,10 +19,12 @@ string per stabilizer generator of its target (verify_plan).
 
 The pairwise (2QKD) side needs Bell pairs that together link all users,
 cast from as few network copies as the greedy cover finds.  The cover makes
-one ordered scan over link sets, largest first, and takes every disjoint
+one ordered scan over disjoint link sets, largest first, and takes every
 set that can be cast and that joins two components of the links taken so
 far.  Whether a set can be cast never changes, and a set inside the
-components stays inside them, so no set is searched twice.
+components stays inside them, so no set is searched twice.  A set of k
+pairs whose cut-rank, across one end of each pair, is below k cannot be
+cast (Oum, J. Combin. Theory B 95, 2005), so it is not searched.
 """
 
 from __future__ import annotations
@@ -162,27 +164,23 @@ def _star_reduction(residual: Graph) -> tuple[tuple[int, ...], int] | None:
 
 
 def _measure_branch(gs: GraphState, logical_bases: Mapping[int, str],
-                    outcomes: Mapping[int, int],
-                    ) -> tuple[GraphState, dict[int, str]] | None:
+                    outcomes: Mapping[int, int]) -> tuple[GraphState, dict[int, str]]:
     """Measure vertices in label order, each in its logical (graph-rule) basis.
 
     The physical basis is the logical one conjugated through the vertex frame
-    at measurement time; outcomes are physical bits.  Returns the remaining
-    state and the compiled physical letters, or None when a requested outcome
-    has probability zero and its counterpart also fails.
+    at measurement time; outcomes are physical bits.  Only an X-type
+    measurement of an isolated vertex has an outcome of probability 0, and
+    then its other outcome has probability 1 and is taken instead.  Returns
+    the remaining state and the compiled physical letters.
     """
     physical: dict[int, str] = {}
     for v in sorted(logical_bases):
         letter, _ = gs.frame[v].conjugate((logical_bases[v], 1))
         physical[v] = letter
-        want = outcomes[v]
         try:
-            gs, _ = measure_vertex(gs, letter, v, want)
+            gs, _ = measure_vertex(gs, letter, v, outcomes[v])
         except ValueError:
-            try:
-                gs, _ = measure_vertex(gs, letter, v, 1 - want)
-            except ValueError:
-                return None
+            gs, _ = measure_vertex(gs, letter, v, 1 - outcomes[v])
     return gs, physical
 
 
@@ -216,8 +214,14 @@ def realize_plan(graph: Graph, kind: str, participants: Iterable[int],
     logical_bases gives the graph-rule basis per nonparticipant; the compiled
     physical letters are derived from the frames.  The search passes an
     empty lc_sequence; a nonempty one gives an explicit route, measured after
-    those virtual complementations.  Returns None when the recipe does not
-    produce the requested resource, verify_plan included, at every size.
+    those virtual complementations.  Every branch leaves the all-zero
+    branch's residual graph, with frames a Pauli away: the two outcomes of a
+    measurement differ by Z on the measured vertex's neighbours, later
+    complementations and gauge fixes map Paulis to Paulis, and a Pauli does
+    not change the letter pulled back through a frame, which picks each
+    complementation.  Returns None when the residual graph is not the
+    resource's (its vertices, a star or the pairs), or when verify_plan
+    rejects the plan, at every size.
     """
     targets = tuple(sorted(participants))
     pairs = tuple(tuple(sorted(p)) for p in pairs)
@@ -229,10 +233,7 @@ def realize_plan(graph: Graph, kind: str, participants: Iterable[int],
     for v in lc_sequence:
         gs = local_complement(gs, v)
 
-    ref = _measure_branch(gs, logical_bases, {v: 0 for v in nonparts})
-    if ref is None:
-        return None
-    gs_ref, physical_bases = ref
+    gs_ref, physical_bases = _measure_branch(gs, logical_bases, dict.fromkeys(nonparts, 0))
     residual = gs_ref.graph
     if residual.vertices != targets:
         return None
@@ -268,17 +269,11 @@ def realize_plan(graph: Graph, kind: str, participants: Iterable[int],
     # at v, gives the term of v
     byproduct_terms: dict[int, dict[int, str]] = {}
     for v in nonparts:
-        branch = _measure_branch(gs, logical_bases, {w: int(w == v) for w in nonparts})
-        if branch is None:
-            return None
-        frames_b = participant_frames(branch[0])
-        terms: dict[int, str] = {}
-        for u in targets:
-            rep, letter = pauli_layer(compose(frame_ref[u].inverse(), frames_b[u]))
-            if rep != IDENTITY:
-                return None  # branches differ by more than a Pauli: not a valid plan
-            terms[u] = letter
-        byproduct_terms[v] = terms
+        branch, _ = _measure_branch(gs, logical_bases, {w: int(w == v) for w in nonparts})
+        frames_b = participant_frames(branch)
+        byproduct_terms[v] = {
+            u: pauli_layer(compose(frame_ref[u].inverse(), frames_b[u]))[1]
+            for u in targets}
 
     plan = ExtractionPlan(
         graph=graph, kind=kind, targets=targets, pairs=pairs,
@@ -408,10 +403,10 @@ def find_pairwise_plan_set(g: Graph, alice: int, bobs: Iterable[int],
                            ) -> list[ExtractionPlan] | None:
     """Bell multicast plans whose pairs link alice and every bob, or None.
 
-    One scan over the link sets, largest first, the star links (alice, bob)
-    before the bridges between bobs: each disjoint set that joins two
-    components of the links taken so far and has a plan is taken, one
-    network copy each, until the users are linked.
+    One scan over the disjoint link sets, largest first, the star links
+    (alice, bob) before the bridges between bobs: each set that joins two
+    components of the links taken so far, passes the cut-rank test and has
+    a plan is taken, one network copy each, until the users are linked.
     """
     bobs = sorted(bobs)
     users = [alice, *bobs]
@@ -423,10 +418,9 @@ def find_pairwise_plan_set(g: Graph, alice: int, bobs: Iterable[int],
     parent = {u: u for u in users}
     plans = []
     for size in range(len(users) // 2, 0, -1):
-        for combo in itertools.combinations(links, size):
-            flat = [v for pair in combo for v in pair]
-            if len(set(flat)) != len(flat) or all(
-                    _root(parent, a) == _root(parent, b) for a, b in combo):
+        for combo in _disjoint_link_sets(links, size):
+            if all(_root(parent, a) == _root(parent, b) for a, b in combo) or (
+                    _cut_rank(g, [a for a, _ in combo]) < size):
                 continue
             plan = find_bell_multicast_plan(g, combo, preparation_frame)
             if plan is not None:
@@ -434,6 +428,35 @@ def find_pairwise_plan_set(g: Graph, alice: int, bobs: Iterable[int],
                 if _join(parent, plan.pairs) == 1:
                     return plans
     return None
+
+
+def _disjoint_link_sets(links: Sequence[tuple[int, int]], size: int, start: int = 0,
+                        used: int = 0) -> Iterable[tuple[tuple[int, int], ...]]:
+    """The size-element sets of pairwise disjoint links, in the order of
+    itertools.combinations(links, size); used masks the vertices taken."""
+    if not size:
+        yield ()
+        return
+    for i in range(start, len(links) - size + 1):
+        a, b = links[i]
+        if not used >> a & 1 and not used >> b & 1:
+            for rest in _disjoint_link_sets(links, size - 1, i + 1, used | 1 << a | 1 << b):
+                yield (links[i], *rest)
+
+
+def _cut_rank(g: Graph, side: Sequence[int]) -> int:
+    """GF(2) rank of the adjacency between the vertices of side and the rest:
+    local complementation keeps it and deleting a vertex does not raise it,
+    and k Bell pairs split by the cut have cut-rank k."""
+    inside = sum(1 << v for v in side)
+    pivots: dict[int, int] = {}
+    for v in side:
+        row = g.adj[g.index(v)] & ~inside
+        while row and row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        if row:
+            pivots[row.bit_length()] = row
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,14 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(graph="g", protocol="teleport")
 
+    def test_roles_must_be_disjoint(self):
+        for alice, bobs in ((1, (1, 2)), (1, (2, 2)), (1, ()), (None, (2,))):
+            with pytest.raises(ParseError):
+                RunConfig(graph="g", alice=alice, bobs=bobs).participants()
+        with pytest.raises(ParseError, match="^invalid roles: roles must be disjoint$"):
+            RunConfig(graph="g", alice=3, bobs=(1, 3)).participants()
+        assert RunConfig(graph="g", alice=3, bobs=(6, 1)).participants() == (0, 2, 5)
+
 
 ROLES = ["--alice", "1", "--bobs", "2,5,6"]
 
@@ -145,10 +153,16 @@ EXIT_CODE_TABLE = [
     (["sweep", "--config", "{infinite_pump_config}"], EXIT_PARSE),
     # the raw rate p**3 overflows float64
     (["sweep", "--config", "{overflow_sweep_config}"], EXIT_PARSE),
-    # under "both" the sweep searches the GHZ plan alone: the 2QKD scan over
-    # 12 users on a star does not finish
+    # under "both" the sweep searches the GHZ plan alone: the 2QKD search
+    # for 12 users on a star exceeds the nonparticipant cap (next row)
     (["sweep", "--graph", "{star13}", "--alice", "1",
       "--bobs", ",".join(str(v) for v in range(2, 13))], 0),
+    # 12 users on a star: every set of two or more links has cut-rank 1, and
+    # a single link leaves 11 nonparticipants, over the search's cap
+    (["extract", "--graph", "{star13}", "--protocol", "both", "--alice", "1",
+      "--bobs", ",".join(str(v) for v in range(2, 13))], EXIT_CAP),
+    # the sweep has no AKR_2 form for the pairwise protocol
+    (["sweep", "--graph", "{graph}", "--protocol", "2qkd", *ROLES], EXIT_PARSE),
 ]
 
 

@@ -222,6 +222,28 @@ class TestMeasurement:
                     total += rec.probability
                 assert total == pytest.approx(1)
 
+    def test_at_most_one_outcome_is_unattainable(self, rng):
+        """Only an X-type measurement of an isolated vertex has an outcome of
+        probability 0, and then the other one has probability 1: no vertex
+        and basis make both outcomes raise."""
+        unattainable = 0
+        for _ in range(300):
+            g = random_graph(rng.randint(1, 7), rng)
+            gs = GraphState(g, random_frame(g, rng))
+            for v in g.vertices:
+                for basis in "XYZ":
+                    raised = []
+                    for outcome in (0, 1):
+                        try:
+                            _, rec = measure_vertex(gs, basis, v, outcome)
+                        except ValueError:
+                            raised.append(outcome)
+                    assert len(raised) <= 1
+                    if raised:
+                        assert not g.neighbors(v) and rec.probability == 1.0
+                        unattainable += 1
+        assert unattainable
+
     def test_deleted_vertex_absent(self):
         gs = build_graph_state(3, [(0, 1), (1, 2)])
         post, _ = measure_vertex(gs, "Z", 1, 0)

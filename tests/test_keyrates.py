@@ -10,7 +10,7 @@ import pytest
 
 from graphqcka import keyrates, networks, routing
 from graphqcka.graphstate import Graph, GraphState, local_complement
-from graphqcka.keyrates import (RoleAssignment, RoundBatch,
+from graphqcka.keyrates import (RoundBatch,
                                 akr_2, akr_n, akr_n_rows, analytic_estimates,
                                 binary_entropy, correlator_tables, error_estimates,
                                 estimate_qber, estimate_qx, outcome_distribution,
@@ -31,16 +31,6 @@ from oracles import marginal, rotated_outcome_distribution
 def batch(counts, participants=None):
     parts = participants or tuple(range(len(next(iter(counts)))))
     return RoundBatch(None, tuple(parts), dict(counts))
-
-
-class TestRoles:
-    def test_disjointness(self):
-        with pytest.raises(ValueError):
-            RoleAssignment(alice=0, bobs=(0, 1))
-        with pytest.raises(ValueError):
-            RoleAssignment(alice=0, bobs=())
-        ra = RoleAssignment(alice=2, bobs=(0, 5), nonparticipants=(3,))
-        assert ra.participants == (0, 2, 5)
 
 
 class TestBinaryEntropy:

@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 import graphqcka
-from graphqcka import cli, networks
-from graphqcka.graphstate import SizeCapError, build_graph_state, to_dense
+from graphqcka import cli, networks, noise
+from graphqcka.graphstate import Graph, SizeCapError, build_graph_state, to_dense
 from graphqcka.io import RunConfig
 from graphqcka.keyrates import RoundBatch, akr_n, analytic_estimates, pairwise_error
 from graphqcka.noise import (DensityOperator, NoiseModel, apply_noise,
                              calibrate_to_targets, poisson_count_rows, poisson_mc,
                              pump_sweep)
 from graphqcka.pauli import PAULI_MATRICES, from_name
+from graphqcka.routing import find_ghz_plan
 from graphqcka.graphstate import GraphState
 
 from conftest import random_model, write_readme_run
@@ -573,6 +574,25 @@ class TestCalibration:
         res = calibrate_to_targets(plans, {"bell": (0.6, 0.0)})
         assert not res.converged and res.residual > 0
         assert calibrate_to_targets(plans, {"bell": (0.6, 0.0)}) == res
+
+    def test_unreachable_target_gives_up_at_once(self, monkeypatch):
+        """A Q_X target above 1/2 has no finite row, and pins only drop rows,
+        so the solve forms no system and tries no pin set: one _log_rows
+        call, and the noiseless fit, on the eight-vertex GHZ plan."""
+        g = Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (2, 7)])
+        plan = find_ghz_plan(g, (0, 1, 2, 3, 4, 5))
+        calls = []
+        log_rows = noise._log_rows
+
+        def counting(*args):
+            calls.append(args)
+            return log_rows(*args)
+
+        monkeypatch.setattr(noise, "_log_rows", counting)
+        res = calibrate_to_targets({"p": plan}, {"p": (0.5, 0.9)})
+        assert len(calls) == 1
+        assert not res.converged and res.model == NoiseModel(
+            **{ch: dict.fromkeys(g.vertices, 0.0) for ch in CHANNELS})
 
     def test_unconstrained_parameters_are_zero_and_deterministic(self):
         plans = {"nqkd": networks.ghz_plan(), "bell1": networks.bell_bridge_plan()}

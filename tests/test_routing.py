@@ -12,8 +12,9 @@ import pytest
 
 from conftest import all_graphs, random_frame, random_graph
 from graphqcka import networks, routing
-from graphqcka.graphstate import Graph, SizeCapError
-from graphqcka.pauli import ALL_CLIFFORDS, PAULI_MATRICES
+from graphqcka.graphstate import Graph, GraphState, SizeCapError, local_complement
+from graphqcka.pauli import (ALL_CLIFFORDS, HADAMARD, IDENTITY, PAULI_MATRICES, compose,
+                             pauli_layer)
 from graphqcka.routing import (byproduct_correction, circuit_success_probability,
                                compile_round_settings, find_bell_multicast_plan,
                                find_ghz_plan, find_pairwise_plan_set, lc_orbit,
@@ -187,7 +188,9 @@ class TestPairwiseCover:
         assert [p.pairs for p in plans] == [((0, 1), (4, 5)), ((0, 4),)]
         assert plans == _restart_cover(NETWORK, 0, (1, 4, 5), PREP)
         assert network_use_accounting(plans, "2QKD") == 2
-        assert len(searched) == 4
+        # the size-2 sets ((0, 4), (1, 5)) and ((0, 5), (1, 4)) have
+        # cut-rank 1 across {0, 1}, so they are not searched
+        assert searched == [((0, 1), (4, 5)), ((0, 4),)]
 
     def test_matches_restart_loop_searching_each_set_once(self, searched):
         rng = random.Random(6)
@@ -204,6 +207,37 @@ class TestPairwiseCover:
             assert plans == _restart_cover(g, alice, bobs, prep)
             outcomes.add(None if plans is None else min(len(plans), 3))
         assert outcomes == {None, 1, 2, 3}
+
+    def test_cut_rank_prune_is_sound(self):
+        """A link set of k pairs whose cut-rank across one end of each pair
+        is below k has no plan.  Half the graphs hold the pairs as edges,
+        plus random edges at the nonparticipants, so that sets of three and
+        four pairs have plans too."""
+        rng = random.Random(8)
+        pruned, cast = 0, set()
+        for i in range(600):
+            n = rng.randint(2, 8)
+            users = rng.sample(range(n), 2 * rng.randint(max(1, (n - 3) // 2), n // 2))
+            pairs = [tuple(sorted(users[i:i + 2])) for i in range(0, len(users), 2)]
+            g = random_graph(n, rng)
+            if i % 2:
+                g = Graph.from_edges(n, set(pairs) | {
+                    e for e in itertools.combinations(range(n), 2)
+                    if not set(e) <= set(users) and rng.random() < 0.5})
+            plan = find_bell_multicast_plan(g, pairs, preparation_frame=random_frame(g, rng))
+            if routing._cut_rank(g, [a for a, _ in pairs]) < len(pairs):
+                pruned += 1
+                assert plan is None, pairs
+            elif plan is not None:
+                cast.add(len(pairs))
+        assert pruned >= 60 and cast == {1, 2, 3, 4}
+
+    def test_disjoint_link_sets_keep_the_combinations_order(self):
+        links = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]
+        for size in range(4):
+            assert list(routing._disjoint_link_sets(links, size)) == [
+                combo for combo in itertools.combinations(links, size)
+                if len({v for pair in combo for v in pair}) == 2 * size]
 
     def test_roles_must_be_distinct(self):
         with pytest.raises(ValueError):
@@ -325,6 +359,62 @@ class TestSearchCompleteness:
         complete = [r for r in residuals if r.n >= 3 and all(
             len(r.neighbors(v)) == r.n - 1 for v in r.vertices)]
         assert plans >= 20 and complete
+
+
+class TestBranches:
+    def test_branches_share_the_residual_graph_up_to_paulis(self):
+        """Each single-1 outcome branch of a candidate whose all-zero branch
+        leaves the resource's graph leaves that same graph, with participant
+        frames a Pauli away from the all-zero ones; so realize_plan has no
+        exit for a branch or a byproduct."""
+        rng = random.Random(20)
+        checked = 0
+        for _ in range(2000):
+            n = rng.randint(3, 8)
+            g = random_graph(n, rng)
+            verts = rng.sample(g.vertices, n)
+            users = verts[:rng.randint(2, n)]
+            if rng.random() < 0.5:
+                kind, pairs = "ghz", []
+            else:
+                kind, users = "bell_multicast", users[:len(users) // 2 * 2]
+                pairs = [tuple(sorted(users[i:i + 2])) for i in range(0, len(users), 2)]
+            targets = tuple(sorted(users))
+            nonparts = sorted(set(g.vertices) - set(users))
+            gs = GraphState(g, random_frame(g, rng))
+            for _ in range(rng.randint(0, 2)):
+                gs = local_complement(gs, rng.choice(g.vertices))
+            bases = {v: rng.choice("XYZ") for v in nonparts}
+            zero, _ = routing._measure_branch(gs, bases, dict.fromkeys(nonparts, 0))
+            if zero.graph.vertices != targets:
+                continue
+            if kind == "ghz":
+                reduction = routing._star_reduction(zero.graph)
+                if reduction is None:
+                    continue
+                star_path, rotated = reduction[0], set(targets) - {reduction[1]}
+            else:
+                if set(map(frozenset, pairs)) != set(zero.graph.connected_components()):
+                    continue
+                star_path, rotated = (), {b for _, b in pairs}
+
+            def frames(branch):
+                for v in star_path:
+                    branch = local_complement(branch, v)
+                return {u: compose(branch.frame[u], HADAMARD) if u in rotated
+                        else branch.frame[u] for u in targets}
+
+            want = frames(zero)
+            for v in nonparts:
+                branch, _ = routing._measure_branch(
+                    gs, bases, {w: int(w == v) for w in nonparts})
+                assert branch.graph == zero.graph
+                got = frames(branch)
+                for u in targets:
+                    rep, _ = pauli_layer(compose(want[u].inverse(), got[u]))
+                    assert rep == IDENTITY, (g, kind, targets, bases, v, u)
+            checked += 1
+        assert checked >= 300
 
 
 def _corrupted(plan, rng):
