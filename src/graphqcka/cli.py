@@ -6,9 +6,10 @@ networks.photonic_preparation_frame (H on odd, Z on even 1-based
 vertices), and there is no option to change it.
 
 Exit codes: 0 success, 2 parse error (and sweep under protocol 2qkd, which
-has no AKR_2 sweep), 3 no plan found, 4 a counts file missing, not matching
-its plan's basis string and participants, or holding no outcome rows, 5
-size cap exceeded (1 for anything else).
+has no AKR_2 sweep), 3 no plan found by an exhaustive search, 4 a counts
+file missing, not matching its plan's basis string and participants, or
+holding no outcome rows, 5 a size cap or search budget exceeded (1 for
+anything else).
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def _extract_plans(cfg: RunConfig):
         if plan is None:
             raise NoPlanFoundError(
                 f"no GHZ plan over vertices {sorted(p + 1 for p in parts)}")
-        plans["nqkd"] = plan
+        plans["nqkd"] = [plan]
     if cfg.protocol in ("2qkd", "both"):
         plans["2qkd"] = find_pairwise_plan_set(
             graph, cfg.alice - 1, [b - 1 for b in cfg.bobs], prep)
@@ -99,7 +100,6 @@ def cmd_extract(args) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     for proto, planset in plans.items():
-        planset = planset if isinstance(planset, list) else [planset]
         for k, plan in enumerate(planset):
             path = out / f"plan_{proto}_{k}.json"
             path.write_text(plan_to_json(plan))
@@ -120,7 +120,6 @@ def cmd_simulate(args) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     for proto, planset in plans.items():
-        planset = planset if isinstance(planset, list) else [planset]
         for k, plan in enumerate(planset):
             tag = proto if proto == "nqkd" else f"bell{k}"
             b1, b2 = simulate_protocol(plan, cfg.rounds, cfg.seed + k,
@@ -139,7 +138,7 @@ def cmd_analyze(args) -> int:
     counts_dir = Path(args.counts or cfg.out)
     batches = {}
     hashes = {"graph": sha256_file(cfg.graph)}
-    expected = [("nqkd", plans["nqkd"])] if "nqkd" in plans else []
+    expected = [("nqkd", plan) for plan in plans.get("nqkd", [])]
     expected += [(f"bell{k}", plan) for k, plan in enumerate(plans.get("2qkd", []))]
     for tag, plan in expected:
         for rt, suffix in (("type-1", "type1"), ("type-2", "type2")):
@@ -162,7 +161,7 @@ def cmd_analyze(args) -> int:
                 return EXIT_MISSING_SETTING
             batches[f"{tag}/{rt}"] = batch
             hashes[path.name] = sha256_file(path)
-    report = build_report(plans.get("nqkd"), plans.get("2qkd", []), batches,
+    report = build_report(plans.get("nqkd", [None])[0], plans.get("2qkd", []), batches,
                           mc_samples=cfg.mc_samples,
                           mc_seed=cfg.seed if cfg.seed is not None else 0)
     text = report_to_json(report, hashes, config_echo=vars(cfg))
@@ -179,7 +178,7 @@ def cmd_sweep(args) -> int:
         raise ParseError("sweep takes the GHZ plan (protocol nqkd or both); "
                          "it has no AKR_2 sweep for 2qkd")
     # the sweep reads the GHZ plan alone, so only it is searched
-    plan = _extract_plans(replace(cfg, protocol="nqkd"))[1]["nqkd"]
+    plan, = _extract_plans(replace(cfg, protocol="nqkd"))[1]["nqkd"]
     model = cfg.noise_model()
     try:
         result = pump_sweep(plan, model, np.linspace(*cfg.sweep_powers))

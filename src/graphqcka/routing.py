@@ -13,9 +13,9 @@ the graph still measures the same state in one of the same 3^k physical
 bases (Bouchet's vertex-minor lemma, as used by Dahlberg, Helsen and
 Wehner, arXiv:1805.05306).  Turning a graph state into a specific GHZ state
 or set of Bell pairs by local operations is NP-complete in general
-(arXiv:1907.08019), so the search stays behind NONPARTICIPANT_CAP
-nonparticipants.  Each plan is checked exactly, at every size, by one Pauli
-string per stabilizer generator of its target (verify_plan).
+(arXiv:1907.08019), so a search stops past SEARCH_BUDGET candidates with
+SizeCapError, and None means it tried all.  Each plan is checked exactly, at
+every size, by one Pauli string per stabilizer generator (verify_plan).
 
 The pairwise (2QKD) side needs Bell pairs that together link all users,
 cast from as few network copies as the greedy cover finds.  The cover makes
@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from .pauli import (
 )
 
 ORBIT_CAP = 12
-NONPARTICIPANT_CAP = 6
+SEARCH_BUDGET = 3**8  # candidates per public search: every basis of 8 nonparticipants
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class ExtractionPlan:
 
 
 class NoPlanFoundError(ValueError):
-    """No extraction plan exists within the search caps."""
+    """The exhaustive search found no extraction plan."""
 
 
 # ---------------------------------------------------------------------------
@@ -352,21 +352,31 @@ def verify_plan_dense(plan: ExtractionPlan, tol: float = 1e-10) -> bool:
 # plan search
 
 
+def _bases_in_order(vertices: Sequence[int]) -> Iterator[dict[int, str]]:
+    """Z, X or Y at each vertex, fewest X and Y first, then lexicographic, which
+    is the combinations order of the (vertex, letter) pairs of the X and Y."""
+    letters = [(v, b) for v in vertices for b in "XY"]
+    for non_z in range(len(vertices) + 1):
+        for combo in itertools.combinations(letters, non_z):
+            if len({v for v, _ in combo}) == non_z:
+                yield dict.fromkeys(vertices, "Z") | dict(combo)
+
+
+def _candidate_budget(search: str) -> Iterator[None]:
+    """A ticket per candidate of one public search; one more raises SizeCapError."""
+    yield from itertools.repeat(None, SEARCH_BUDGET)
+    raise SizeCapError(f"{search} stopped at the search budget of {SEARCH_BUDGET} candidates")
+
+
 def _search_plans(g: Graph, kind: str, participants: frozenset[int],
-                  pairs: tuple[tuple[int, int], ...] = (),
-                  preparation_frame: Mapping[int, LocalClifford] | None = None):
-    """First plan over the 3^k nonparticipant bases, fewest non-Z letters first."""
+                  pairs: tuple[tuple[int, int], ...],
+                  preparation_frame: Mapping[int, LocalClifford] | None, budget: Iterator[None]):
+    """First plan over _bases_in_order(nonparticipants), a budget ticket each; zip
+    draws the bases first, so a search that tries them all needs no spare ticket."""
     nonparts = sorted(set(g.vertices) - participants)
-    if len(nonparts) > NONPARTICIPANT_CAP:
-        raise SizeCapError(
-            f"search capped at {NONPARTICIPANT_CAP} nonparticipants, got {len(nonparts)}")
-    basis_assignments = sorted(
-        itertools.product("ZXY", repeat=len(nonparts)),
-        key=lambda bs: (sum(b != "Z" for b in bs), bs))
-    for bases in basis_assignments:
-        plan = realize_plan(
-            g, kind, participants, (), dict(zip(nonparts, bases)), pairs,
-            preparation_frame=preparation_frame)
+    for bases, _ in zip(_bases_in_order(nonparts), budget):
+        plan = realize_plan(g, kind, participants, (), bases, pairs,
+                            preparation_frame=preparation_frame)
         if plan is not None:
             return plan
     return None
@@ -381,12 +391,13 @@ def find_ghz_plan(g: Graph, targets: Iterable[int],
         raise ValueError("targets must be vertices of the graph")
     if len(targets) < 2:
         raise ValueError("GHZ extraction needs at least 2 targets")
-    return _search_plans(g, "ghz", targets, preparation_frame=preparation_frame)
+    return _search_plans(g, "ghz", targets, (), preparation_frame,
+                         _candidate_budget("GHZ plan search"))
 
 
 def find_bell_multicast_plan(g: Graph, pairs: Iterable[tuple[int, int]],
                              preparation_frame: Mapping[int, LocalClifford] | None = None,
-                             ) -> ExtractionPlan | None:
+                             *, _budget: Iterator[None] | None = None) -> ExtractionPlan | None:
     """Plan leaving exactly the requested disjoint Bell pairs from one copy."""
     pairs = tuple(tuple(sorted(p)) for p in pairs)
     participants = frozenset(v for p in pairs for v in p)
@@ -394,8 +405,8 @@ def find_bell_multicast_plan(g: Graph, pairs: Iterable[tuple[int, int]],
         raise ValueError("pairs must be disjoint")
     if not participants <= set(g.vertices):
         raise ValueError("pair vertices must belong to the graph")
-    return _search_plans(g, "bell_multicast", participants, pairs,
-                         preparation_frame=preparation_frame)
+    return _search_plans(g, "bell_multicast", participants, pairs, preparation_frame,
+                         _budget or _candidate_budget("Bell multicast plan search"))
 
 
 def find_pairwise_plan_set(g: Graph, alice: int, bobs: Iterable[int],
@@ -417,12 +428,13 @@ def find_pairwise_plan_set(g: Graph, alice: int, bobs: Iterable[int],
                     if p not in star]
     parent = {u: u for u in users}
     plans = []
+    budget = _candidate_budget("pairwise cover search")
     for size in range(len(users) // 2, 0, -1):
         for combo in _disjoint_link_sets(links, size):
             if all(_root(parent, a) == _root(parent, b) for a, b in combo) or (
                     _cut_rank(g, [a for a, _ in combo]) < size):
                 continue
-            plan = find_bell_multicast_plan(g, combo, preparation_frame)
+            plan = find_bell_multicast_plan(g, combo, preparation_frame, _budget=budget)
             if plan is not None:
                 plans.append(plan)
                 if _join(parent, plan.pairs) == 1:

@@ -5,19 +5,22 @@ matrix, qubit by qubit, which is slow and plainly correct: Pauli
 expectations on a dense vector, outcome distributions read off the diagonal
 after rotating every qubit into its measurement basis, the noise channels
 as Kraus sums, and positivity from every eigenvalue.  The scalar estimators
-loop over a RoundBatch's outcome dict, one outcome at a time.
+loop over a RoundBatch's outcome dict, one outcome at a time.  The plan
+search oracle realizes the candidates from one eagerly sorted list.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from graphqcka.graphstate import _BASIS_STATES, _apply_single_qubit
+from graphqcka.graphstate import _BASIS_STATES, Graph, _apply_single_qubit
 from graphqcka.keyrates import ErrorEstimates, RoundBatch
 from graphqcka.noise import NoiseModel
-from graphqcka.pauli import PAULI_MATRICES
-from graphqcka.routing import ExtractionPlan, byproduct_correction, compile_round_settings
+from graphqcka.pauli import PAULI_MATRICES, LocalClifford
+from graphqcka.routing import (ExtractionPlan, byproduct_correction, compile_round_settings,
+                               realize_plan)
 
 
 @dataclass(frozen=True)
@@ -182,3 +185,25 @@ def estimate_qx(batch: RoundBatch) -> float:
         raise ValueError("empty batch")
     parity_sum = sum(c * (-1) ** (s.count("1") % 2) for s, c in batch.counts.items())
     return (1.0 - parity_sum / total) / 2.0
+
+
+def sorted_bases(k: int) -> list[tuple[str, ...]]:
+    """The 3^k bases of k nonparticipants as one list sorted by (non-Z
+    letters, letters): the order of the plan search."""
+    return sorted(itertools.product("ZXY", repeat=k),
+                  key=lambda bs: (sum(b != "Z" for b in bs), bs))
+
+
+def sorted_basis_search(g: Graph, kind: str, participants: Iterable[int],
+                        pairs: Sequence[tuple[int, int]] = (),
+                        preparation_frame: Mapping[int, LocalClifford] | None = None,
+                        ) -> ExtractionPlan | None:
+    """First realize_plan candidate that is a plan, over sorted_bases of the
+    nonparticipants; None if none is."""
+    nonparts = sorted(set(g.vertices) - set(participants))
+    for bases in sorted_bases(len(nonparts)):
+        plan = realize_plan(g, kind, participants, (), dict(zip(nonparts, bases)), pairs,
+                            preparation_frame=preparation_frame)
+        if plan is not None:
+            return plan
+    return None

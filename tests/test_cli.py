@@ -138,9 +138,18 @@ EXIT_CODE_TABLE = [
      EXIT_NO_PLAN),
     (["analyze", "--graph", "{graph}", *ROLES], EXIT_MISSING_SETTING),
     (["extract", "--graph", "{graph30}", *ROLES], EXIT_CAP),
-    # 13 vertices, 7 nonparticipants: over the search's nonparticipant cap
+    # 7 nonparticipants: all 3^7 bases are tried, and no GHZ plan exists
     (["extract", "--graph", "{path13}", "--protocol", "nqkd", "--alice", "1",
-      "--bobs", "2,3,4,5,6"], EXIT_CAP),
+      "--bobs", "2,3,4,5,6"], EXIT_NO_PLAN),
+    # a Bell pair across the path needs all 14 inner nodes off Z: the
+    # search stops at its budget (ERROR_LINES)
+    (["extract", "--graph", "{path16}", "--protocol", "nqkd", "--alice", "1",
+      "--bobs", "16"], EXIT_CAP),
+    # the 2QKD cover on a dense graph stops at its budget (ERROR_LINES)
+    (["extract", "--graph", "{g13}", "--protocol", "2qkd", "--alice", "1",
+      "--bobs", ",".join(str(v) for v in range(2, 13))], EXIT_CAP),
+    # 18 isolated nodes more: the README plans at 20 nonparticipants
+    (["extract", "--graph", "{graph24}", "--protocol", "both", *ROLES], 0),
     (["orbit", "--graph", "{path13}"], EXIT_CAP),
     # more than 12 users: the link-set scan and outcome tables are exponential
     (["extract", "--graph", "{star24}", "--alice", "1",
@@ -153,17 +162,27 @@ EXIT_CODE_TABLE = [
     (["sweep", "--config", "{infinite_pump_config}"], EXIT_PARSE),
     # the raw rate p**3 overflows float64
     (["sweep", "--config", "{overflow_sweep_config}"], EXIT_PARSE),
-    # under "both" the sweep searches the GHZ plan alone: the 2QKD search
-    # for 12 users on a star exceeds the nonparticipant cap (next row)
+    # under "both" the sweep searches the GHZ plan alone
     (["sweep", "--graph", "{star13}", "--alice", "1",
       "--bobs", ",".join(str(v) for v in range(2, 13))], 0),
     # 12 users on a star: every set of two or more links has cut-rank 1, and
-    # a single link leaves 11 nonparticipants, over the search's cap
+    # each single link is cast with its 11 nonparticipants measured in Z
     (["extract", "--graph", "{star13}", "--protocol", "both", "--alice", "1",
-      "--bobs", ",".join(str(v) for v in range(2, 13))], EXIT_CAP),
+      "--bobs", ",".join(str(v) for v in range(2, 13))], 0),
     # the sweep has no AKR_2 form for the pairwise protocol
     (["sweep", "--graph", "{graph}", "--protocol", "2qkd", *ROLES], EXIT_PARSE),
 ]
+# the exact error line of some rows, by the row's test id
+ERROR_LINES = {
+    "extract --graph {path16} --protocol nqkd --alice 1 --bobs 16":
+        "error: GHZ plan search stopped at the search budget of 6561 candidates\n",
+    "extract --graph {g13} --protocol 2qkd --alice 1 --bobs 2,3,4,5,6,7,8,9,10,11,12":
+        "error: pairwise cover search stopped at the search budget of 6561 candidates\n",
+}
+# G(13, 1/2) drawn with random.Random(3), each pair an edge with probability 1/2
+G13_EDGES = ("1-2 1-4 1-7 1-8 1-10 1-11 1-13 2-4 2-6 2-12 3-5 3-6 3-8 3-13 4-6 4-9 "
+             "4-10 4-11 4-13 5-7 5-9 5-10 6-12 7-12 8-10 8-11 9-10 9-12 9-13 10-11 "
+             "11-12 12-13")
 
 
 @pytest.fixture
@@ -174,6 +193,9 @@ def cli_inputs(tmp_path, graph_file):
         "disconnected": "4\n1 2\n3 4\n",
         "graph30": "30\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 30)),
         "path13": "13\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 13)),
+        "path16": "16\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 16)),
+        "g13": "13\n" + "".join(edge.replace("-", " ") + "\n" for edge in G13_EDGES.split()),
+        "graph24": "24\n" + SIX_VERTEX_TEXT.split("\n", 1)[1],
         "star13": "13\n" + "".join(f"1 {v}\n" for v in range(2, 14)),
         "star24": "24\n" + "".join(f"1 {v}\n" for v in range(2, 25)),
         "unknown_key_config": json.dumps({"graph": str(graph_file), "alice": 1,
@@ -359,6 +381,7 @@ class TestCommands:
     @pytest.mark.parametrize("argv, code", EXIT_CODE_TABLE,
                              ids=[" ".join(argv) for argv, _ in EXIT_CODE_TABLE])
     def test_exit_code_table(self, argv, code, cli_inputs, tmp_path, capsys):
+        error_line = ERROR_LINES.get(" ".join(argv))
         argv = [a.format(**cli_inputs) for a in argv]
         if argv[0] != "orbit" and "--config" not in argv:
             argv += ["--out", str(tmp_path / "out")]
@@ -370,6 +393,7 @@ class TestCommands:
             # one line, no traceback, and no sweep written
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert error_line in (None, err)
 
     def test_sweep_outputs(self, tmp_path, graph_file):
         out = tmp_path / "sweep"

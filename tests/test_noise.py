@@ -364,7 +364,7 @@ class TestPumpSweep:
             monkeypatch.chdir(tmp_path)
             write_readme_run(tmp_path)
             cfg = RunConfig.from_json("run.json")
-            plan, model = cli._extract_plans(cfg)[1]["nqkd"], cfg.noise_model()
+            (plan,), model = cli._extract_plans(cfg)[1]["nqkd"], cfg.noise_model()
             powers = np.linspace(*cfg.sweep_powers)
         else:
             plan = {"ghz": networks.ghz_plan, "multicast": networks.bell_multicast_plan,

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from conftest import all_graphs, random_frame, random_graph
 from graphqcka import networks, routing
 from graphqcka.graphstate import Graph, GraphState, SizeCapError, local_complement
@@ -43,6 +44,19 @@ class TestOrbit:
     def test_orbit_cap(self):
         with pytest.raises(SizeCapError):
             lc_orbit(Graph.from_edges(13, [(0, 1)]))
+
+
+@pytest.fixture
+def tried(monkeypatch):
+    """Nonparticipant bases the search passes to realize_plan, in order;
+    every candidate is rejected."""
+    calls = []
+
+    def rejecting(graph, kind, participants, lc_sequence, logical_bases, *args, **kwargs):
+        calls.append(tuple(logical_bases[v] for v in sorted(logical_bases)))
+
+    monkeypatch.setattr(routing, "realize_plan", rejecting)
+    return calls
 
 
 class TestGhzPlans:
@@ -82,10 +96,21 @@ class TestGhzPlans:
         plan = find_ghz_plan(path11, (0, 2, 4, 6, 8, 10))
         assert plan is not None and verify_plan_dense(plan)
 
-    def test_search_capped_at_nonparticipant_cap(self):
-        path13 = Graph.from_edges(13, [(v, v + 1) for v in range(12)])
-        with pytest.raises(SizeCapError, match="nonparticipants, got 7"):
-            find_ghz_plan(path13, range(7, 13))
+    def test_search_stops_at_the_budget(self, tried):
+        """Past 8 nonparticipants the search stops after SEARCH_BUDGET
+        candidates, the first of the sorted 3^k list, with one message."""
+        with pytest.raises(SizeCapError, match="^GHZ plan search stopped at the "
+                           "search budget of 6561 candidates$"):
+            find_ghz_plan(Graph.from_edges(11, []), (0, 1))
+        assert tried == oracles.sorted_bases(9)[:6561]
+
+    def test_candidates_come_in_the_sorted_order(self, tried):
+        """With no plan among them, the search tries every basis of up to 8
+        nonparticipants in the order of the sorted 3^k list and answers None."""
+        for k in range(9):
+            tried.clear()
+            assert find_ghz_plan(Graph.from_edges(k + 2, []), (0, 1)) is None
+            assert tried == oracles.sorted_bases(k)
 
     def test_ring_graph_users(self):
         plan = find_ghz_plan(networks.ring_graph(), (0, 2, 3, 5))
@@ -174,9 +199,9 @@ def searched(monkeypatch):
     calls = []
     search = routing.find_bell_multicast_plan
 
-    def recording(g, pairs, preparation_frame=None):
+    def recording(g, pairs, preparation_frame=None, **kwargs):
         calls.append(tuple(pairs))
-        return search(g, pairs, preparation_frame)
+        return search(g, pairs, preparation_frame, **kwargs)
 
     monkeypatch.setattr(routing, "find_bell_multicast_plan", recording)
     return calls
@@ -239,6 +264,32 @@ class TestPairwiseCover:
                 combo for combo in itertools.combinations(links, size)
                 if len({v for pair in combo for v in pair}) == 2 * size]
 
+    def test_searches_share_one_budget(self, monkeypatch):
+        """The cover's two searches on the paper network each fit a budget
+        that their sum exceeds, and that budget stops the cover."""
+        counts = []
+        realize = routing.realize_plan
+
+        def counting(*args, **kwargs):
+            counts[-1] += 1
+            return realize(*args, **kwargs)
+
+        monkeypatch.setattr(routing, "realize_plan", counting)
+        alone = []
+        for pairs in (((0, 1), (4, 5)), ((0, 4),)):
+            counts.append(0)
+            assert find_bell_multicast_plan(NETWORK, pairs, PREP) is not None
+            alone.append(counts.pop())
+        counts.append(0)
+        assert len(find_pairwise_plan_set(NETWORK, 0, (1, 4, 5), PREP)) == 2
+        assert counts == [sum(alone)] and min(alone) > 0
+        monkeypatch.setattr(routing, "SEARCH_BUDGET", sum(alone) - 1)
+        for pairs in (((0, 1), (4, 5)), ((0, 4),)):
+            assert find_bell_multicast_plan(NETWORK, pairs, PREP) is not None
+        with pytest.raises(SizeCapError, match=f"^pairwise cover search stopped at "
+                           f"the search budget of {sum(alone) - 1} candidates$"):
+            find_pairwise_plan_set(NETWORK, 0, (1, 4, 5), PREP)
+
     def test_roles_must_be_distinct(self):
         with pytest.raises(ValueError):
             find_pairwise_plan_set(NETWORK, 0, (0, 1))
@@ -285,10 +336,8 @@ def _orbit_search(g, kind, participants, pairs=(), prep=None):
     """Plan search over every LC-orbit member times the 3^k logical bases,
     shortest complementation sequence first."""
     nonparts = sorted(set(g.vertices) - set(participants))
-    assignments = sorted(itertools.product("ZXY", repeat=len(nonparts)),
-                         key=lambda bs: (sum(b != "Z" for b in bs), bs))
     for path in sorted(_orbit_paths(g).values(), key=lambda p: (len(p), p)):
-        for bases in assignments:
+        for bases in oracles.sorted_bases(len(nonparts)):
             plan = realize_plan(g, kind, participants, path,
                                 dict(zip(nonparts, bases)), pairs,
                                 preparation_frame=prep)
@@ -332,6 +381,35 @@ class TestSearchCompleteness:
         # (nonparticipants, found): searches that exhaust the orbit and
         # searches that stop early, with one to three nonparticipants
         assert {(1, False), (1, True), (2, True), (3, True)} <= outcomes
+
+    def test_search_matches_the_sorted_list_oracle(self):
+        """500 seeded searches with up to 8 nonparticipants find the plan
+        that realizing the sorted 3^k list in order finds, or both None."""
+        rng = random.Random(21)
+        outcomes = set()
+        for i in range(500):
+            if i % 4:
+                # up to 3 nonparticipants, some graphs disconnected
+                k, users_n = rng.randint(0, 3), rng.randint(2, 4)
+                g = (_random_connected_graph if rng.random() < 0.8 else random_graph)(
+                    k + users_n, rng)
+            else:
+                k, users_n = rng.randint(4, 8), 2
+                g = _random_connected_graph(k + 2, rng)
+            prep = random_frame(g, rng)
+            users = rng.sample(g.vertices, users_n)
+            if rng.random() < 0.5:
+                plan = find_ghz_plan(g, users, preparation_frame=prep)
+                want = oracles.sorted_basis_search(g, "ghz", users, preparation_frame=prep)
+            else:
+                users = users[:users_n & ~1]
+                pairs = [tuple(users[j:j + 2]) for j in range(0, len(users), 2)]
+                plan = find_bell_multicast_plan(g, pairs, preparation_frame=prep)
+                want = oracles.sorted_basis_search(g, "bell_multicast", users, pairs, prep)
+            assert (None if plan is None else plan_to_json(plan)) == (
+                None if want is None else plan_to_json(want))
+            outcomes.add((g.n - len(users), plan is not None))
+        assert {(k, True) for k in range(9)} | {(k, False) for k in range(4)} <= outcomes
 
     def test_explicit_routes_verify(self, monkeypatch):
         star_reduction = routing._star_reduction
