@@ -80,10 +80,10 @@ class Graph:
         return len(self.vertices)
 
     def index(self, v: int) -> int:
-        i = self.vertices.index(v) if v in self.vertices else -1
-        if i < 0:
-            raise ValueError(f"vertex {v} not present")
-        return i
+        try:
+            return self.vertices.index(v)
+        except ValueError:
+            raise ValueError(f"vertex {v} not present") from None
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         mask = self.adj[self.index(v)]
@@ -106,12 +106,11 @@ class Graph:
 
     def toggle_neighborhood(self, v: int) -> "Graph":
         """Complement the edge set within the neighbourhood of v."""
-        nbrs = self.neighbors(v)
+        mask = self.adj[self.index(v)]
         adj = list(self.adj)
-        for a in nbrs:
-            for b in nbrs:
-                if b != a:
-                    adj[self.index(a)] ^= 1 << b
+        for i, a in enumerate(self.vertices):
+            if mask >> a & 1:
+                adj[i] ^= mask ^ (1 << a)  # every other neighbour of v
         return Graph(self.vertices, tuple(adj))
 
     def connected_components(self) -> list[frozenset[int]]:

@@ -57,7 +57,7 @@ def parse_graph(path: str | Path) -> Graph:
         raise ParseError(f"{path}:{lineno}: expected vertex count, got {head!r}") from None
     if n < 1:
         raise ParseError(f"{path}:{lineno}: vertex count must be at least 1, got {n}")
-    edges = []
+    edges, seen = [], set()
     for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
@@ -70,8 +70,10 @@ def parse_graph(path: str | Path) -> Graph:
             raise ParseError(f"{path}:{lineno}: label out of range 1..{n}")
         if u == v:
             raise ParseError(f"{path}:{lineno}: self-loop {u}")
-        if (u - 1, v - 1) in edges or (v - 1, u - 1) in edges:
+        pair = frozenset((u, v))
+        if pair in seen:
             raise ParseError(f"{path}:{lineno}: duplicate edge {u} {v}")
+        seen.add(pair)
         edges.append((u - 1, v - 1))
     return Graph.from_edges(n, edges)
 

@@ -1,14 +1,15 @@
 """Single-qubit Pauli algebra and the 24-element local Clifford group.
 
-Cliffords are represented by their conjugation action on X and Z (signed
-Paulis), which identifies each element up to global phase.  A canonical
-2x2 matrix is attached to every element via its shortest H/S word, so the
-dense oracle has a deterministic unitary for each frame entry.
+A Clifford is identified, up to global phase, by its conjugation images of
+X and Z (signed Paulis).  Each element is held as its index into tables
+built once at import, as Anders and Briegel hold vertex operators
+(quant-ph/0504117): a breadth-first search over H/S words gives every
+element's images of X, Y and Z, its shortest word and a canonical 2x2
+matrix (the product of the word's H/S matrices), and products, inverses and
+Pauli layers are read off those.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,34 +42,67 @@ def paulis_commute(a: str, b: str) -> bool:
     return a == "I" or b == "I" or a == b
 
 
-@dataclass(frozen=True)
-class LocalClifford:
-    """A single-qubit Clifford given by its conjugation images of X and Z."""
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_S = np.array([[1, 0], [0, 1j]], dtype=complex)
 
-    image_of_x: SignedPauli
-    image_of_z: SignedPauli
 
-    def __post_init__(self):
-        ix, iz = self.image_of_x, self.image_of_z
-        if ix[0] == "I" or iz[0] == "I":
-            raise ValueError("Clifford images of X and Z must be non-identity")
-        if paulis_commute(ix[0], iz[0]):
-            raise ValueError("images of X and Z must anticommute")
+def _generate_group():
+    """BFS over H/S words from the identity, appending the generator on the right.
+
+    An element is keyed by its images of (X, Y, Z) and keeps its first
+    (shortest, lexicographically least) word and that word's matrix.
+    Returns (images, (word, matrix)) pairs sorted by (word length, word).
+    """
+    def neg(p):
+        return p[0], -p[1]
+
+    found = {(("X", 1), ("Y", 1), ("Z", 1)): ("I", np.eye(2, dtype=complex))}
+    queue = list(found)
+    while queue:
+        nxt = []
+        for x, y, z in queue:
+            word, matrix = found[x, y, z]
+            # g.H sends (X, Y, Z) to (g(Z), -g(Y), g(X)); g.S to (g(Y), -g(X), g(Z))
+            for gen, images, gen_mat in (("H", (z, neg(y), x), _H), ("S", (y, neg(x), z), _S)):
+                if images not in found:
+                    found[images] = (gen if word == "I" else word + gen, matrix @ gen_mat)
+                    nxt.append(images)
+        queue = nxt
+    assert len(found) == 24
+    return sorted(found.items(), key=lambda item: (len(item[1][0]), item[1][0]))
+
+
+_GROUP = _generate_group()
+# Indexed by element: images of I, X, Y and Z; word; matrix.
+_IMAGES = [dict(zip("IXYZ", (("I", 1),) + images)) for images, _ in _GROUP]
+_NAMES = [word for _, (word, _) in _GROUP]
+_MATRICES = [matrix for _, (_, matrix) in _GROUP]
+_BY_IMAGES = {(x, z): i for i, ((x, _, z), _) in enumerate(_GROUP)}
+
+
+class LocalClifford(int):
+    """A single-qubit Clifford given by its conjugation images of X and Z.
+
+    The value is the element's index into the group tables, in ALL_CLIFFORDS
+    order; each element is one interned object, and every element is truthy.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, image_of_x: SignedPauli, image_of_z: SignedPauli) -> "LocalClifford":
+        try:
+            return ALL_CLIFFORDS[_BY_IMAGES[image_of_x, image_of_z]]
+        except KeyError:
+            raise ValueError(f"images {image_of_x} of X and {image_of_z} of Z must be "
+                             "anticommuting non-identity signed Paulis") from None
+
+    def __bool__(self):
+        return True
 
     def conjugate(self, p: SignedPauli) -> SignedPauli:
         """Image of a signed Pauli under conjugation: C p C^dagger."""
-        letter, sign = p
-        if letter == "I":
-            return ("I", sign)
-        if letter == "X":
-            return (self.image_of_x[0], self.image_of_x[1] * sign)
-        if letter == "Z":
-            return (self.image_of_z[0], self.image_of_z[1] * sign)
-        # Y = i X Z, so C Y C^dag = i (C X C^dag)(C Z C^dag)
-        prod_letter, phase = pauli_product(self.image_of_x, self.image_of_z)
-        out_sign = 1j * phase
-        assert out_sign in (1, -1)
-        return (prod_letter, int(out_sign.real) * sign)
+        letter, sign = _IMAGES[self][p[0]]
+        return letter, sign * p[1]
 
     def inverse(self) -> "LocalClifford":
         return _INVERSES[self]
@@ -86,62 +120,27 @@ class LocalClifford:
     def __repr__(self):
         return f"LocalClifford({self.name})"
 
-
-def _compose_raw(a: LocalClifford, b: LocalClifford) -> LocalClifford:
-    return LocalClifford(a.conjugate(b.image_of_x), a.conjugate(b.image_of_z))
-
-
-def compose(a: LocalClifford, b: LocalClifford) -> LocalClifford:
-    """The Clifford acting as a.b (b first under conjugation: (ab)P(ab)^+ = a(bPb^+)a^+)."""
-    return _COMPOSE[a, b]
+    def __reduce__(self):
+        return from_name, (self.name,)
 
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_S = np.array([[1, 0], [0, 1j]], dtype=complex)
+ALL_CLIFFORDS = tuple(int.__new__(LocalClifford, i) for i in range(len(_GROUP)))
+_BY_NAME = {c.name: c for c in ALL_CLIFFORDS}
 
 IDENTITY = LocalClifford(("X", 1), ("Z", 1))
 HADAMARD = LocalClifford(("Z", 1), ("X", 1))
 PHASE_S = LocalClifford(("Y", 1), ("Z", 1))
 
 
-def _generate_group():
-    """BFS over H/S words; keeps the first (shortest, lexicographically least) name."""
-    names = {IDENTITY: "I"}
-    matrices = {IDENTITY: np.eye(2, dtype=complex)}
-    queue = [IDENTITY]
-    while queue:
-        nxt = []
-        for elem in queue:
-            for gen, gen_name, gen_mat in ((HADAMARD, "H", _H), (PHASE_S, "S", _S)):
-                # append the generator on the right: elem . gen
-                new = _compose_raw(elem, gen)
-                if new not in names:
-                    word = gen_name if names[elem] == "I" else names[elem] + gen_name
-                    names[new] = word
-                    matrices[new] = matrices[elem] @ gen_mat
-                    nxt.append(new)
-        queue = nxt
-    assert len(names) == 24
-    return names, matrices
+def compose(a: LocalClifford, b: LocalClifford) -> LocalClifford:
+    """The Clifford acting as a.b (b first under conjugation: (ab)P(ab)^+ = a(bPb^+)a^+)."""
+    return _COMPOSE[a][b]
 
 
-_NAMES, _MATRICES = _generate_group()
-_BY_NAME = {v: k for k, v in _NAMES.items()}
-
-
-def _invert(c: LocalClifford) -> LocalClifford:
-    for cand in _NAMES:
-        if _compose_raw(c, cand) == IDENTITY:
-            return cand
-    raise AssertionError("group not closed")
-
-
-_INVERSES = {c: _invert(c) for c in _NAMES}
-
-# Closed-group composition table; compose() is a plain lookup on the 24x24 grid.
-_COMPOSE = {(a, b): _compose_raw(a, b) for a in _NAMES for b in _NAMES}
-
-ALL_CLIFFORDS = tuple(sorted(_NAMES, key=lambda c: (len(_NAMES[c]), _NAMES[c])))
+# _COMPOSE[a][b] = a.b, whose images of X and Z are a's images of b's.
+_COMPOSE = [[LocalClifford(a.conjugate(_IMAGES[b]["X"]), a.conjugate(_IMAGES[b]["Z"]))
+             for b in ALL_CLIFFORDS] for a in ALL_CLIFFORDS]
+_INVERSES = [ALL_CLIFFORDS[row.index(IDENTITY)] for row in _COMPOSE]
 
 
 def from_name(name: str) -> LocalClifford:
@@ -158,18 +157,10 @@ PAULI_Y = LocalClifford(("X", -1), ("Z", -1))
 PAULI_Z = LocalClifford(("X", -1), ("Z", 1))
 PAULI_GATES = {"I": IDENTITY, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
-def _decompose():
-    """Split each element F as rep . pauli with rep a fixed Pauli-coset representative."""
-    out = {}
-    for f in ALL_CLIFFORDS:
-        candidates = []
-        for letter, p in PAULI_GATES.items():
-            rep = _compose_raw(f, p)  # p^2 = I at action level, so f = rep . p
-            candidates.append((len(_NAMES[rep]), _NAMES[rep], rep, letter))
-        candidates.sort()
-        _, _, rep, letter = candidates[0]
-        out[f] = (rep, letter)
-    return out
+# c = rep . p with rep the shortest-named member of c's Pauli coset (p^2 = I
+# at action level, so rep = c.p); indices run in name order, so min finds it.
+_PAULI_LAYER = [min((_COMPOSE[c][p], letter) for letter, p in PAULI_GATES.items())
+                for c in ALL_CLIFFORDS]
 
 
 def pauli_layer(c: LocalClifford) -> tuple["LocalClifford", str]:
@@ -181,5 +172,3 @@ def pauli_layer(c: LocalClifford) -> tuple["LocalClifford", str]:
 # vertex, sqrt(iZ) on each of its neighbours (principal branches).
 SQRT_MINUS_IX = LocalClifford(("X", 1), ("Y", -1))   # X->X, Z->-Y, Y->Z
 SQRT_IZ = LocalClifford(("Y", -1), ("Z", 1))         # X->-Y, Z->Z (S^dagger up to phase)
-
-_PAULI_LAYER = _decompose()

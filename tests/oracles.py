@@ -6,7 +6,9 @@ expectations on a dense vector, outcome distributions read off the diagonal
 after rotating every qubit into its measurement basis, the noise channels
 as Kraus sums, and positivity from every eigenvalue.  The scalar estimators
 loop over a RoundBatch's outcome dict, one outcome at a time.  The plan
-search oracle realizes the candidates from one eagerly sorted list.
+search oracle realizes the candidates from one eagerly sorted list.  The
+local Clifford group is a frozen pair of images per element, with Y's image
+from the phase rule and inverses and Pauli layers found by search.
 """
 
 import itertools
@@ -18,7 +20,7 @@ import numpy as np
 from graphqcka.graphstate import _BASIS_STATES, Graph, _apply_single_qubit
 from graphqcka.keyrates import ErrorEstimates, RoundBatch
 from graphqcka.noise import NoiseModel
-from graphqcka.pauli import PAULI_MATRICES, LocalClifford
+from graphqcka.pauli import _H, _S, PAULI_MATRICES, LocalClifford, SignedPauli, pauli_product
 from graphqcka.routing import (ExtractionPlan, byproduct_correction, compile_round_settings,
                                realize_plan)
 
@@ -207,3 +209,81 @@ def sorted_basis_search(g: Graph, kind: str, participants: Iterable[int],
         if plan is not None:
             return plan
     return None
+
+
+@dataclass(frozen=True)
+class ImageClifford:
+    """A single-qubit Clifford given by its conjugation images of X and Z."""
+
+    image_of_x: SignedPauli
+    image_of_z: SignedPauli
+
+    def __post_init__(self):
+        ix, iz = self.image_of_x, self.image_of_z
+        if ix[0] == "I" or iz[0] == "I":
+            raise ValueError("Clifford images of X and Z must be non-identity")
+        if ix[0] == iz[0]:
+            raise ValueError("images of X and Z must anticommute")
+
+    def conjugate(self, p: SignedPauli) -> SignedPauli:
+        """Image of a signed Pauli under conjugation: C p C^dagger."""
+        letter, sign = p
+        if letter == "I":
+            return ("I", sign)
+        if letter == "X":
+            return (self.image_of_x[0], self.image_of_x[1] * sign)
+        if letter == "Z":
+            return (self.image_of_z[0], self.image_of_z[1] * sign)
+        # Y = i X Z, so C Y C^dag = i (C X C^dag)(C Z C^dag)
+        prod_letter, phase = pauli_product(self.image_of_x, self.image_of_z)
+        out_sign = 1j * phase
+        assert out_sign in (1, -1)
+        return (prod_letter, int(out_sign.real) * sign)
+
+    def compose(self, other: "ImageClifford") -> "ImageClifford":
+        """The Clifford acting as self.other (other first under conjugation)."""
+        return ImageClifford(self.conjugate(other.image_of_x), self.conjugate(other.image_of_z))
+
+
+IMAGE_IDENTITY = ImageClifford(("X", 1), ("Z", 1))
+IMAGE_PAULI_GATES = {"I": IMAGE_IDENTITY, "X": ImageClifford(("X", 1), ("Z", -1)),
+                     "Y": ImageClifford(("X", -1), ("Z", -1)),
+                     "Z": ImageClifford(("X", -1), ("Z", 1))}
+
+
+def image_clifford_group() -> dict[ImageClifford, tuple[str, np.ndarray]]:
+    """Element -> (name, matrix) by BFS over H/S words from the identity,
+    appending the generator on the right and keeping the first (shortest,
+    lexicographically least) word; ordered by (name length, name)."""
+    gens = (("H", ImageClifford(("Z", 1), ("X", 1)), _H),
+            ("S", ImageClifford(("Y", 1), ("Z", 1)), _S))
+    found = {IMAGE_IDENTITY: ("I", np.eye(2, dtype=complex))}
+    queue = [IMAGE_IDENTITY]
+    while queue:
+        nxt = []
+        for elem in queue:
+            name, matrix = found[elem]
+            for gen_name, gen, gen_mat in gens:
+                new = elem.compose(gen)
+                if new not in found:
+                    found[new] = (gen_name if name == "I" else name + gen_name, matrix @ gen_mat)
+                    nxt.append(new)
+        queue = nxt
+    return dict(sorted(found.items(), key=lambda item: (len(item[1][0]), item[1][0])))
+
+
+def image_inverse(c: ImageClifford, group: Iterable[ImageClifford]) -> ImageClifford:
+    """The group element whose product with c is the identity."""
+    return next(cand for cand in group if c.compose(cand) == IMAGE_IDENTITY)
+
+
+def image_pauli_layer(c: ImageClifford, group: Mapping[ImageClifford, tuple[str, np.ndarray]]
+                      ) -> tuple[ImageClifford, str]:
+    """c = rep . pauli with rep the coset member of shortest, then least, name."""
+    candidates = []
+    for letter, p in IMAGE_PAULI_GATES.items():
+        rep = c.compose(p)  # p^2 = I at action level, so c = rep . p
+        name = group[rep][0]
+        candidates.append((len(name), name, letter, rep))
+    _, _, letter, rep = min(candidates)
+    return rep, letter

@@ -48,7 +48,14 @@ class TestGraphFormat:
 
     def test_errors_carry_line_numbers(self, tmp_path):
         cases = [("x\n", ":1:"), ("2\n1 2 3\n", ":2:"), ("2\n1 9\n", ":2:"),
-                 ("2\n1 1\n", ":2:"), ("2\n1 2\n2 1\n", ":3:"), ("", "empty")]
+                 ("2\n1 1\n", ":2:"), ("2\n1 2\n2 1\n", ":3:"), ("", "empty"),
+                 # whole messages of the edge checks, the first failing check winning
+                 ("3\n1 2\n2 3\n1 2\n", ":4: duplicate edge 1 2$"),
+                 ("3\n1 2\n2 3\n3 2\n", ":4: duplicate edge 3 2$"),
+                 ("3\n2 3\n\n# comment\n3 3\n", ":5: self-loop 3$"),
+                 ("3\n1 2\n0 1\n", r":3: label out of range 1\.\.3$"),
+                 ("3\n1 4\n1 4\n", r":2: label out of range 1\.\.3$"),
+                 ("3\n2 2\n2 2\n", ":2: self-loop 2$")]
         for text, marker in cases:
             path = tmp_path / "bad.txt"
             path.write_text(text)

@@ -41,12 +41,27 @@ class TestGraph:
         assert h.edges() == ((2, 3),)
         # label 3 still means the same vertex
         assert h.neighbors(3) == (2,)
+        assert h.index(3) == 2
+        for v in (1, 7, -1):
+            with pytest.raises(ValueError, match=f"^vertex {v} not present$"):
+                h.index(v)
 
     def test_toggle_neighborhood(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         h = g.toggle_neighborhood(1)
         assert set(h.edges()) == {(0, 1), (0, 2), (1, 2)}
         assert g.toggle_neighborhood(1).toggle_neighborhood(1) == g
+
+    def test_toggle_neighborhood_matches_edge_complement(self, rng):
+        # labels with gaps, as after measurement, so index and label differ
+        for _ in range(30):
+            g = random_graph(8, rng)
+            for v in rng.sample(g.vertices, 3):
+                g = g.delete_vertex(v)
+            v = rng.choice(g.vertices)
+            nbrs = g.neighbors(v)
+            inside = set(itertools.combinations(nbrs, 2))
+            assert set(g.toggle_neighborhood(v).edges()) == set(g.edges()) ^ inside
 
     def test_connected_components(self):
         g = Graph.from_edges(5, [(0, 1), (2, 3)])
@@ -172,6 +187,12 @@ class TestMeasurement:
             measure_vertex(gs, "W", 0, 0)
         with pytest.raises(ValueError):
             measure_vertex(gs, "Z", 0, 2)
+        for v in (2, -1):
+            with pytest.raises(ValueError, match=f"^vertex {v} not present$"):
+                measure_vertex(gs, "Z", v, 0)
+        post, _ = measure_vertex(gs, "X", 1, 0)
+        with pytest.raises(ValueError, match="^vertex 1 not present$"):
+            measure_vertex(post, "Y", 1, 0)
 
     def test_oracle_equivalence_exhaustive(self):
         for n in range(2, 5):

@@ -9,6 +9,7 @@ from graphqcka.pauli import (ALL_CLIFFORDS, HADAMARD, IDENTITY, PAULI_GATES,
                              PAULI_MATRICES, PHASE_S, SQRT_IZ, SQRT_MINUS_IX,
                              LocalClifford, compose, from_name, pauli_layer,
                              pauli_product, paulis_commute)
+from oracles import image_clifford_group, image_inverse, image_pauli_layer
 
 
 def proportional(a, b, tol=1e-10):
@@ -65,6 +66,10 @@ def test_invalid_cliffords_rejected():
         LocalClifford(("X", 1), ("X", -1))  # commuting images
     with pytest.raises(ValueError):
         LocalClifford(("I", 1), ("Z", 1))
+    for images in [(("X", 1), ("I", -1)), (("I", 1), ("I", 1)), (("Y", -1), ("Y", 1)),
+                   (("Z", 1), ("Z", -1))]:
+        with pytest.raises(ValueError):
+            LocalClifford(*images)
 
 
 def test_pauli_product_table():
@@ -103,3 +108,25 @@ def test_pauli_gates_act_by_sign_flips():
             assert out == target
             expected = 1 if paulis_commute(letter, target) else -1
             assert sign == expected
+
+
+def test_index_tables_match_image_reference():
+    """Walk ALL_CLIFFORDS against the frozen-image core: names, conjugation of
+    signed Paulis, inverses, Pauli layers, all 576 products and matrices."""
+    group = image_clifford_group()
+    refs = list(group)
+    index = {ref: i for i, ref in enumerate(refs)}
+    assert len(refs) == len(ALL_CLIFFORDS) == 24
+    for c, ref in zip(ALL_CLIFFORDS, refs):
+        name, matrix = group[ref]
+        assert c.name == name
+        assert np.array_equal(c.matrix, matrix)
+        for letter, sign in itertools.product("IXYZ", (1, -1)):
+            assert c.conjugate((letter, sign)) == ref.conjugate((letter, sign))
+        assert c.inverse() is ALL_CLIFFORDS[index[image_inverse(ref, refs)]]
+        rep, letter = image_pauli_layer(ref, group)
+        assert pauli_layer(c) == (ALL_CLIFFORDS[index[rep]], letter)
+        assert LocalClifford(ref.image_of_x, ref.image_of_z) is c
+        assert c
+    for (a, ra), (b, rb) in itertools.product(zip(ALL_CLIFFORDS, refs), repeat=2):
+        assert compose(a, b) is ALL_CLIFFORDS[index[ra.compose(rb)]]
