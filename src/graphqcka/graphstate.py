@@ -7,8 +7,8 @@ Pauli measurements are graph/frame rewrites, and stabilizer_expectation
 gives exact Pauli expectations in GF(2); a dense-amplitude oracle is
 available for n <= 12 to verify everything.
 
-Vertices carry stable integer labels that survive deletion, so plans that
-refer to a vertex remain valid after other vertices are measured out.
+Vertex labels survive deletion and index the adjacency bitmasks, so plans
+that refer to a vertex remain valid after other vertices are measured out.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class SizeCapError(ValueError):
 class Graph:
     """Simple undirected graph over labelled vertices, adjacency as bitsets."""
 
-    vertices: tuple[int, ...]           # sorted labels
-    adj: tuple[int, ...]                # adj[i] = bitmask of neighbours of vertices[i]
+    vertices: tuple[int, ...]           # sorted labels present
+    adj: tuple[int, ...]                # adj[v] = neighbour bitmask of label v, 0 once deleted
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -59,7 +59,7 @@ class Graph:
             raise ValueError(f"vertex count must be at least 1, got {n}")
         if n > MAX_VERTICES:
             raise SizeCapError(f"graph has {n} vertices, above the cap of {MAX_VERTICES}")
-        masks = {v: 0 for v in range(n)}
+        adj = [0] * n
         seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -70,47 +70,41 @@ class Graph:
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        verts = tuple(range(n))
-        return cls(verts, tuple(masks[v] for v in verts))
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return cls(tuple(range(n)), tuple(adj))
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
-    def index(self, v: int) -> int:
-        try:
-            return self.vertices.index(v)
-        except ValueError:
-            raise ValueError(f"vertex {v} not present") from None
-
     def neighbors(self, v: int) -> tuple[int, ...]:
-        mask = self.adj[self.index(v)]
-        return tuple(u for u in self.vertices if mask >> u & 1)
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for i, u in enumerate(self.vertices):
-            for v in self.vertices:
-                if v > u and self.adj[i] >> v & 1:
-                    out.append((u, v))
+        """Neighbour labels of v, lowest first, read off the set bits of adj[v]."""
+        if v not in self.vertices:
+            raise ValueError(f"vertex {v} not present")
+        mask, out = self.adj[v], []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
         return tuple(out)
 
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple((u, w) for u in self.vertices for w in self.neighbors(u) if w > u)
+
     def delete_vertex(self, v: int) -> "Graph":
-        i = self.index(v)
-        verts = self.vertices[:i] + self.vertices[i + 1:]
-        mask_clear = ~(1 << v)
-        adj = tuple(m & mask_clear for j, m in enumerate(self.adj) if j != i)
-        return Graph(verts, adj)
+        adj = list(self.adj)
+        for a in self.neighbors(v):
+            adj[a] ^= 1 << v
+        adj[v] = 0
+        return Graph(tuple(u for u in self.vertices if u != v), tuple(adj))
 
     def toggle_neighborhood(self, v: int) -> "Graph":
         """Complement the edge set within the neighbourhood of v."""
-        mask = self.adj[self.index(v)]
-        adj = list(self.adj)
-        for i, a in enumerate(self.vertices):
-            if mask >> a & 1:
-                adj[i] ^= mask ^ (1 << a)  # every other neighbour of v
+        nbrs = self.neighbors(v)
+        adj, mask = list(self.adj), self.adj[v]
+        for a in nbrs:
+            adj[a] ^= mask ^ (1 << a)  # every other neighbour of v
         return Graph(self.vertices, tuple(adj))
 
     def connected_components(self) -> list[frozenset[int]]:
@@ -214,7 +208,7 @@ def stabilizer_expectation(gs: GraphState, letters: Mapping[int, str]) -> int:
         if back in ("Y", "Z"):
             z |= 1 << v
     gamma_x = inside = 0
-    for v, mask in zip(gs.graph.vertices, gs.graph.adj):
+    for v, mask in enumerate(gs.graph.adj):
         if x >> v & 1:
             gamma_x ^= mask
             inside += (mask & x).bit_count()
@@ -266,13 +260,12 @@ def measure_vertex(gs: GraphState, basis: str, v: int, outcome: int) -> tuple[Gr
         raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    gs.graph.index(v)  # presence check
 
     work = gs
     while True:
+        nbrs = work.graph.neighbors(v)  # raises for an absent v
         # Pull the physical basis back through the frame of v.
         letter, sign = work.frame[v].inverse().conjugate((basis, 1))
-        nbrs = work.graph.neighbors(v)
         if letter == "Z":
             break
         if letter == "Y":

@@ -30,9 +30,11 @@ class ParseError(ValueError):
 
 def _read_text(path: Path) -> str:
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
 
 
 def _content_lines(path: Path) -> list[tuple[int, str]]:
@@ -107,6 +109,8 @@ def parse_counts(path: str | Path) -> RoundBatch:
     total = 0
     for lineno, line in lines:
         parts = line.split()
+        if {"setting": round_type, "participants": participants}.get(parts[0]) is not None:
+            raise ParseError(f"{path}:{lineno}: duplicate {parts[0]} header")
         if parts[0] == "setting":
             if len(parts) != 3 or parts[1] not in ("type-1", "type-2"):
                 raise ParseError(f"{path}:{lineno}: bad setting header {line!r}")

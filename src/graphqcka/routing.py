@@ -155,7 +155,7 @@ def _star_reduction(residual: Graph) -> tuple[tuple[int, ...], int] | None:
     """
     verts = residual.vertices
     n = len(verts)
-    degrees = [mask.bit_count() for mask in residual.adj]
+    degrees = [residual.adj[v].bit_count() for v in verts]
     if sorted(degrees) == [1] * (n - 1) + [n - 1]:
         return (), verts[degrees.index(n - 1)]
     if n >= 3 and degrees == [n - 1] * n:
@@ -244,8 +244,9 @@ def realize_plan(graph: Graph, kind: str, participants: Iterable[int],
             return None
         star_path, center = red
     else:
-        comps = {frozenset(p) for p in pairs}
-        if {frozenset(c) for c in residual.connected_components()} != comps:
+        adj = residual.adj
+        if sorted(v for p in pairs for v in p) != list(targets) or any(
+                adj[a] != 1 << b or adj[b] != 1 << a for a, b in pairs):
             return None
         star_path, center = (), None
 
@@ -421,8 +422,8 @@ def find_pairwise_plan_set(g: Graph, alice: int, bobs: Iterable[int],
     """
     bobs = sorted(bobs)
     users = [alice, *bobs]
-    if len(set(users)) != len(users) or not bobs:
-        raise ValueError("alice and at least one bob must be distinct vertices")
+    if len(set(users)) != len(users) or not bobs or not set(users) <= set(g.vertices):
+        raise ValueError("alice and at least one bob must be distinct vertices of the graph")
     star = [tuple(sorted((alice, b))) for b in bobs]
     links = star + [p for p in itertools.combinations(sorted(users), 2)
                     if p not in star]
@@ -463,7 +464,7 @@ def _cut_rank(g: Graph, side: Sequence[int]) -> int:
     inside = sum(1 << v for v in side)
     pivots: dict[int, int] = {}
     for v in side:
-        row = g.adj[g.index(v)] & ~inside
+        row = g.adj[v] & ~inside
         while row and row.bit_length() in pivots:
             row ^= pivots[row.bit_length()]
         if row:

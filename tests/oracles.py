@@ -8,7 +8,8 @@ as Kraus sums, and positivity from every eigenvalue.  The scalar estimators
 loop over a RoundBatch's outcome dict, one outcome at a time.  The plan
 search oracle realizes the candidates from one eagerly sorted list.  The
 local Clifford group is a frozen pair of images per element, with Y's image
-from the phase rule and inverses and Pauli layers found by search.
+from the phase rule and inverses and Pauli layers found by search.  The
+stabilizer tableau tracks Pauli rows through gates given as matrices.
 """
 
 import itertools
@@ -287,3 +288,102 @@ def image_pauli_layer(c: ImageClifford, group: Mapping[ImageClifford, tuple[str,
         candidates.append((len(name), name, letter, rep))
     _, _, letter, rep = min(candidates)
     return rep, letter
+
+
+def pauli_images(matrix):
+    """letter -> (letter', sign) with matrix P matrix^+ = sign P'."""
+    images = {"I": ("I", 1)}
+    for letter in "XYZ":
+        image = matrix @ PAULI_MATRICES[letter] @ matrix.conj().T
+        images[letter], = [(p, s) for p in "XYZ" for s in (1, -1)
+                           if np.allclose(image, s * PAULI_MATRICES[p])]
+    return images
+
+
+class Tableau:
+    """Aaronson-Gottesman stabilizer tableau (quant-ph/0406196).
+
+    Rows 0..n-1 are destabilizers and n..2n-1 stabilizers.  Row i is the
+    Pauli string (-1)^r[i] times the letters of the bitmasks x[i] and z[i]
+    over the qubits, both bits set meaning Y = iXZ; qubit q is vertex q.
+    Clifford gates act through the Pauli images of their matrices, so the
+    package's Clifford tables are not used.
+    """
+
+    BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+    def __init__(self, graph, frame):
+        n = self.n = graph.n
+        # destabilizers Z_v, stabilizers X_v Z_N(v)
+        self.x = [0] * n + [1 << v for v in range(n)]
+        self.z = [1 << v for v in range(n)] + list(graph.adj)
+        self.r = [0] * (2 * n)
+        for v, clifford in frame.items():
+            self.apply(v, clifford.matrix)
+
+    def copy(self):
+        out = object.__new__(Tableau)
+        out.n, out.x, out.z, out.r = self.n, list(self.x), list(self.z), list(self.r)
+        return out
+
+    def apply(self, q, matrix):
+        images = pauli_images(matrix)
+        for i in range(2 * self.n):
+            bits = (self.x[i] >> q & 1, self.z[i] >> q & 1)
+            if bits != (0, 0):
+                letter = "IZXY"[2 * bits[0] + bits[1]]
+                image, sign = images[letter]
+                bx, bz = self.BITS[image]
+                self.x[i] = self.x[i] & ~(1 << q) | bx << q
+                self.z[i] = self.z[i] & ~(1 << q) | bz << q
+                self.r[i] ^= sign < 0
+
+    def string(self, letters):
+        x = z = 0
+        for q, letter in letters.items():
+            bx, bz = self.BITS[letter]
+            x, z = x | bx << q, z | bz << q
+        return x, z
+
+    @staticmethod
+    def product(x1, z1, r1, x2, z2, r2):
+        """The string 1 times string 2; with Y = iXZ the power of i is
+        2 r1 + 2 r2 + |x1 z1| + |x2 z2| + 2 |z1 x2| - |x3 z3|."""
+        x3, z3 = x1 ^ x2, z1 ^ z2
+        k = (2 * r1 + 2 * r2 + (x1 & z1).bit_count() + (x2 & z2).bit_count()
+             + 2 * (z1 & x2).bit_count() - (x3 & z3).bit_count())
+        return x3, z3, k % 4 // 2
+
+    def anticommutes(self, i, x, z):
+        return ((self.x[i] & z).bit_count() + (self.z[i] & x).bit_count()) % 2
+
+    def measure(self, letters, bit):
+        """Project onto the (-1)^bit eigenspace of the Pauli string; False
+        when that outcome has probability 0."""
+        x, z = self.string(letters)
+        n = self.n
+        stab = [i for i in range(n, 2 * n) if self.anticommutes(i, x, z)]
+        if not stab:
+            return self.expectation(letters) == (-1) ** bit
+        p = stab[0]
+        row = (self.x[p], self.z[p], self.r[p])
+        for i in range(2 * n):
+            if i != p and self.anticommutes(i, x, z):
+                self.x[i], self.z[i], self.r[i] = self.product(
+                    *row, self.x[i], self.z[i], self.r[i])
+        self.x[p - n], self.z[p - n], self.r[p - n] = row
+        self.x[p], self.z[p], self.r[p] = x, z, bit
+        return True
+
+    def expectation(self, letters):
+        """<P> of the Pauli string: 0, or +-1 when +-P is a stabilizer."""
+        x, z = self.string(letters)
+        n = self.n
+        if any(self.anticommutes(i, x, z) for i in range(n, 2 * n)):
+            return 0
+        acc = (0, 0, 0)
+        for i in range(n):
+            if self.anticommutes(i, x, z):
+                acc = self.product(self.x[n + i], self.z[n + i], self.r[n + i], *acc)
+        assert acc[:2] == (x, z)
+        return 1 - 2 * acc[2]

@@ -88,6 +88,17 @@ class TestCountsFormat:
                 parse_counts(path)
 
 
+    def test_repeated_headers_and_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "c.counts"
+        head = "setting type-1 ZZ\nparticipants 1 2\n"
+        for blob, message in (
+                ((head + "00 5\nparticipants 1\n").encode(), ":4: duplicate participants header$"),
+                ((head + "setting type-2 XX\n").encode(), ":3: duplicate setting header$"),
+                (head.encode() + b"00 5\xff\n", ": not UTF-8 text at byte offset 39$")):
+            path.write_bytes(blob)
+            with pytest.raises(ParseError, match=message):
+                parse_counts(path)
+
 class TestRunConfig:
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -178,6 +189,13 @@ EXIT_CODE_TABLE = [
       "--bobs", ",".join(str(v) for v in range(2, 13))], 0),
     # the sweep has no AKR_2 form for the pairwise protocol
     (["sweep", "--graph", "{graph}", "--protocol", "2qkd", *ROLES], EXIT_PARSE),
+    # input files that are not UTF-8 text
+    (["extract", "--graph", "{latin1_graph}", *ROLES], EXIT_PARSE),
+    (["extract", "--config", "{latin1_config}"], EXIT_PARSE),
+    (["analyze", "--graph", "{graph}", *ROLES, "--counts", "{latin1_counts}"], EXIT_PARSE),
+    # a second participants header after the rows, one user short
+    (["analyze", "--graph", "{graph}", *ROLES, "--counts", "{repeated_header_counts}"],
+     EXIT_PARSE),
 ]
 # the exact error line of some rows, by the row's test id
 ERROR_LINES = {
@@ -238,6 +256,19 @@ def cli_inputs(tmp_path, graph_file):
         path = tmp_path / f"{name}.txt"
         path.write_text(text)
         paths[name] = str(path)
+    config = {"graph": str(graph_file), "alice": 1, "bobs": [2, 5, 6]}
+    for name, blob in (("latin1_graph", b"\xff\xfe6\n1 2\n"),
+                       ("latin1_config", json.dumps(config).encode() + b"\xff")):
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(blob)
+        paths[name] = str(path)
+    # counts directories, each holding the first file analyze reads
+    header = "setting type-1 ZZXXZZ\nparticipants 1 2 5 6\n0000 5\n"
+    for name, blob in (("latin1_counts", header.encode() + b"\xff"),
+                       ("repeated_header_counts", (header + "participants 1 2 5\n").encode())):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "nqkd_type1.counts").write_bytes(blob)
+        paths[name] = str(tmp_path / name)
     return paths
 
 

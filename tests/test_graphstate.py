@@ -13,7 +13,7 @@ from graphqcka.graphstate import (Graph, GraphState, SizeCapError,
 from graphqcka.pauli import IDENTITY, from_name
 
 from conftest import all_graphs, connected_graphs, identity_state, random_frame, random_graph
-from oracles import PauliObservable, expectation
+from oracles import PauliObservable, Tableau, expectation
 
 
 class TestGraph:
@@ -41,10 +41,9 @@ class TestGraph:
         assert h.edges() == ((2, 3),)
         # label 3 still means the same vertex
         assert h.neighbors(3) == (2,)
-        assert h.index(3) == 2
         for v in (1, 7, -1):
             with pytest.raises(ValueError, match=f"^vertex {v} not present$"):
-                h.index(v)
+                h.neighbors(v)
 
     def test_toggle_neighborhood(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -278,7 +277,7 @@ class TestStabilizerExpectation:
         """Physical letters of the generator product over the vertex set x."""
         gamma = 0
         for v in x:
-            gamma ^= gs.graph.adj[gs.graph.index(v)]
+            gamma ^= gs.graph.adj[v]
         letters = {}
         for v in gs.graph.vertices:
             graph_letter = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}.get(
@@ -312,3 +311,68 @@ class TestStabilizerExpectation:
             stabilizer_expectation(gs, {7: "Z"})
         with pytest.raises(ValueError):
             stabilizer_expectation(gs, {0: "W"})
+
+
+class TestRulesPastTheDenseCap:
+    """Seeded framed graph states with 13-24 vertices, past the dense
+    oracle's cap, under random local complementations and Pauli
+    measurements that leave the labels gapped, against a stabilizer tableau
+    of the physical state and a plain edge-set model of the graph."""
+
+    @staticmethod
+    def check_graph(g, n, edges):
+        """g holds edges over its labels, and each absent label's slot is 0."""
+        assert g.edges() == tuple(sorted(edges))
+        for u in range(n):
+            nbrs = tuple(sorted(w for e in edges if u in e for w in e if w != u))
+            if u in g.vertices:
+                assert g.neighbors(u) == nbrs
+            else:
+                assert g.adj[u] == 0 and not nbrs
+
+    def test_rules_match_tableau_and_edge_model(self, rng):
+        seen = {1: 0, -1: 0, 0: 0}
+        deterministic = unattainable = 0
+        for _ in range(40):
+            n = rng.randint(13, 24)
+            p = rng.choice((0.05, 0.1, 0.25, 0.5))
+            pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            g = Graph.from_edges(n, pairs)
+            gs = GraphState(g, random_frame(g, rng))
+            tableau = Tableau(g, gs.frame)
+            walk, edges = g, set(pairs)
+            for _ in range(rng.randint(6, 12)):
+                v = rng.choice(gs.graph.vertices)
+                if rng.random() < 0.5:
+                    # the physical state, and so the tableau, is unchanged
+                    gs = local_complement(gs, v)
+                    walk = walk.toggle_neighborhood(v)
+                    nbrs = sorted(u for e in edges if v in e for u in e if u != v)
+                    edges ^= set(itertools.combinations(nbrs, 2))
+                else:
+                    basis, bit = rng.choice("XYZ"), rng.randint(0, 1)
+                    certain = tableau.expectation({v: basis}) != 0
+                    if not tableau.measure({v: basis}, bit):
+                        with pytest.raises(ValueError, match="has probability 0"):
+                            measure_vertex(gs, basis, v, bit)
+                        bit = 1 - bit
+                        unattainable += 1
+                        assert tableau.measure({v: basis}, bit)
+                    gs, rec = measure_vertex(gs, basis, v, bit)
+                    assert rec.probability == (1.0 if certain else 0.5)
+                    deterministic += certain
+                    walk = walk.delete_vertex(v)
+                    edges = {e for e in edges if v not in e}
+                assert walk.vertices == gs.graph.vertices
+                self.check_graph(walk, n, edges)
+                self.check_graph(gs.graph, n, gs.graph.edges())
+                verts = gs.graph.vertices
+                x = {u for u in verts if rng.random() < 0.5}
+                for letters in ({u: rng.choice("IXYZ") for u in verts},
+                                TestStabilizerExpectation.group_element(gs, x)):
+                    got = stabilizer_expectation(gs, letters)
+                    want = tableau.expectation({u: l for u, l in letters.items() if l != "I"})
+                    assert got == want, (gs.graph.edges(), letters)
+                    seen[got] += 1
+        assert min(seen.values()) > 50 and deterministic and unattainable, (
+            seen, deterministic, unattainable)

@@ -7,7 +7,6 @@ from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import oracles
@@ -145,6 +144,22 @@ class TestBellPlans:
     def test_overlapping_pairs_rejected(self):
         with pytest.raises(ValueError):
             find_bell_multicast_plan(NETWORK, ((0, 1), (1, 2)))
+
+    def test_residual_must_be_exactly_the_pairs(self):
+        """With nothing to measure the residual is the graph itself: a plan
+        exists when each pair is an edge with no other and the pairs cover
+        the participants once."""
+        two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
+        path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        assert realize_plan(two_edges, "bell_multicast", range(4), (), {},
+                            ((0, 1), (2, 3))) is not None
+        for graph, participants, pairs in (
+                (path, range(4), ((0, 1), (2, 3))),        # an edge between the pairs
+                (two_edges, range(4), ((0, 2), (1, 3))),   # pairs that are not edges
+                (two_edges, range(4), ((0, 1),)),          # participants 2, 3 in no pair
+                (two_edges, (0, 1), ((0, 1), (0, 1))),     # a pair given twice
+                (Graph.from_edges(3, [(0, 1)]), range(3), ((0, 1),))):  # 2 isolated
+            assert realize_plan(graph, "bell_multicast", participants, (), {}, pairs) is None
 
     def test_ring_casts_two_pairs_every_round(self):
         ring = networks.ring_graph()
@@ -295,6 +310,13 @@ class TestPairwiseCover:
             find_pairwise_plan_set(NETWORK, 0, (0, 1))
         with pytest.raises(ValueError):
             find_pairwise_plan_set(NETWORK, 0, ())
+
+    def test_users_must_be_vertices(self):
+        for graph, alice, bobs in ((NETWORK, 0, (6,)), (NETWORK, 9, (1,)),
+                                   (NETWORK, -1, (1,)), (NETWORK.delete_vertex(3), 0, (3,))):
+            with pytest.raises(ValueError, match="^alice and at least one bob must be "
+                               "distinct vertices of the graph$"):
+                find_pairwise_plan_set(graph, alice, bobs)
 
 
 def _orbit_paths(g):
@@ -537,112 +559,13 @@ def _random_candidate(rng):
     return realize_plan(g, kind, targets, lcs, bases, pairs, preparation_frame=prep)
 
 
-def _pauli_images(matrix):
-    """letter -> (letter', sign) with matrix P matrix^+ = sign P'."""
-    images = {"I": ("I", 1)}
-    for letter in "XYZ":
-        image = matrix @ PAULI_MATRICES[letter] @ matrix.conj().T
-        images[letter], = [(p, s) for p in "XYZ" for s in (1, -1)
-                           if np.allclose(image, s * PAULI_MATRICES[p])]
-    return images
-
-
 @functools.lru_cache(maxsize=None)
 def _correction_images(frame, terms):
-    """_pauli_images of the frame's matrix times the Pauli terms."""
+    """pauli_images of the frame's matrix times the Pauli terms."""
     matrix = frame.matrix
     for letter in terms:
         matrix = matrix @ PAULI_MATRICES[letter]
-    return _pauli_images(matrix)
-
-
-class Tableau:
-    """Aaronson-Gottesman stabilizer tableau (quant-ph/0406196).
-
-    Rows 0..n-1 are destabilizers and n..2n-1 stabilizers.  Row i is the
-    Pauli string (-1)^r[i] times the letters of the bitmasks x[i] and z[i]
-    over the qubits, both bits set meaning Y = iXZ; qubit q is vertex q.
-    Clifford gates act through the Pauli images of their matrices, so the
-    package's Clifford tables are not used.
-    """
-
-    BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-
-    def __init__(self, graph, frame):
-        n = self.n = graph.n
-        # destabilizers Z_v, stabilizers X_v Z_N(v)
-        self.x = [0] * n + [1 << v for v in range(n)]
-        self.z = [1 << v for v in range(n)] + list(graph.adj)
-        self.r = [0] * (2 * n)
-        for v, clifford in frame.items():
-            self.apply(v, clifford.matrix)
-
-    def copy(self):
-        out = object.__new__(Tableau)
-        out.n, out.x, out.z, out.r = self.n, list(self.x), list(self.z), list(self.r)
-        return out
-
-    def apply(self, q, matrix):
-        images = _pauli_images(matrix)
-        for i in range(2 * self.n):
-            bits = (self.x[i] >> q & 1, self.z[i] >> q & 1)
-            if bits != (0, 0):
-                letter = "IZXY"[2 * bits[0] + bits[1]]
-                image, sign = images[letter]
-                bx, bz = self.BITS[image]
-                self.x[i] = self.x[i] & ~(1 << q) | bx << q
-                self.z[i] = self.z[i] & ~(1 << q) | bz << q
-                self.r[i] ^= sign < 0
-
-    def string(self, letters):
-        x = z = 0
-        for q, letter in letters.items():
-            bx, bz = self.BITS[letter]
-            x, z = x | bx << q, z | bz << q
-        return x, z
-
-    @staticmethod
-    def product(x1, z1, r1, x2, z2, r2):
-        """The string 1 times string 2; with Y = iXZ the power of i is
-        2 r1 + 2 r2 + |x1 z1| + |x2 z2| + 2 |z1 x2| - |x3 z3|."""
-        x3, z3 = x1 ^ x2, z1 ^ z2
-        k = (2 * r1 + 2 * r2 + (x1 & z1).bit_count() + (x2 & z2).bit_count()
-             + 2 * (z1 & x2).bit_count() - (x3 & z3).bit_count())
-        return x3, z3, k % 4 // 2
-
-    def anticommutes(self, i, x, z):
-        return ((self.x[i] & z).bit_count() + (self.z[i] & x).bit_count()) % 2
-
-    def measure(self, letters, bit):
-        """Project onto the (-1)^bit eigenspace of the Pauli string; False
-        when that outcome has probability 0."""
-        x, z = self.string(letters)
-        n = self.n
-        stab = [i for i in range(n, 2 * n) if self.anticommutes(i, x, z)]
-        if not stab:
-            return self.expectation(letters) == (-1) ** bit
-        p = stab[0]
-        row = (self.x[p], self.z[p], self.r[p])
-        for i in range(2 * n):
-            if i != p and self.anticommutes(i, x, z):
-                self.x[i], self.z[i], self.r[i] = self.product(
-                    *row, self.x[i], self.z[i], self.r[i])
-        self.x[p - n], self.z[p - n], self.r[p - n] = row
-        self.x[p], self.z[p], self.r[p] = x, z, bit
-        return True
-
-    def expectation(self, letters):
-        """<P> of the Pauli string: 0, or +-1 when +-P is a stabilizer."""
-        x, z = self.string(letters)
-        n = self.n
-        if any(self.anticommutes(i, x, z) for i in range(n, 2 * n)):
-            return 0
-        acc = (0, 0, 0)
-        for i in range(n):
-            if self.anticommutes(i, x, z):
-                acc = self.product(self.x[n + i], self.z[n + i], self.r[n + i], *acc)
-        assert acc[:2] == (x, z)
-        return 1 - 2 * acc[2]
+    return oracles.pauli_images(matrix)
 
 
 def tableau_verdict(plan):
@@ -654,7 +577,7 @@ def tableau_verdict(plan):
         generators = [{a: "Z", b: "Z"} for a, b in zip(t, t[1:])] + [dict.fromkeys(t, "X")]
     else:
         generators = [dict.fromkeys(pair, letter) for pair in plan.pairs for letter in "ZX"]
-    network = Tableau(plan.graph, plan.preparation_frame)
+    network = oracles.Tableau(plan.graph, plan.preparation_frame)
     reached = 0
     for combo in itertools.product((0, 1), repeat=len(plan.nonparticipants)):
         state = network.copy()
