@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import build_report
-from .graphstate import DENSE_CAP, SizeCapError
+from .graphstate import SizeCapError
 from .io import (ParseError, RunConfig, parse_counts, parse_graph,
                  report_to_json, sha256_file, write_counts)
 from .keyrates import simulate_protocol
@@ -36,6 +36,10 @@ EXIT_PARSE = 2
 EXIT_NO_PLAN = 3
 EXIT_MISSING_SETTING = 4
 EXIT_CAP = 5
+
+# users per run: simulate tabulates all 2^N corrected outcomes of each round
+# type, and a counts file can list as many outcome rows
+USER_CAP = 12
 
 
 def _load_config(args) -> RunConfig:
@@ -62,8 +66,8 @@ def _extract_plans(cfg: RunConfig):
     if outside:
         raise ParseError(f"participants {outside} are not vertices 1..{graph.n} "
                          f"of {cfg.graph}")
-    if len(parts) > DENSE_CAP:
-        raise SizeCapError(f"runs capped at {DENSE_CAP} users, got {len(parts)}")
+    if len(parts) > USER_CAP:
+        raise SizeCapError(f"runs capped at {USER_CAP} users, got {len(parts)}")
     stray = sorted(v + 1 for v in cfg.noise_model().keyed_vertices()
                    if v not in graph.vertices)
     if stray:

@@ -101,11 +101,7 @@ class Graph:
 
     def toggle_neighborhood(self, v: int) -> "Graph":
         """Complement the edge set within the neighbourhood of v."""
-        nbrs = self.neighbors(v)
-        adj, mask = list(self.adj), self.adj[v]
-        for a in nbrs:
-            adj[a] ^= mask ^ (1 << a)  # every other neighbour of v
-        return Graph(self.vertices, tuple(adj))
+        return _toggled(self, v, self.neighbors(v))
 
     def connected_components(self) -> list[frozenset[int]]:
         remaining = set(self.vertices)
@@ -122,6 +118,14 @@ class Graph:
                         stack.append(w)
             comps.append(frozenset(comp))
         return comps
+
+
+def _toggled(graph: Graph, v: int, nbrs: tuple[int, ...]) -> Graph:
+    """graph.toggle_neighborhood(v), given v's neighbours."""
+    adj, mask = list(graph.adj), graph.adj[v]
+    for a in nbrs:
+        adj[a] ^= mask ^ (1 << a)  # every other neighbour of v
+    return Graph(graph.vertices, tuple(adj))
 
 
 @dataclass(frozen=True)
@@ -239,7 +243,7 @@ def _canonical_frame(graph: Graph, frame: dict[int, LocalClifford]) -> dict[int,
 def local_complement(gs: GraphState, v: int) -> GraphState:
     """Complement the neighbourhood of v; the physical state is unchanged."""
     nbrs = gs.graph.neighbors(v)
-    new_graph = gs.graph.toggle_neighborhood(v)
+    new_graph = _toggled(gs.graph, v, nbrs)
     frame = dict(gs.frame)
     # |G> = U^+ |tau_v(G)> with U = sqrt(-iX)_v prod_n sqrt(iZ)_n, so the
     # frame absorbs U^+ on the right.
@@ -313,11 +317,3 @@ def project_dense(vec: np.ndarray, vertices: tuple[int, ...],
         raise ValueError("projection onto a probability-0 outcome")
     return flat / norm
 
-
-def states_equal(gs1: GraphState, gs2: GraphState, tol: float = 1e-10) -> bool:
-    """Dense-oracle equality, up to global phase, of two graph states on the
-    same vertex set."""
-    if gs1.graph.vertices != gs2.graph.vertices:
-        return False
-    ov = np.vdot(to_dense(gs1), to_dense(gs2))
-    return bool(abs(abs(ov) ** 2 - 1) <= tol)

@@ -13,26 +13,27 @@ akr_n_rows and pairwise_conference_rate_rows.
 
 Exact states go through the plan's parity strings: the parity of each
 participant subset of the corrected bits is the expectation of one Pauli
-string.  The strings, their CorrelatorTable and the outcome keys form one
-PlanRound per plan instance and round type, built on first use.  Under a
-noise model the table evaluates the strings in closed form, with no dense
-state; an explicit amplitude vector or density matrix is read by one real
-sum per string, in float64 when its imaginary part is zero.  The analytic
-QBER and Q_X read the parities; a Walsh-Hadamard transform of them gives
-the outcome distribution.
+string, from routing.subset_strings as in routing.verify_plan.  Each of
+two readers keeps one PlanRound (strings and CorrelatorTable) per plan
+instance and round type, built on first use with only the subsets it
+reads: the outcome distribution reads all 2^N, the QBER and Q_X the empty
+set, the pairs and the full set.  Under a noise model the table evaluates
+the strings in closed form, with no dense state; an explicit amplitude
+vector or density matrix is read by one real sum per string, in float64
+when its imaginary part is zero.  A Walsh-Hadamard transform of the
+parities gives the outcome distribution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graphstate import GraphState, stabilizer_expectation
-from .routing import (ExtractionPlan, RoundSetting, compile_round_settings,
-                      parity_strings)
+from .routing import ExtractionPlan, RoundSetting, subset_strings
 
 
 @dataclass
@@ -382,7 +383,8 @@ class CorrelatorTable:
     ideal value (+-1 or 0) scaled by the channels.  Row t holds one string
     with a nonzero ideal value: its letter codes per network vertex (0 = I,
     1 = X, 2 = Y, 3 = Z), its subset mask and its weight, the sign times the
-    ideal value.  plan_round builds it once per plan instance, read-only.
+    ideal value; a subset with no row reads 0.  plan_round builds it once
+    per plan instance and reader, read-only.
     """
 
     targets: tuple[int, ...]
@@ -413,21 +415,18 @@ class CorrelatorTable:
 
 @dataclass(frozen=True)
 class PlanRound:
-    """What every evaluator reads off one plan for one round type, built
-    once per plan instance (plan_round), with read-only arrays.
+    """What one reader reads off one plan for one round type: the strings of
+    the participant subsets it asks for (routing.subset_strings), built once
+    per plan instance and reader (plan_round), with read-only arrays.
 
-    On any network state the parity of a participant subset A of the
-    corrected bits is sign * <S>: S takes the letters of the XOR of A's
-    rows of routing.parity_strings, and the sign negates the bits of A that
-    the sign convention flips.  Row a is the subset with mask a, participant
-    i at bit N-1-i, so that subset and outcome indices read as keys[a].  Per
-    string the explicit-state read keeps its X/Y and Y/Z masks (vertex i at
-    bit n-1-i), the parity of #Y, and the sign times the real factor +-1 of
-    i^#Y.
+    subsets holds the masks, participant i at bit N-1-i.  Per string the
+    explicit-state read keeps its X/Y and Y/Z masks (vertex i at bit n-1-i),
+    the parity of #Y, and the sign times the real factor +-1 of i^#Y; the
+    table keeps the strings with a nonzero ideal value.
     """
 
     setting: RoundSetting
-    keys: tuple[str, ...]
+    subsets: np.ndarray
     x_masks: np.ndarray
     z_masks: np.ndarray
     odd_y: np.ndarray
@@ -435,40 +434,32 @@ class PlanRound:
     table: CorrelatorTable
 
     @classmethod
-    def build(cls, plan: ExtractionPlan, round_type: str) -> "PlanRound":
-        setting = compile_round_settings(plan, round_type)
-        parts, verts = plan.targets, plan.graph.vertices
-        n_parts = len(parts)
-        subset_bits = (np.arange(1 << n_parts)[:, None] >> np.arange(n_parts - 1, -1, -1)) & 1
-        letters = np.array(["IXYZ".index(setting.per_vertex_basis[v]) for v in verts])
-        negated = np.array([int(setting.sign_convention[u] < 0) for u in parts])
-        codes = ((subset_bits @ parity_strings(plan, round_type)) & 1) * letters
-        signs = 1.0 - 2.0 * ((subset_bits @ negated) & 1)
-        state = GraphState(plan.graph, dict(plan.preparation_frame))
-        ideal = np.array([
-            stabilizer_expectation(state, {v: "IXYZ"[c] for v, c in zip(verts, row)})
-            for row in codes.tolist()])
-        rows = np.flatnonzero(ideal)
-        n_y, place = (codes == 2).sum(axis=1), 1 << np.arange(len(verts) - 1, -1, -1)
-        arrays = (((codes == 1) | (codes == 2)) @ place, (codes >= 2) @ place, n_y % 2 == 1,
-                  signs * np.array([1.0, -1.0, -1.0, 1.0])[n_y % 4],
-                  rows, ideal[rows] * signs[rows], codes[rows])
+    def build(cls, plan: ExtractionPlan, round_type: str, masks: Sequence[int]) -> "PlanRound":
+        setting, codes, signs, values = subset_strings(plan, round_type, masks)
+        subsets, rows = np.array(masks), np.flatnonzero(values)
+        n_y, place = (codes == 2).sum(axis=1), 1 << np.arange(codes.shape[1] - 1, -1, -1)
+        arrays = (subsets, ((codes == 1) | (codes == 2)) @ place, (codes >= 2) @ place,
+                  n_y % 2 == 1, signs * np.array([1.0, -1.0, -1.0, 1.0])[n_y % 4],
+                  subsets[rows], values[rows], codes[rows])
         for array in arrays:
             array.flags.writeable = False
-        return cls(setting, tuple(format(a, f"0{n_parts}b") for a in range(1 << n_parts)),
-                   *arrays[:4], CorrelatorTable(parts, verts, *arrays[4:]))
+        return cls(setting, *arrays[:5],
+                   CorrelatorTable(plan.targets, plan.graph.vertices, *arrays[5:]))
 
 
-def plan_round(plan: ExtractionPlan, round_type: str) -> PlanRound:
-    """The plan's PlanRound, built on first use and kept in plan.round_cache."""
-    cache = plan.round_cache
-    if round_type not in cache:
-        cache[round_type] = PlanRound.build(plan, round_type)
-    return cache[round_type]
+def plan_round(plan: ExtractionPlan, round_type: str, reader: str = "estimates") -> PlanRound:
+    """The plan's PlanRound for the reader "distribution" (all 2^N subsets) or
+    "estimates" (the empty set, the pairs, the full set), kept in round_cache."""
+    cache, n = plan.round_cache, len(plan.targets)
+    if (round_type, reader) not in cache:
+        masks = range(1 << n) if reader == "distribution" else sorted(
+            {0, (1 << n) - 1, *(1 << a | 1 << b for a, b in combinations(range(n), 2))})
+        cache[round_type, reader] = PlanRound.build(plan, round_type, masks)
+    return cache[round_type, reader]
 
 
 def correlator_tables(plan: ExtractionPlan) -> tuple[CorrelatorTable, CorrelatorTable]:
-    """The plan's type-1 and type-2 tables, built once per plan instance."""
+    """The plan's type-1 and type-2 estimator tables, built once per plan instance."""
     return plan_round(plan, "type-1").table, plan_round(plan, "type-2").table
 
 
@@ -482,7 +473,8 @@ def table_estimate_rows(tables: Sequence[CorrelatorTable], model,
 
 
 def _state_parities(read: PlanRound, state) -> np.ndarray:
-    """The 2^N subset parities on a state taken as by outcome_distribution.
+    """The 2^N subset parities on a state taken as by outcome_distribution,
+    0 at each subset the reader does not ask for.
 
     Vertex i is bit n-1-i of a basis index j, and a string with X/Y mask x
     and Y/Z mask z maps |j> to i^#Y (-1)^|j & z| |j ^ x>.  So <S> is i^#Y
@@ -504,7 +496,7 @@ def _state_parities(read: PlanRound, state) -> np.ndarray:
     j = np.arange(dim)
     # sign[k] = (-1)^|k|, so a string's signs over j are sign[j & z]
     sign = 1.0 - 2.0 * (((j[:, None] >> np.arange(n)) & 1).sum(axis=1) & 1)
-    sums = np.zeros(len(read.keys))
+    sums = np.zeros(len(read.subsets))
     block = max(1, (1 << 16) >> n)
     for odd in (False, True) if np.iscomplexobj(state) else (False,):
         rows = np.flatnonzero(read.odd_y == odd)
@@ -514,7 +506,7 @@ def _state_parities(read: PlanRound, state) -> np.ndarray:
             terms = state[j, flipped] if state.ndim == 2 else state[flipped].conj() * state
             z_sign = sign[j & read.z_masks[r, None]]
             sums[r] = ((terms.imag if odd else terms.real) * z_sign).sum(axis=1)
-    return read.read_signs * sums
+    return np.bincount(read.subsets, read.read_signs * sums, 1 << len(read.table.targets))
 
 
 def _parity_error_rows(participants: Sequence[int], type1: np.ndarray,
@@ -547,11 +539,11 @@ def outcome_distribution(plan: ExtractionPlan, round_type: str,
     the rest renormalized.  Raises ValueError for an explicit state of
     another shape.
     """
-    read = plan_round(plan, round_type)
-    parities = _state_parities(read, state)
+    parities = _state_parities(plan_round(plan, round_type, "distribution"), state)
     probs = _walsh(parities) / parities.size
     kept = np.flatnonzero(probs >= 1e-15)
-    out = dict(zip([read.keys[a] for a in kept.tolist()], probs[kept].tolist()))
+    width = len(plan.targets)
+    out = dict(zip([format(a, f"0{width}b") for a in kept.tolist()], probs[kept].tolist()))
     norm = sum(out.values())
     return {key: p / norm for key, p in out.items()}
 
@@ -578,7 +570,7 @@ def simulate_protocol(plan: ExtractionPlan, n_rounds: int, seed: int,
         probs = np.array([dist[k] for k in keys])
         draws = rng.multinomial(rounds, probs / probs.sum())
         counts = {k: int(c) for k, c in zip(keys, draws) if c > 0}
-        batches.append(RoundBatch(plan_round(plan, round_type).setting,
+        batches.append(RoundBatch(plan_round(plan, round_type, "distribution").setting,
                                   plan.targets, counts))
     return batches[0], batches[1]
 

@@ -112,7 +112,7 @@ class ExtractionPlan:
 
     @cached_property
     def round_cache(self) -> dict:
-        """Per-round-type data derived from this instance (keyrates.plan_round);
+        """Per round type and reader, data derived from this instance (keyrates.plan_round);
         outside ==, repr and plan_to_json, and empty on a replaced plan."""
         return {}
 
@@ -293,25 +293,16 @@ def verify_plan(plan: ExtractionPlan) -> bool:
     up to frames and byproducts: iff every stabilizer generator of it (Z Z
     on consecutive targets and X on all for GHZ, Z Z and X X per Bell pair)
     has corrected parity +1, the mean over branches, which is one Pauli
-    string on the network state (parity_strings; Anders and Briegel,
+    string on the network state (subset_strings; Anders and Briegel,
     quant-ph/0504117).  No branch is walked."""
-    state = GraphState(plan.graph, dict(plan.preparation_frame))
-    verts, targets = plan.graph.vertices, plan.targets
+    n = len(plan.targets)
     if plan.kind == "ghz":
-        generators = {"type-1": list(zip(targets, targets[1:])), "type-2": [targets]}
+        generators = {"type-1": [3 << k for k in range(n - 1)], "type-2": [(1 << n) - 1]}
     else:
-        generators = dict.fromkeys(("type-1", "type-2"), plan.pairs)
-    for round_type, subsets in generators.items():
-        setting = compile_round_settings(plan, round_type)
-        strings = parity_strings(plan, round_type)
-        for subset in subsets:
-            in_string = strings[[targets.index(u) for u in subset]].sum(axis=0) % 2
-            letters = {v: setting.per_vertex_basis[v]
-                       for v, bit in zip(verts, in_string) if bit}
-            sign = np.prod([setting.sign_convention[u] for u in subset])
-            if sign * stabilizer_expectation(state, letters) != 1:
-                return False
-    return True
+        pairs = [sum(1 << n - 1 - plan.targets.index(u) for u in p) for p in plan.pairs]
+        generators = dict.fromkeys(("type-1", "type-2"), pairs)
+    return all((subset_strings(plan, round_type, masks)[3] == 1).all()
+               for round_type, masks in generators.items())
 
 
 def network_vector(plan: ExtractionPlan) -> np.ndarray:
@@ -512,22 +503,23 @@ def parity_strings(plan: ExtractionPlan, round_type: str) -> np.ndarray:
     return strings
 
 
-def byproduct_correction(plan: ExtractionPlan, nonparticipant_outcomes: Mapping[int, int],
-                         round_type: str = "type-1") -> dict[int, int]:
-    """Outcome-bit flip mask for the participants, given nonparticipant bits.
-
-    A Pauli byproduct flips a participant's bit exactly when it anticommutes
-    with that participant's logical measurement basis, and the byproduct is
-    a product of terms, so the flip is the XOR of the terms' flips: of the
-    parity_strings columns of the nonparticipants that read 1.
-    """
-    missing = set(plan.nonparticipants) - set(nonparticipant_outcomes)
-    if missing:
-        raise ValueError(f"missing outcomes for nonparticipants {sorted(missing)}")
-    columns = [plan.graph.vertices.index(v) for v in plan.nonparticipants
-               if nonparticipant_outcomes[v]]
-    flips = parity_strings(plan, round_type)[:, columns].sum(axis=1) % 2
-    return dict(zip(plan.targets, flips.tolist()))
+def subset_strings(plan: ExtractionPlan, round_type: str, masks: Sequence[int],
+                   ) -> tuple[RoundSetting, np.ndarray, np.ndarray, np.ndarray]:
+    """The round's setting and, per participant-subset mask (participant i at
+    bit N-1-i), the string S whose <S> times sign is the subset's corrected
+    parity on any network state: S's letter codes per vertex (0 = I, 1 = X,
+    2 = Y, 3 = Z), its sign, and that parity on the plan's ideal state."""
+    setting = compile_round_settings(plan, round_type)
+    verts, n_parts = plan.graph.vertices, len(plan.targets)
+    subset_bits = (np.asarray(masks)[:, None] >> np.arange(n_parts - 1, -1, -1)) & 1
+    letters = np.array(["IXYZ".index(setting.per_vertex_basis[v]) for v in verts])
+    negated = np.array([int(setting.sign_convention[u] < 0) for u in plan.targets])
+    codes = ((subset_bits @ parity_strings(plan, round_type)) & 1) * letters
+    signs = 1.0 - 2.0 * ((subset_bits @ negated) & 1)
+    state = GraphState(plan.graph, dict(plan.preparation_frame))
+    ideal = np.array([stabilizer_expectation(state, {v: "IXYZ"[c] for v, c in zip(verts, row)})
+                      for row in codes.tolist()])
+    return setting, codes, signs, ideal * signs
 
 
 def network_use_accounting(plans: Sequence[ExtractionPlan], protocol: str) -> int:

@@ -18,11 +18,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from graphqcka.graphstate import _BASIS_STATES, Graph, _apply_single_qubit
+from graphqcka.graphstate import _BASIS_STATES, Graph, GraphState, _apply_single_qubit, to_dense
 from graphqcka.keyrates import ErrorEstimates, RoundBatch
 from graphqcka.noise import NoiseModel
 from graphqcka.pauli import _H, _S, PAULI_MATRICES, LocalClifford, SignedPauli, pauli_product
-from graphqcka.routing import (ExtractionPlan, byproduct_correction, compile_round_settings,
+from graphqcka.routing import (ExtractionPlan, compile_round_settings, parity_strings,
                                realize_plan)
 
 
@@ -47,6 +47,33 @@ def expectation(vec: np.ndarray, obs: PauliObservable, vertices: Iterable[int]) 
             out = _apply_single_qubit(out, n, i, PAULI_MATRICES[letter])
     val = obs.sign * np.vdot(vec, out)
     return float(val.real)
+
+
+def states_equal(gs1: GraphState, gs2: GraphState, tol: float = 1e-10) -> bool:
+    """Dense-oracle equality, up to global phase, of two graph states on the
+    same vertex set."""
+    if gs1.graph.vertices != gs2.graph.vertices:
+        return False
+    ov = np.vdot(to_dense(gs1), to_dense(gs2))
+    return bool(abs(abs(ov) ** 2 - 1) <= tol)
+
+
+def byproduct_correction(plan: ExtractionPlan, nonparticipant_outcomes: Mapping[int, int],
+                         round_type: str = "type-1") -> dict[int, int]:
+    """Outcome-bit flip mask for the participants, given nonparticipant bits.
+
+    A Pauli byproduct flips a participant's bit exactly when it anticommutes
+    with that participant's logical measurement basis, and the byproduct is
+    a product of terms, so the flip is the XOR of the terms' flips: of the
+    parity_strings columns of the nonparticipants that read 1.
+    """
+    missing = set(plan.nonparticipants) - set(nonparticipant_outcomes)
+    if missing:
+        raise ValueError(f"missing outcomes for nonparticipants {sorted(missing)}")
+    columns = [plan.graph.vertices.index(v) for v in plan.nonparticipants
+               if nonparticipant_outcomes[v]]
+    flips = parity_strings(plan, round_type)[:, columns].sum(axis=1) % 2
+    return dict(zip(plan.targets, flips.tolist()))
 
 
 # maps basis eigenstates onto computational bits: row b = <e_b|

@@ -15,8 +15,7 @@ from graphqcka import networks
 from graphqcka.analysis import build_report
 from graphqcka.cli import main
 from graphqcka.graphstate import (Graph, GraphState, local_complement,
-                                  measure_vertex, project_dense, states_equal,
-                                  to_dense)
+                                  measure_vertex, project_dense, to_dense)
 from graphqcka.keyrates import (RoundBatch, akr_2, akr_n, simulate_protocol)
 from graphqcka.noise import (NoiseModel, apply_noise, calibrate_to_targets,
                              poisson_mc, pump_sweep)
@@ -27,6 +26,7 @@ from graphqcka.routing import (circuit_success_probability,
                                verify_plan_dense)
 
 from conftest import connected_graphs, random_frame, random_graph
+from oracles import states_equal
 
 
 class criterion:

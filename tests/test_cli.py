@@ -169,7 +169,7 @@ EXIT_CODE_TABLE = [
     # 18 isolated nodes more: the README plans at 20 nonparticipants
     (["extract", "--graph", "{graph24}", "--protocol", "both", *ROLES], 0),
     (["orbit", "--graph", "{path13}"], EXIT_CAP),
-    # more than 12 users: the link-set scan and outcome tables are exponential
+    # more than cli.USER_CAP (12) users: simulate's outcome tables are exponential
     (["extract", "--graph", "{star24}", "--alice", "1",
       "--bobs", ",".join(str(v) for v in range(2, 25))], EXIT_CAP),
     (["simulate", "--graph", "{star13}", "--protocol", "nqkd", "--alice", "1",

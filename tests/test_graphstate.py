@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from graphqcka.graphstate import (Graph, GraphState, SizeCapError,
                                   build_graph_state, local_complement,
                                   measure_vertex, project_dense,
-                                  stabilizer_expectation, states_equal, to_dense)
+                                  stabilizer_expectation, to_dense)
 from graphqcka.pauli import IDENTITY, from_name
 
 from conftest import all_graphs, connected_graphs, identity_state, random_frame, random_graph
-from oracles import PauliObservable, Tableau, expectation
+from oracles import PauliObservable, Tableau, expectation, states_equal
 
 
 class TestGraph:

@@ -333,7 +333,7 @@ class TestPauliEngine:
                 assert_matches_density_path(plan, random_model(rng, plan.graph.vertices))
             # a GHZ state's all-Z correlators are the even-size subsets, each +-1
             if plan.kind == "ghz":
-                table = correlator_tables(plan)[0]
+                table = plan_round(plan, "type-1", "distribution").table
                 n = len(plan.targets)
                 assert table.subsets.tolist() == [a for a in range(1 << n)
                                                   if a.bit_count() % 2 == 0]
@@ -501,17 +501,20 @@ class TestExplicitStates:
 
 
 class TestPlanCache:
-    """Each plan instance builds its PlanRounds (strings, tables, keys) once."""
+    """Each plan instance builds its PlanRounds (strings and tables) once per
+    round type and reader."""
+
+    READERS = ("distribution", "estimates")
 
     @staticmethod
     def count_evaluations(monkeypatch):
         """The stabilizer_expectation calls that building tables makes."""
-        calls, real = [], keyrates.stabilizer_expectation
+        calls, real = [], routing.stabilizer_expectation
 
         def spy(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
-        monkeypatch.setattr(keyrates, "stabilizer_expectation", spy)
+        monkeypatch.setattr(routing, "stabilizer_expectation", spy)
         return calls
 
     def test_second_evaluation_builds_nothing(self, monkeypatch):
@@ -527,10 +530,15 @@ class TestPlanCache:
         calls = self.count_evaluations(monkeypatch)
         for name, evaluate in evaluations.items():
             plan = networks.ghz_plan()
+            calls.clear()
             evaluate(plan)
             assert calls, name
             calls.clear()
             evaluate(plan)
+            assert not calls, name
+            for other in evaluations.values():
+                other(plan)
+            calls.clear()
             for other in evaluations.values():
                 other(plan)
             assert not calls, name
@@ -542,7 +550,8 @@ class TestPlanCache:
         calls = self.count_evaluations(monkeypatch)
         twin = replace(plan)
         assert outcome_distribution(twin, "type-1", model) == dist
-        assert calls and plan_round(twin, "type-1") is not plan_round(plan, "type-1")
+        assert calls and all(plan_round(twin, "type-1", reader) is not plan_round(
+            plan, "type-1", reader) for reader in self.READERS)
         # a changed byproduct term, as test_changed_term_fails_verification
         # makes it, is read from the new plan, not from the old one's tables
         swap = {"I": "Y", "Y": "I", "X": "Z", "Z": "X"}
@@ -557,10 +566,11 @@ class TestPlanCache:
 
     def test_cached_arrays_are_read_only(self):
         plan = networks.bell_multicast_plan()
-        for read in (plan_round(plan, "type-1"), plan_round(plan, "type-2")):
+        for read in (plan_round(plan, rt, reader) for rt in ("type-1", "type-2")
+                     for reader in self.READERS):
             table = read.table
-            for array in (read.x_masks, read.z_masks, read.odd_y, read.read_signs,
-                          table.subsets, table.weights, table.letters):
+            for array in (read.subsets, read.x_masks, read.z_masks, read.odd_y,
+                          read.read_signs, table.subsets, table.weights, table.letters):
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 0
         assert correlator_tables(plan) == (plan_round(plan, "type-1").table,
@@ -571,10 +581,93 @@ class TestPlanCache:
         before = repr(plan), plan_to_json(plan)
         analytic_estimates(plan, network_vector(plan))
         simulate_protocol(plan, 50, 1)
-        assert set(plan.round_cache) == {"type-1", "type-2"}
+        assert set(plan.round_cache) == {(rt, reader) for rt in ("type-1", "type-2")
+                                         for reader in self.READERS}
         assert (repr(plan), plan_to_json(plan)) == before
         assert plan == twin and twin == plan
         assert plan_from_json(plan_to_json(plan)) == plan
+
+
+class TestEstimatorSubsets:
+    """The estimators build only the empty set, the pairs and the full set,
+    and read the same values as through every subset."""
+
+    @staticmethod
+    def all_subset_twin(plan):
+        """A copy of plan whose estimators read its all-subset PlanRounds."""
+        twin = replace(plan)
+        for rt in ("type-1", "type-2"):
+            twin.round_cache[(rt, "estimates")] = plan_round(twin, rt, "distribution")
+        return twin
+
+    @staticmethod
+    def searched_plans(rng, count):
+        """Searched GHZ and Bell plans, alternately, on 4 to 8 vertices with 2
+        to 8 targets: the resource's graph (a star over the targets, or the
+        pairs) with each nonparticipant joined to random vertices, which Z
+        measurements remove, then random local complementations and a random
+        preparation frame, which keep a plan in the search's reach."""
+        plans = []
+        while len(plans) < count:
+            n = rng.randint(4, 8)
+            verts = rng.sample(range(n), n)
+            k = rng.randint(2, n)
+            ghz = len(plans) % 2 == 0
+            if ghz:
+                targets = verts[:k]
+                edges = {(targets[0], t) for t in targets[1:]}
+            else:
+                k -= k % 2
+                pairs = list(zip(verts[:k:2], verts[1:k:2]))
+                edges = set(pairs)
+            for v in verts[k:]:
+                edges |= {(v, w) for w in verts if w != v and rng.random() < 0.5}
+            g = Graph.from_edges(n, {tuple(sorted(e)) for e in edges})
+            for v in rng.choices(range(n), k=rng.randint(0, n)):
+                g = g.toggle_neighborhood(v)
+            prep = rng.choice([None, networks.photonic_preparation_frame(g.vertices),
+                               random_frame(g, rng)])
+            plan = (find_ghz_plan(g, targets, prep) if ghz
+                    else find_bell_multicast_plan(g, pairs, prep))
+            assert plan is not None
+            plans.append(plan)
+        return plans
+
+    def test_all_subsets_give_the_same_bits(self, rng):
+        plans = self.searched_plans(rng, 24)
+        assert max(len(p.targets) for p in plans if p.kind == "ghz") >= 6
+        assert max(len(p.targets) for p in plans if p.kind != "ghz") >= 6
+        powers = np.linspace(5.0, 400.0, 7)
+        for plan in plans:
+            twin = self.all_subset_twin(plan)
+            assert len(plan_round(twin, "type-2").subsets) == 1 << len(plan.targets)
+            model = random_model(rng, plan.graph.vertices)
+            vec = network_vector(plan)
+            rho = apply_noise(vec, plan.graph.vertices, model).matrix
+            for state in (model, None, vec, rho):
+                assert repr(analytic_estimates(plan, state)) == repr(
+                    analytic_estimates(twin, state))
+            wn = [0.0, 0.1, model.white_noise]
+            for got, want in zip(keyrates.table_estimate_rows(correlator_tables(plan), model, wn),
+                                 keyrates.table_estimate_rows(correlator_tables(twin), model, wn)):
+                assert got.tobytes() == want.tobytes()
+            got, want = pump_sweep(plan, model, powers), pump_sweep(twin, model, powers)
+            assert repr(got) == repr(want)
+            # targets that the fitted channel meets, so that no target conflicts
+            est = analytic_estimates(plan, NoiseModel(depolarizing=model.depolarizing))
+            fits = [calibrate_to_targets({"p": p}, {"p": (est.qber, est.qx)},
+                                         channels=("depolarizing",)) for p in (plan, twin)]
+            assert repr(fits[0]) == repr(fits[1])
+
+    def test_first_estimate_evaluates_only_the_estimator_subsets(self, monkeypatch):
+        """12 users: 66 pairs, the empty set and the full set per round type,
+        where all 2^12 subsets would be 4,096."""
+        g = Graph.from_edges(13, [(0, leaf) for leaf in range(1, 13)])
+        plan = find_ghz_plan(g, range(1, 13))
+        calls = TestPlanCache.count_evaluations(monkeypatch)
+        est = analytic_estimates(plan, NoiseModel(depolarizing={3: 0.02}, white_noise=0.05))
+        assert len(calls) == 2 * 68
+        assert est.qber == est.qx > 0.0
 
 
 def distribution_estimates(plan, state):

@@ -11,11 +11,12 @@ import pytest
 
 import oracles
 from conftest import all_graphs, random_frame, random_graph
+from oracles import byproduct_correction
 from graphqcka import networks, routing
 from graphqcka.graphstate import Graph, GraphState, SizeCapError, local_complement
 from graphqcka.pauli import (ALL_CLIFFORDS, HADAMARD, IDENTITY, PAULI_MATRICES, compose,
                              pauli_layer)
-from graphqcka.routing import (byproduct_correction, circuit_success_probability,
+from graphqcka.routing import (circuit_success_probability,
                                compile_round_settings, find_bell_multicast_plan,
                                find_ghz_plan, find_pairwise_plan_set, lc_orbit,
                                network_use_accounting, plan_from_json, plan_to_json,
