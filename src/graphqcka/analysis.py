@@ -9,7 +9,7 @@ noise.poisson_count_rows: row 0, the observed counts, gives the values
 (qber, qx, the Alice choice, akr_n, the per-link rates, akr_2 and the
 ratio), and the resampled rows give the uncertainties, with NaN on the
 rows where a value is undefined.  Without Monte Carlo the matrix is that
-one row.  A Bell pair is read as two bit columns of its plan's outcomes.
+one row.  A Bell pair's error and Q_X are read at its pair mask.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .keyrates import (CountRows, KeyRateReport, RoundBatch, akr_n_rows,
-                       pairwise_conference_rate_rows, pairwise_error_rows,
-                       qber_rows, qx_rows)
+from .keyrates import (CountRows, KeyRateReport, RoundBatch, _alice_min_max,
+                       akr_n_rows, count_error_rows, pairwise_conference_rate_rows)
 from .noise import monte_carlo_results, poisson_count_rows
 from .routing import ExtractionPlan, network_use_accounting
 
@@ -45,14 +44,15 @@ def _link_rate_rows(bell_plans, rows: Mapping[str, CountRows],
                     ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """akr_n of every Bell pair on every row, keyed "a-b" with 1-based
     labels, and the pairwise conference rate on every row.  A pair's QBER
-    is its pairwise error; the rates of all pairs are one akr_n_rows call."""
-    pairs = [(k, pair) for k, plan in enumerate(bell_plans) for pair in plan.pairs]
-    rates = akr_n_rows(
-        np.array([pairwise_error_rows(rows[f"bell{k}/type-1"], *pair) for k, pair in pairs]),
-        np.array([qx_rows(rows[f"bell{k}/type-2"], pair) for k, pair in pairs]))
-    links = {f"{a + 1}-{b + 1}": r for (_, (a, b)), r in zip(pairs, rates)}
-    ends = np.cumsum([len(plan.pairs) for plan in bell_plans])[:-1]
-    return links, pairwise_conference_rate_rows(np.split(rates, ends))
+    is its pair error, and its Q_X that of its pair mask."""
+    links, plan_rates = {}, []
+    for k, plan in enumerate(bell_plans):
+        type1 = rows[f"bell{k}/type-1"]
+        errors, qx, _ = count_error_rows(type1, rows[f"bell{k}/type-2"])
+        i, j = np.array([[type1.participants.index(u) for u in pair] for pair in plan.pairs]).T
+        plan_rates.append(akr_n_rows(errors[i, j], qx[i, j]))
+        links.update({f"{a + 1}-{b + 1}": r for (a, b), r in zip(plan.pairs, plan_rates[-1])})
+    return links, pairwise_conference_rate_rows(plan_rates)
 
 
 def build_report(ghz_plan: ExtractionPlan | None,
@@ -89,7 +89,7 @@ def build_report(ghz_plan: ExtractionPlan | None,
         pairwise_rates={link: float(r[0]) for link, r in link_rates.items()},
         akr_2=point.get("akr_2", nan), ratio=None if math.isnan(ratio) else ratio,
         copies_per_bit=copies, qber=point.get("qber", nan), qx=point.get("qx", nan),
-        alice_choice=None if alice is None else int(alice[0]))
+        alice_choice=None if alice is None else int(rows["nqkd/type-1"].participants[alice[0]]))
     if n_samples and values:
         results = monte_carlo_results(values, n_samples, mc_seed)
         report.uncertainties = {name: r.std for name, r in results.items()}
@@ -99,8 +99,8 @@ def build_report(ghz_plan: ExtractionPlan | None,
 def _evaluate(ghz_plan, bell_plans, rows: Mapping[str, CountRows],
               ) -> tuple[dict[str, np.ndarray], np.ndarray | None, dict[str, np.ndarray]]:
     """The report's scalars on every row of counts, NaN where undefined,
-    the Alice choice on every row (None without ghz_plan), and each link's
-    rate rows, keyed as in pairwise_rates.
+    Alice's index into the nqkd participants on every row (None without
+    ghz_plan), and each link's rate rows, keyed as in pairwise_rates.
 
     Row by row the scalars are build_report's values: qber, qx and akr_n
     need both nqkd batches nonempty, akr_2 every Bell batch, and the ratio
@@ -108,7 +108,8 @@ def _evaluate(ghz_plan, bell_plans, rows: Mapping[str, CountRows],
     """
     out, alice, link_rates = {}, None, {}
     if ghz_plan is not None:
-        (qber, alice), qx = qber_rows(rows["nqkd/type-1"]), qx_rows(rows["nqkd/type-2"])
+        errors, _, qx = count_error_rows(rows["nqkd/type-1"], rows["nqkd/type-2"])
+        qber, alice = _alice_min_max(errors)
         undefined = np.isnan(qber) | np.isnan(qx)
         qber[undefined] = qx[undefined] = np.nan
         out.update(qber=qber, qx=qx, akr_n=akr_n_rows(qber, qx))

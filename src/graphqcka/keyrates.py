@@ -5,23 +5,23 @@ type-2 all-X parameter rounds) and the pairwise alternative where N-1 Bell
 keys are XOR-combined into a conference key, together with the error
 estimators and asymptotic rate formulas for both.
 
-Each estimator and rate formula is written once, over rows: the
-estimators over rows of counts (CountRows), with the scalar estimators on
-a RoundBatch as their one-row views, and binary_entropy, akr_n, akr_2 and
-pairwise_conference_rate as one-element views of _entropy_rows,
-akr_n_rows and pairwise_conference_rate_rows.
+One estimator, _error_rows, reads every error rate off rows of subset
+parities, from counts (CountRows.parity_rows; the scalar estimators on a
+RoundBatch are its one-row views), correlator tables or explicit states.
+binary_entropy, akr_n, akr_2 and pairwise_conference_rate are one-element
+views of _entropy_rows, akr_n_rows and pairwise_conference_rate_rows.
 
 Exact states go through the plan's parity strings: the parity of each
 participant subset of the corrected bits is the expectation of one Pauli
 string, from routing.subset_strings as in routing.verify_plan.  Each of
 two readers keeps one PlanRound (strings and CorrelatorTable) per plan
 instance and round type, built on first use with only the subsets it
-reads: the outcome distribution reads all 2^N, the QBER and Q_X the empty
+reads: the outcome distribution reads all 2^N, the estimators the empty
 set, the pairs and the full set.  Under a noise model the table evaluates
 the strings in closed form, with no dense state; an explicit amplitude
 vector or density matrix is read by one real sum per string, in float64
 when its imaginary part is zero.  A Walsh-Hadamard transform of the
-parities gives the outcome distribution.
+distribution reader's parities gives the outcome distribution.
 """
 
 from __future__ import annotations
@@ -128,46 +128,42 @@ def pairwise_conference_rate(plan_rates: Sequence[Sequence[float]]) -> float:
 # the estimators on rows of counts, and their one-row views
 
 
+def _estimator_masks(n: int) -> list[int]:
+    """The empty set, the pairs and the full set of n participants, as sorted masks."""
+    return sorted({0, (1 << n) - 1, *(1 << a | 1 << b for a, b in combinations(range(n), 2))})
+
+
 @dataclass(frozen=True)
 class CountRows:
     """Rows of counts over one batch's sorted outcome strings.
 
-    counts[r, k] counts outcomes[k] in row r.  The *_rows estimators below
-    give one float per row, NaN where the row is undefined (a zero total).
-    The scalar estimators are their views on RoundBatch.rows().  The outcome
-    bits and the row totals are read once, when the rows are made:
-    bit_matrix[k, i] is participant i's bit in outcomes[k].
+    counts[r, k] counts outcomes[k] in row r.  parity_rows() reads them as
+    subset parities over the estimator masks subsets, the rows that
+    _error_rows takes.  The +-1 matrix signs[k, s] = (-1)^|outcome k &
+    subsets[s]| is built once, when the rows are made.
     """
 
     participants: tuple[int, ...]
     outcomes: tuple[str, ...]
     counts: np.ndarray
-    bit_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    totals: np.ndarray = field(init=False, repr=False, compare=False)
+    subsets: np.ndarray = field(init=False, repr=False, compare=False)
+    signs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n = len(self.participants)
         text = "".join(self.outcomes).encode("ascii")
         bits = (np.frombuffer(text, dtype=np.uint8).reshape(
-            len(self.outcomes), len(self.participants)) - ord("0")).astype(np.int64)
-        totals = self.counts.sum(axis=1)
-        for name, value in (("bit_matrix", bits), ("totals", totals)):
+            len(self.outcomes), n) - ord("0")).astype(np.int64)
+        subsets = np.array(_estimator_masks(n))
+        signs = 1 - 2 * ((bits @ ((subsets[:, None] >> np.arange(n - 1, -1, -1)) & 1).T) & 1)
+        for name, value in (("subsets", subsets), ("signs", signs)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
-    def columns(self, participants: Sequence[int]) -> np.ndarray:
-        """The bit_matrix columns of the given participants, in their order."""
-        return self.bit_matrix[:, [self.participants.index(u) for u in participants]]
-
-    def bits(self, participant: int) -> np.ndarray:
-        """The participant's 0/1 bit in each outcome string."""
-        return self.bit_matrix[:, self.participants.index(participant)]
-
-    def per_round(self, sums: np.ndarray) -> np.ndarray:
-        """Sums over the row totals, NaN where a total is zero; sums has one
-        entry per count row, or one row per count row."""
-        totals = self.totals if sums.ndim < 2 else self.totals[:, None]
-        out = np.full(sums.shape, np.nan)
-        return np.divide(sums, totals, out=out, where=totals > 0)
+    def parity_rows(self) -> np.ndarray:
+        """P[r, s], the sum over outcomes k of counts[r, k] (-1)^|outcome k &
+        subsets[s]|: one integer matmul on integer counts."""
+        return self.counts @ self.signs
 
 
 def _alice_min_max(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,76 +186,71 @@ def _estimates(participants: Sequence[int], errors: np.ndarray, qx: float) -> Er
     return ErrorEstimates(pairwise, float(qber), qx, participants[int(alice)])
 
 
-def pairwise_error_rows(rows: CountRows, i: int, j: int) -> np.ndarray:
-    """Empirical Pr(bit_i != bit_j) on every row of type-1 counts; equals
-    (1-<ZZ>)/2."""
-    if i == j:
-        raise ValueError("pairwise error needs two distinct participants")
-    return rows.per_round(rows.counts @ (rows.bits(i) ^ rows.bits(j)))
+def _error_rows(subsets: np.ndarray, type1: np.ndarray, type2: np.ndarray,
+                n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair errors[a, b, r], pair Q_X[a, b, r] and the full set's Q_X[r] off
+    rows r of type-1 and type-2 parities P of the sorted masks subsets (the
+    empty set, the pairs and the full set of n participants at least).
 
-
-def _pair_error_rows(rows: CountRows, parts: Sequence[int]) -> np.ndarray:
-    """errors[a, b, r], pairwise_error_rows of parts a and b, zero for a == b.
-
-    One integer matmul counts the disagreements of every pair: the counts
-    against the XOR of the two parts' bit columns, one column per pair.
+    A pair error is (P_0 - P_ab)/(2 P_0) and the Q_X of a mask m is
+    (1 - P_m/P_0)/2, zero for a == b, NaN where P_0 = 0, clipped to [0, 1].
+    On integer counts these are odd/T and (1 - S/T)/2 for the total T, odd
+    count and signed sum S, bit for bit, and the README digests pin exactly
+    those bytes.  A table's P_0 is exactly 1.0, and analytic_estimates
+    divides an explicit state's rows by their P_0, so both forms there are
+    (1 - P/P_0)/2.
     """
-    if len(parts) < 2:
-        raise ValueError("need at least two participants")
-    first, second = np.triu_indices(len(parts), k=1)
-    bits = rows.columns(parts)
-    errors = np.zeros((len(parts), len(parts), len(rows.counts)))
-    errors[first, second] = errors[second, first] = rows.per_round(
-        rows.counts @ (bits[:, first] ^ bits[:, second])).T
-    return errors
+    bits = 1 << np.arange(n - 1, -1, -1)
+    pairs = np.searchsorted(subsets, bits[:, None] ^ bits)
+    full = np.searchsorted(subsets, (1 << n) - 1)
+    t1, t2 = type1.T, type2.T
+
+    def ratio(sums: np.ndarray, totals: np.ndarray) -> np.ndarray:
+        return np.divide(sums, totals, out=np.full(sums.shape, np.nan), where=totals != 0)
+    errors = np.clip(ratio(t1[0] - t1, 2 * t1[0]), 0.0, 1.0)
+    qx = np.clip((1.0 - ratio(t2, t2[0])) / 2.0, 0.0, 1.0)
+    return errors[pairs], qx[pairs], qx[full]
 
 
-def qber_rows(rows: CountRows, participants: Sequence[int] | None = None,
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """QBER on every row, with the Alice that minimizes her worst pairwise error.
-
-    It runs over the given participants, all by default; a pair gives that
-    pair's marginal.  On a Bell plan that casts several pairs, all of its
-    participants give 0.5 under any noise (cross-pair bits are uncorrelated);
-    pass each pair instead.  Within a row the pairwise errors differ by 0 or
-    by at least 1/total, so only the Alice choice shows the tie-break.
-    """
-    parts = rows.participants if participants is None else tuple(participants)
-    best, index = _alice_min_max(_pair_error_rows(rows, parts))
-    return best, np.array(parts)[index]
+def count_error_rows(type1: CountRows, type2: CountRows) -> tuple[np.ndarray, ...]:
+    """_error_rows on rows of type-1 and type-2 counts of one participant tuple."""
+    if type1.participants != type2.participants:
+        raise ValueError("type-1 and type-2 counts list different participants")
+    return _error_rows(type1.subsets, type1.parity_rows(), type2.parity_rows(),
+                       len(type1.participants))
 
 
-def qx_rows(rows: CountRows, participants: Sequence[int] | None = None) -> np.ndarray:
-    """Q_X = (1 - <X parity>)/2 on every row of type-2 counts, from the
-    parity of the given participants (all by default)."""
-    bits = rows.bit_matrix if participants is None else rows.columns(participants)
-    parity = bits.sum(axis=1) % 2
-    return (1.0 - rows.per_round(rows.counts @ (1 - 2 * parity))) / 2.0
-
-
-def _one_row(values: np.ndarray) -> np.ndarray:
-    """A one-row estimate; ValueError where it is undefined."""
-    if np.isnan(values).any():
+def _one_batch(batch: RoundBatch) -> list[np.ndarray]:
+    """count_error_rows on one batch, as both round types, on its one row;
+    ValueError for an empty batch."""
+    rows = batch.rows()
+    values = count_error_rows(rows, rows)
+    if np.isnan(values[2]).any():
         raise ValueError("empty batch")
-    return values[..., 0]
+    return [v[..., 0] for v in values]
 
 
 def pairwise_error(batch: RoundBatch, i: int, j: int) -> float:
-    """pairwise_error_rows on one batch."""
-    return float(_one_row(pairwise_error_rows(batch.rows(), i, j)))
+    """Empirical Pr(bit_i != bit_j) on one type-1 batch, the pair error of
+    _error_rows; equals (1-<ZZ>)/2."""
+    if i == j:
+        raise ValueError("pairwise error needs two distinct participants")
+    errors = _one_batch(batch)[0]
+    return float(errors[batch.participants.index(i), batch.participants.index(j)])
 
 
 def estimate_qber(batch: RoundBatch) -> ErrorEstimates:
-    """qber_rows over all of one batch's participants, with every pairwise
-    error.  qx is left at 0 here; use estimate_qx on the type-2 batch and
-    combine via error_estimates."""
-    errors = _one_row(_pair_error_rows(batch.rows(), batch.participants))
-    return _estimates(batch.participants, errors, 0.0)
+    """The least worst pair error over Alice on one type-1 batch, with every
+    pair error.  qx is left at 0 here; use estimate_qx on the type-2 batch
+    and combine via error_estimates."""
+    if len(batch.participants) < 2:
+        raise ValueError("need at least two participants")
+    return _estimates(batch.participants, _one_batch(batch)[0], 0.0)
 
 
 def estimate_qx(batch: RoundBatch) -> float:
-    """qx_rows on one type-2 batch."""
-    return float(_one_row(qx_rows(batch.rows())))
+    """Q_X = (1 - <X parity>)/2 of all participants on one type-2 batch."""
+    return float(_one_batch(batch)[2])
 
 
 def error_estimates(type1: RoundBatch, type2: RoundBatch) -> ErrorEstimates:
@@ -380,11 +371,11 @@ class CorrelatorTable:
 
     Every channel of a noise model is a Pauli channel and the network is a
     stabilizer state, so each subset parity of PlanRound is its string's
-    ideal value (+-1 or 0) scaled by the channels.  Row t holds one string
-    with a nonzero ideal value: its letter codes per network vertex (0 = I,
-    1 = X, 2 = Y, 3 = Z), its subset mask and its weight, the sign times the
-    ideal value; a subset with no row reads 0.  plan_round builds it once
-    per plan instance and reader, read-only.
+    ideal value (+-1 or 0) scaled by the channels.  Row t holds the string
+    of one subset its reader asks for, in the reader's order: its subset
+    mask, its letter codes per network vertex (0 = I, 1 = X, 2 = Y, 3 = Z)
+    and its weight, the sign times the ideal value, 0 where the ideal value
+    is.  plan_round builds it once per plan instance and reader, read-only.
     """
 
     targets: tuple[int, ...]
@@ -394,19 +385,16 @@ class CorrelatorTable:
     letters: np.ndarray
 
     def parity_rows(self, model, white_noise: Sequence[float]) -> np.ndarray:
-        """The 2^N subset parities, one row per white-noise weight w, under a
-        noise.NoiseModel (None is ideal) with its white noise replaced by w:
-        each correlator is its ideal value times its letters' per-qubit
-        factors (NoiseModel.pauli_factors), and times 1 - w unless it is I."""
-        n_verts, n_parts = len(self.vertices), len(self.targets)
+        """The parities of the table's subsets, one row per white-noise weight
+        w, under a noise.NoiseModel (None is ideal) with its white noise
+        replaced by w: each correlator is its weight times its letters'
+        per-qubit factors (NoiseModel.pauli_factors), and times 1 - w unless
+        it is I."""
+        n_verts = len(self.vertices)
         factors = np.ones((n_verts, 4)) if model is None else model.pauli_factors(self.vertices)
         values = self.weights * np.prod(factors[np.arange(n_verts), self.letters], axis=1)
         keep = 1.0 - np.asarray(white_noise, dtype=float)
-        rows = values * np.where(self.letters.any(axis=1), keep[:, None], 1.0)
-        # one bincount over all rows: row r's subsets are offset by r * 2^N
-        index = self.subsets + (np.arange(len(keep)) << n_parts)[:, None]
-        return np.bincount(index.ravel(), weights=rows.ravel(),
-                           minlength=len(keep) << n_parts).reshape(len(keep), -1)
+        return values * np.where(self.letters.any(axis=1), keep[:, None], 1.0)
 
     def parities(self, model=None) -> np.ndarray:
         """parity_rows under a noise.NoiseModel (None is ideal) and its white noise."""
@@ -419,14 +407,13 @@ class PlanRound:
     the participant subsets it asks for (routing.subset_strings), built once
     per plan instance and reader (plan_round), with read-only arrays.
 
-    subsets holds the masks, participant i at bit N-1-i.  Per string the
-    explicit-state read keeps its X/Y and Y/Z masks (vertex i at bit n-1-i),
-    the parity of #Y, and the sign times the real factor +-1 of i^#Y; the
-    table keeps the strings with a nonzero ideal value.
+    table.subsets holds the masks, participant i at bit N-1-i, and every
+    array is in their order.  Per string the explicit-state read keeps its
+    X/Y and Y/Z masks (vertex i at bit n-1-i), the parity of #Y, and the
+    sign times the real factor +-1 of i^#Y.
     """
 
     setting: RoundSetting
-    subsets: np.ndarray
     x_masks: np.ndarray
     z_masks: np.ndarray
     odd_y: np.ndarray
@@ -436,15 +423,14 @@ class PlanRound:
     @classmethod
     def build(cls, plan: ExtractionPlan, round_type: str, masks: Sequence[int]) -> "PlanRound":
         setting, codes, signs, values = subset_strings(plan, round_type, masks)
-        subsets, rows = np.array(masks), np.flatnonzero(values)
         n_y, place = (codes == 2).sum(axis=1), 1 << np.arange(codes.shape[1] - 1, -1, -1)
-        arrays = (subsets, ((codes == 1) | (codes == 2)) @ place, (codes >= 2) @ place,
+        arrays = (((codes == 1) | (codes == 2)) @ place, (codes >= 2) @ place,
                   n_y % 2 == 1, signs * np.array([1.0, -1.0, -1.0, 1.0])[n_y % 4],
-                  subsets[rows], values[rows], codes[rows])
+                  np.array(masks), values, codes)
         for array in arrays:
             array.flags.writeable = False
-        return cls(setting, *arrays[:5],
-                   CorrelatorTable(plan.targets, plan.graph.vertices, *arrays[5:]))
+        return cls(setting, *arrays[:4],
+                   CorrelatorTable(plan.targets, plan.graph.vertices, *arrays[4:]))
 
 
 def plan_round(plan: ExtractionPlan, round_type: str, reader: str = "estimates") -> PlanRound:
@@ -452,8 +438,7 @@ def plan_round(plan: ExtractionPlan, round_type: str, reader: str = "estimates")
     "estimates" (the empty set, the pairs, the full set), kept in round_cache."""
     cache, n = plan.round_cache, len(plan.targets)
     if (round_type, reader) not in cache:
-        masks = range(1 << n) if reader == "distribution" else sorted(
-            {0, (1 << n) - 1, *(1 << a | 1 << b for a, b in combinations(range(n), 2))})
+        masks = range(1 << n) if reader == "distribution" else _estimator_masks(n)
         cache[round_type, reader] = PlanRound.build(plan, round_type, masks)
     return cache[round_type, reader]
 
@@ -467,14 +452,14 @@ def table_estimate_rows(tables: Sequence[CorrelatorTable], model,
                         white_noise: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """QBER and Q_X of a plan's (type-1, type-2) tables, one per white-noise weight
     that replaces the model's; each equals analytic_estimates under it bit for bit."""
-    errors, qx = _parity_error_rows(
-        tables[0].targets, *(t.parity_rows(model, white_noise) for t in tables))
+    errors, _, qx = _error_rows(tables[0].subsets, *(
+        t.parity_rows(model, white_noise) for t in tables), len(tables[0].targets))
     return _alice_min_max(errors)[0], qx
 
 
 def _state_parities(read: PlanRound, state) -> np.ndarray:
-    """The 2^N subset parities on a state taken as by outcome_distribution,
-    0 at each subset the reader does not ask for.
+    """The parities of the reader's subsets (read.table.subsets) on a state
+    taken as by outcome_distribution.
 
     Vertex i is bit n-1-i of a basis index j, and a string with X/Y mask x
     and Y/Z mask z maps |j> to i^#Y (-1)^|j & z| |j ^ x>.  So <S> is i^#Y
@@ -496,7 +481,7 @@ def _state_parities(read: PlanRound, state) -> np.ndarray:
     j = np.arange(dim)
     # sign[k] = (-1)^|k|, so a string's signs over j are sign[j & z]
     sign = 1.0 - 2.0 * (((j[:, None] >> np.arange(n)) & 1).sum(axis=1) & 1)
-    sums = np.zeros(len(read.subsets))
+    sums = np.zeros(len(read.table.subsets))
     block = max(1, (1 << 16) >> n)
     for odd in (False, True) if np.iscomplexobj(state) else (False,):
         rows = np.flatnonzero(read.odd_y == odd)
@@ -506,20 +491,7 @@ def _state_parities(read: PlanRound, state) -> np.ndarray:
             terms = state[j, flipped] if state.ndim == 2 else state[flipped].conj() * state
             z_sign = sign[j & read.z_masks[r, None]]
             sums[r] = ((terms.imag if odd else terms.real) * z_sign).sum(axis=1)
-    return np.bincount(read.subsets, read.read_signs * sums, 1 << len(read.table.targets))
-
-
-def _parity_error_rows(participants: Sequence[int], type1: np.ndarray,
-                       type2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair errors[a, b, r] and Q_X[r] read off rows r of type-1 and type-2
-    subset parities E, normalized by the identity parity: a pair errs with
-    probability (1 - E_ab)/2 and Q_X = (1 - E_all)/2, each clipped to [0, 1]
-    against round-off."""
-    masks = 1 << np.arange(len(participants) - 1, -1, -1)
-    errors = np.clip((1.0 - type1[:, masks[:, None] ^ masks] / type1[:, :1, None]) / 2.0,
-                     0.0, 1.0)
-    qx = np.clip((1.0 - type2[:, -1] / type2[:, 0]) / 2.0, 0.0, 1.0)
-    return np.moveaxis(errors, 0, -1), qx
+    return read.read_signs * sums
 
 
 def outcome_distribution(plan: ExtractionPlan, round_type: str,
@@ -533,9 +505,9 @@ def outcome_distribution(plan: ExtractionPlan, round_type: str,
     state.  An explicit state is read through the same subset parities: each
     subset's Pauli string is evaluated on it directly, with no rotation into
     the measurement bases; stored complex with a zero imaginary part it
-    gives the bits of its real part.  Both read the plan's PlanRound and end
-    in one Walsh-Hadamard transform, which inverts parity[a] =
-    E[(-1)^(a . b)] over outcomes b; outcomes below 1e-15 are dropped and
+    gives the bits of its real part.  Both read the plan's PlanRound, whose
+    subsets are 0..2^N-1 in order, and end in one Walsh-Hadamard transform,
+    which inverts parity[a] = E[(-1)^(a . b)] over outcomes b; outcomes below 1e-15 are dropped and
     the rest renormalized.  Raises ValueError for an explicit state of
     another shape.
     """
@@ -579,11 +551,14 @@ def analytic_estimates(plan: ExtractionPlan, state=None) -> ErrorEstimates:
     """Infinite-round QBER/Q_X of a plan on a (possibly noisy) network state.
 
     state is taken as by outcome_distribution.  Both are read off the
-    state's subset parities, with no distribution built.  The QBER is the
-    min-max of qber_rows over all of the plan's targets, so for a Bell plan
-    that casts several pairs it is 0.5 under any noise; use
+    state's subset parities by _error_rows, each divided by its empty-set
+    parity first, with no distribution built.  The QBER is the min-max of
+    the pair errors over all of the plan's targets, so for a Bell plan that
+    casts several pairs it is 0.5 under any noise; use
     analysis.pairwise_rates for per-pair rates of such a plan.
     """
-    errors, qx = _parity_error_rows(plan.targets, *(
-        _state_parities(plan_round(plan, rt), state)[None] for rt in ("type-1", "type-2")))
+    reads = [plan_round(plan, rt) for rt in ("type-1", "type-2")]
+    type1, type2 = (p / p[0] for p in (_state_parities(read, state) for read in reads))
+    errors, _, qx = _error_rows(reads[0].table.subsets, type1[None], type2[None],
+                                len(plan.targets))
     return _estimates(plan.targets, errors[..., 0], float(qx[0]))

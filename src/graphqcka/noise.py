@@ -486,11 +486,10 @@ def _log_rows(table: CorrelatorTable, exponents: np.ndarray, subsets: Sequence[i
               t: float, pins: list[int]) -> _LogRows | None:
     """(E, beta) with E.u = beta exactly when each subset's parity is 1 - 2t,
     E taken from the table's exponents; None if a subset's correlator is
-    lacking or pinned (its parity is 0).  beta is +inf for t = 1/2, and not
-    finite where there is no solution: t > 1/2 or a negative weight."""
-    index = {s: r for r, s in enumerate(table.subsets.tolist())}
-    rows = [index.get(s) for s in subsets]
-    if None in rows or exponents[rows][:, pins].any():
+    lacking (weight 0) or pinned (its parity is 0).  beta is +inf for t = 1/2,
+    and not finite where there is no solution: t > 1/2 or a negative weight."""
+    rows = np.searchsorted(table.subsets, subsets)
+    if not table.weights[rows].all() or exponents[rows][:, pins].any():
         return None
     with np.errstate(divide="ignore", invalid="ignore"):
         beta = np.log(table.weights[rows] / (1.0 - 2.0 * t))

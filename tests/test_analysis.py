@@ -6,9 +6,9 @@ import pytest
 from graphqcka import networks
 from graphqcka.analysis import _evaluate, build_report, pairwise_rates
 from graphqcka.graphstate import Graph, to_dense
-from graphqcka.keyrates import (CountRows, RoundBatch, akr_n, error_estimates,
-                                outcome_distribution, pairwise_conference_rate, qber_rows,
-                                simulate_protocol)
+from graphqcka.keyrates import (CountRows, RoundBatch, _alice_min_max, akr_n,
+                                count_error_rows, error_estimates, outcome_distribution,
+                                pairwise_conference_rate, simulate_protocol)
 from graphqcka.noise import NoiseModel, apply_noise
 from graphqcka.routing import find_ghz_plan
 
@@ -110,6 +110,16 @@ class TestPairwiseRates:
         b = batches["bell1/type-2"]
         batches["bell1/type-2"] = RoundBatch(b.setting, b.participants, {})
         with pytest.raises(ValueError, match="empty batch"):
+            pairwise_rates(bells, batches)
+
+    def test_rejects_type2_counts_in_another_participant_order(self):
+        """A pair's Q_X is read at its mask in the type-1 participant order."""
+        _, bells, batches = ideal_batches(rounds=300, state=noisy_state())
+        b = batches["bell0/type-2"]
+        batches["bell0/type-2"] = RoundBatch(b.setting, b.participants[::-1],
+                                             {s[::-1]: c for s, c in b.counts.items()})
+        with pytest.raises(ValueError, match="^type-1 and type-2 counts list different "
+                                             "participants$"):
             pairwise_rates(bells, batches)
 
 
@@ -217,6 +227,15 @@ def random_rows(rng, plan, round_type, n_rows):
     return CountRows(plan.targets, outcomes, rng.poisson(lam))
 
 
+def qber_choices(rows, pair):
+    """QBER and Alice on every row through the one estimator, over a pair
+    or, for pair None, over all participants."""
+    errors = count_error_rows(rows, rows)[0]
+    parts = [rows.participants.index(u) for u in pair or rows.participants]
+    qber, alice = _alice_min_max(errors[np.ix_(parts, parts)])
+    return qber, np.array(rows.participants)[parts][alice]
+
+
 def row_batches(rows, r):
     return {name: RoundBatch(None, c.participants, dict(zip(c.outcomes, c.counts[r].tolist())))
             for name, c in rows.items()}
@@ -270,7 +289,7 @@ class TestReportRows:
         stats = scalar_statistics(ghz, bells)
         assert list(got) == list(stats)
         # the Alice choice is the only trace of the tie-break on count rows
-        choices = {(name, pair): qber_rows(rows[f"{name}/type-1"], pair)
+        choices = {(name, pair): qber_choices(rows[f"{name}/type-1"], pair)
                    for name, plan in plans.items() for pair in plan.pairs or [None]}
         want = {name: np.empty(n_rows) for name in stats}
         ties = 0

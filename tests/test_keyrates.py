@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,8 +16,8 @@ from graphqcka.keyrates import (RoundBatch,
                                 binary_entropy, correlator_tables, error_estimates,
                                 estimate_qber, estimate_qx, outcome_distribution,
                                 pairwise_conference_rate, pairwise_conference_rate_rows,
-                                pairwise_error, plan_round,
-                                qber_rows, qx_rows, simulate_protocol, xor_combine)
+                                pairwise_error, plan_round, simulate_protocol,
+                                xor_combine)
 from graphqcka.noise import NoiseModel, apply_noise, calibrate_to_targets, pump_sweep
 from graphqcka.pauli import HADAMARD, IDENTITY, compose, pauli_layer, pauli_product
 from graphqcka.routing import (compile_round_settings, find_bell_multicast_plan,
@@ -275,14 +276,17 @@ class TestSimulation:
         assert abs(est.qx - exact.qx) < 3 * sigma_x
 
     def test_marginal(self):
-        """The row forms' participants argument reads the marginal."""
+        """A pair's QBER, Alice and Q_X through the one estimator are its
+        marginal's."""
         b = batch({"000": 40, "011": 30, "110": 30})
         m = marginal(b, (0, 2))
         assert m.counts == {"00": 40, "01": 30, "10": 30}
-        qber, alice = qber_rows(b.rows(), (0, 2))
+        rows = b.rows()
+        errors, qx, _ = keyrates.count_error_rows(rows, rows)
+        qber, alice = keyrates._alice_min_max(errors[np.ix_([0, 2], [0, 2])])
         est = oracles.estimate_qber(m)
-        assert (qber[0], alice[0]) == (est.qber, est.alice_choice)
-        assert qx_rows(b.rows(), (0, 2))[0] == oracles.estimate_qx(m)
+        assert (qber[0], (0, 2)[alice[0]]) == (est.qber, est.alice_choice)
+        assert qx[0, 2, 0] == oracles.estimate_qx(m)
 
 
 def assert_close_distributions(got, want):
@@ -335,9 +339,10 @@ class TestPauliEngine:
             if plan.kind == "ghz":
                 table = plan_round(plan, "type-1", "distribution").table
                 n = len(plan.targets)
-                assert table.subsets.tolist() == [a for a in range(1 << n)
-                                                  if a.bit_count() % 2 == 0]
-                assert np.all(np.abs(table.weights) == 1)
+                kept = table.weights != 0
+                assert table.subsets[kept].tolist() == [a for a in range(1 << n)
+                                                        if a.bit_count() % 2 == 0]
+                assert np.all(np.abs(table.weights[kept]) == 1)
 
     def test_matches_density_path_on_reference_plans(self, rng):
         for plan in (networks.ghz_plan(), networks.bell_multicast_plan(),
@@ -569,7 +574,7 @@ class TestPlanCache:
         for read in (plan_round(plan, rt, reader) for rt in ("type-1", "type-2")
                      for reader in self.READERS):
             table = read.table
-            for array in (read.subsets, read.x_masks, read.z_masks, read.odd_y,
+            for array in (read.x_masks, read.z_masks, read.odd_y,
                           read.read_signs, table.subsets, table.weights, table.letters):
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 0
@@ -640,7 +645,7 @@ class TestEstimatorSubsets:
         powers = np.linspace(5.0, 400.0, 7)
         for plan in plans:
             twin = self.all_subset_twin(plan)
-            assert len(plan_round(twin, "type-2").subsets) == 1 << len(plan.targets)
+            assert len(plan_round(twin, "type-2").table.subsets) == 1 << len(plan.targets)
             model = random_model(rng, plan.graph.vertices)
             vec = network_vector(plan)
             rho = apply_noise(vec, plan.graph.vertices, model).matrix
@@ -668,6 +673,26 @@ class TestEstimatorSubsets:
         est = analytic_estimates(plan, NoiseModel(depolarizing={3: 0.02}, white_noise=0.05))
         assert len(calls) == 2 * 68
         assert est.qber == est.qx > 0.0
+
+    def test_sweep_rows_hold_only_the_estimator_subsets(self):
+        """12 users: a 1,000-power pump sweep reads parity rows of 68 columns,
+        never 2^12, and stays far below the 65 MB that 2^12-column rows of
+        both round types would take."""
+        g = Graph.from_edges(13, [(0, leaf) for leaf in range(1, 13)])
+        plan = find_ghz_plan(g, range(1, 13))
+        model = NoiseModel(depolarizing={3: 0.02}, white_noise=0.05)
+        powers = np.linspace(5, 300, 1000)
+        for table in correlator_tables(plan):
+            rows = table.parity_rows(model, model.white_noise_at_power(powers))
+            assert rows.shape == (1000, len(table.subsets)) == (1000, 68)
+        tracemalloc.start()
+        try:
+            sweep = pump_sweep(plan, model, powers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 5 < sweep.optimum_power < 300
+        assert peak < 16 << 20
 
 
 def distribution_estimates(plan, state):
