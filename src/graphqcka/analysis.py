@@ -3,13 +3,16 @@
 Bridges the estimators in keyrates with the Poisson Monte Carlo machinery
 in noise: given type-1/type-2 batches for the multipartite protocol and/or
 the pairwise protocol's Bell plans, it produces a KeyRateReport with
-per-field uncertainties.  The report's statistics are the row forms in
-keyrates, evaluated once per report on every row of
-noise.poisson_count_rows: row 0, the observed counts, gives the values
-(qber, qx, the Alice choice, akr_n, the per-link rates, akr_2 and the
-ratio), and the resampled rows give the uncertainties, with NaN on the
-rows where a value is undefined.  Without Monte Carlo the matrix is that
-one row.  A Bell pair's error and Q_X are read at its pair mask.
+per-field uncertainties.  The report reads a few participant-subset
+parities per batch (_read_masks), so each batch is pooled by them first
+(RoundBatch.pooled) and noise.poisson_count_rows draws one Poisson count
+per pooled class.  The report's statistics are the row forms in keyrates,
+evaluated once per report on every row of that count matrix: row 0, the
+observed counts, gives the values (qber, qx, the Alice choice, akr_n, the
+per-link rates, akr_2 and the ratio), and the resampled rows give the
+uncertainties, with NaN on the rows where a value is undefined.  Without
+Monte Carlo the matrix is that one row.  A Bell pair's error and Q_X are
+read at its pair mask.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .keyrates import (CountRows, KeyRateReport, RoundBatch, _alice_min_max,
+from .keyrates import (CountRows, KeyRateReport, RoundBatch, _alice_min_max, _pair_masks,
                        akr_n_rows, count_error_rows, pairwise_conference_rate_rows)
 from .noise import monte_carlo_results, poisson_count_rows
 from .routing import ExtractionPlan, network_use_accounting
@@ -30,29 +33,41 @@ def pairwise_rates(bell_plans: Sequence[ExtractionPlan],
     """Per-link asymptotic rates and the combined pairwise conference rate.
 
     batches is keyed "bell{k}/type-1" / "bell{k}/type-2" per plan index k,
-    each over the plan's full participant set.  Raises ValueError for an
-    empty batch.
+    each over the plan's full participant set.  Raises ValueError for no
+    plans or an empty batch.
     """
-    links, rate_2 = _link_rate_rows(
-        bell_plans, {name: b.rows() for name, b in batches.items()})
-    if math.isnan(rate_2[0]):
+    if not bell_plans:
+        raise ValueError("conference rate needs at least one plan")
+    values, _, links = _evaluate(None, bell_plans,
+                                 {name: b.rows() for name, b in batches.items()})
+    if math.isnan(values["akr_2"][0]):
         raise ValueError("empty batch")
-    return {link: float(r[0]) for link, r in links.items()}, float(rate_2[0])
+    return {link: float(r[0]) for link, r in links.items()}, float(values["akr_2"][0])
 
 
-def _link_rate_rows(bell_plans, rows: Mapping[str, CountRows],
-                    ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """akr_n of every Bell pair on every row, keyed "a-b" with 1-based
-    labels, and the pairwise conference rate on every row.  A pair's QBER
-    is its pair error, and its Q_X that of its pair mask."""
-    links, plan_rates = {}, []
+def _link_masks(plan: ExtractionPlan, participants: Sequence[int]) -> np.ndarray:
+    """Each of the plan's pairs as the mask of its two participants
+    (participant i at bit N-1-i), in plan order."""
+    n = len(participants)
+    return np.array([sum(1 << (n - 1 - participants.index(u)) for u in pair)
+                     for pair in plan.pairs], dtype=np.int64)
+
+
+def _read_masks(ghz_plan, bell_plans,
+                batches: Mapping[str, RoundBatch]) -> dict[str, list[int]]:
+    """The sorted participant-subset masks whose parities _evaluate reads
+    from each batch, each list with the empty set: every pair for
+    nqkd/type-1, the full set for nqkd/type-2, and the plan's link pairs
+    for both batches of each Bell plan."""
+    masks = {}
+    if ghz_plan is not None:
+        n = len(batches["nqkd/type-1"].participants)
+        masks["nqkd/type-1"] = sorted(set(_pair_masks(n).ravel().tolist()))
+        masks["nqkd/type-2"] = [0, (1 << n) - 1]
     for k, plan in enumerate(bell_plans):
-        type1 = rows[f"bell{k}/type-1"]
-        errors, qx, _ = count_error_rows(type1, rows[f"bell{k}/type-2"])
-        i, j = np.array([[type1.participants.index(u) for u in pair] for pair in plan.pairs]).T
-        plan_rates.append(akr_n_rows(errors[i, j], qx[i, j]))
-        links.update({f"{a + 1}-{b + 1}": r for (a, b), r in zip(plan.pairs, plan_rates[-1])})
-    return links, pairwise_conference_rate_rows(plan_rates)
+        links = _link_masks(plan, batches[f"bell{k}/type-1"].participants)
+        masks[f"bell{k}/type-1"] = masks[f"bell{k}/type-2"] = sorted({0, *links.tolist()})
+    return masks
 
 
 def build_report(ghz_plan: ExtractionPlan | None,
@@ -62,17 +77,22 @@ def build_report(ghz_plan: ExtractionPlan | None,
     """Key-rate report over whatever protocol data is present.
 
     Expects batches keyed "nqkd/type-1" and "nqkd/type-2" when ghz_plan is
-    given, and "bell{k}/type-1" / "bell{k}/type-2" per Bell plan.  Monte
-    Carlo uncertainties are attached for every scalar that is defined; the
-    ratio is undefined (None, with no uncertainty) when akr_2 is 0.  Raises
-    ValueError for an empty batch.
+    given, and "bell{k}/type-1" / "bell{k}/type-2" per Bell plan; other
+    batches are not read.  Monte Carlo uncertainties are attached for every
+    scalar that is defined; the ratio is undefined (None, with no
+    uncertainty) when akr_2 is 0.  Raises ValueError for an empty batch.
 
-    The report's statistics are evaluated once, on every row of
-    noise.poisson_count_rows (a single row when mc_samples is 0): row 0
-    gives the values, the other rows the uncertainties.
+    Each batch is pooled by the masks the report reads from it
+    (_read_masks, RoundBatch.pooled), which leaves every point value's bits
+    as they are, and the statistics are evaluated once, on every row of
+    noise.poisson_count_rows over the pooled classes (a single row when
+    mc_samples is 0): row 0 gives the values, the other rows the
+    uncertainties.
     """
     n_samples = max(mc_samples, 0)
-    rows = poisson_count_rows(batches, n_samples, mc_seed)
+    masks = _read_masks(ghz_plan, bell_plans, batches)
+    rows = poisson_count_rows({name: batches[name].pooled(m) for name, m in masks.items()},
+                              n_samples, mc_seed, masks)
     values, alice, link_rates = _evaluate(ghz_plan, bell_plans, rows)
     if any(name in values and math.isnan(values[name][0]) for name in ("qber", "akr_2")):
         raise ValueError("empty batch")
@@ -100,21 +120,42 @@ def _evaluate(ghz_plan, bell_plans, rows: Mapping[str, CountRows],
               ) -> tuple[dict[str, np.ndarray], np.ndarray | None, dict[str, np.ndarray]]:
     """The report's scalars on every row of counts, NaN where undefined,
     Alice's index into the nqkd participants on every row (None without
-    ghz_plan), and each link's rate rows, keyed as in pairwise_rates.
+    ghz_plan), and each link's rate rows, keyed "a-b" with 1-based labels.
 
     Row by row the scalars are build_report's values: qber, qx and akr_n
     need both nqkd batches nonempty, akr_2 every Bell batch, and the ratio
-    both rates with akr_2 positive.
+    both rates with akr_2 positive.  A Bell pair's QBER is its pair error
+    and its Q_X that of its pair mask.  The GHZ (QBER, Q_X) rows and every
+    link's go through one akr_n_rows call.
     """
-    out, alice, link_rates = {}, None, {}
+    qber_rows, qx_rows, out, alice = [], [], {}, None
     if ghz_plan is not None:
-        errors, _, qx = count_error_rows(rows["nqkd/type-1"], rows["nqkd/type-2"])
+        type1 = rows["nqkd/type-1"]
+        n = len(type1.participants)
+        errors, qx = count_error_rows(type1, rows["nqkd/type-2"], _pair_masks(n), (1 << n) - 1)
         qber, alice = _alice_min_max(errors)
         undefined = np.isnan(qber) | np.isnan(qx)
         qber[undefined] = qx[undefined] = np.nan
-        out.update(qber=qber, qx=qx, akr_n=akr_n_rows(qber, qx))
+        out.update(qber=qber, qx=qx)
+        qber_rows.append(qber[None])
+        qx_rows.append(qx[None])
+    for k, plan in enumerate(bell_plans):
+        type1 = rows[f"bell{k}/type-1"]
+        links = _link_masks(plan, type1.participants)
+        errors, qx = count_error_rows(type1, rows[f"bell{k}/type-2"], links, links)
+        qber_rows.append(errors)
+        qx_rows.append(qx)
+    if not qber_rows:
+        return out, alice, {}
+    rates = iter(akr_n_rows(np.concatenate(qber_rows), np.concatenate(qx_rows)))
+    if ghz_plan is not None:
+        out["akr_n"] = next(rates)
+    link_rates, plan_rates = {}, []
+    for plan in bell_plans:
+        plan_rates.append([next(rates) for _ in plan.pairs])
+        link_rates.update({f"{a + 1}-{b + 1}": r for (a, b), r in zip(plan.pairs, plan_rates[-1])})
     if bell_plans:
-        link_rates, out["akr_2"] = _link_rate_rows(bell_plans, rows)
+        out["akr_2"] = pairwise_conference_rate_rows(plan_rates)
     if "akr_n" in out and "akr_2" in out:
         with np.errstate(divide="ignore", invalid="ignore"):
             out["ratio"] = np.where(out["akr_2"] > 0, out["akr_n"] / out["akr_2"], np.nan)

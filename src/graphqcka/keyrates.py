@@ -5,9 +5,10 @@ type-2 all-X parameter rounds) and the pairwise alternative where N-1 Bell
 keys are XOR-combined into a conference key, together with the error
 estimators and asymptotic rate formulas for both.
 
-One estimator, _error_rows, reads every error rate off rows of subset
-parities, from counts (CountRows.parity_rows; the scalar estimators on a
-RoundBatch are its one-row views), correlator tables or explicit states.
+Two readers of one gather, _pair_error_rows and _qx_rows, read every
+error rate off rows of subset parities at the masks a caller names, from
+counts (CountRows.parity_rows; the scalar estimators on a RoundBatch are
+their one-row views), correlator tables or explicit states.
 binary_entropy, akr_n, akr_2 and pairwise_conference_rate are one-element
 views of _entropy_rows, akr_n_rows and pairwise_conference_rate_rows.
 
@@ -63,6 +64,26 @@ class RoundBatch:
         outcomes = tuple(sorted(self.counts))
         return CountRows(self.participants, outcomes,
                          np.array([[self.counts[k] for k in outcomes]]))
+
+    def pooled(self, subsets: Sequence[int]) -> "RoundBatch":
+        """The batch with the outcomes of equal parity at every subset mask
+        (participant i at bit N-1-i) summed onto the least of them.
+
+        Every parity at those subsets, and so every statistic of them, is
+        unchanged.  A sum of independent Poisson counts is a Poisson count
+        with the summed mean, so resampling the pooled batch gives such a
+        statistic its distribution with one draw per class.
+        """
+        least: dict[int, str] = {}
+        counts: dict[str, int] = {}
+        for outcome in sorted(self.counts):
+            # key: the outcome's parities at the subsets, one bit each
+            value, key = int(outcome, 2), 0
+            for m in subsets:
+                key = key << 1 | (value & m).bit_count() & 1
+            rep = least.setdefault(key, outcome)
+            counts[rep] = counts.get(rep, 0) + self.counts[outcome]
+        return RoundBatch(self.setting, self.participants, counts)
 
 
 @dataclass(frozen=True)
@@ -133,36 +154,47 @@ def _estimator_masks(n: int) -> list[int]:
     return sorted({0, (1 << n) - 1, *(1 << a | 1 << b for a, b in combinations(range(n), 2))})
 
 
+def _pair_masks(n: int) -> np.ndarray:
+    """masks[a, b], the mask of participants a and b of n (participant i at
+    bit n-1-i), 0 where a == b."""
+    bits = 1 << np.arange(n - 1, -1, -1)
+    return bits[:, None] ^ bits
+
+
 @dataclass(frozen=True)
 class CountRows:
     """Rows of counts over one batch's sorted outcome strings.
 
     counts[r, k] counts outcomes[k] in row r.  parity_rows() reads them as
-    subset parities over the estimator masks subsets, the rows that
-    _error_rows takes.  The +-1 matrix signs[k, s] = (-1)^|outcome k &
-    subsets[s]| is built once, when the rows are made.
+    subset parities over the sorted masks subsets (the estimator masks
+    unless given; they hold the empty set), the rows that _pair_error_rows
+    and _qx_rows take.  The +-1 matrix signs[k, s] = (-1)^|outcome k &
+    subsets[s]| is built once, when the rows are made, from int.bit_count
+    of each outcome integer and mask: numpy 1.24 has no bitwise_count, and
+    rows pooled by RoundBatch.pooled hold few outcomes and masks.
     """
 
     participants: tuple[int, ...]
     outcomes: tuple[str, ...]
     counts: np.ndarray
-    subsets: np.ndarray = field(init=False, repr=False, compare=False)
+    subsets: np.ndarray | None = field(default=None, repr=False, compare=False)
     signs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.participants)
-        text = "".join(self.outcomes).encode("ascii")
-        bits = (np.frombuffer(text, dtype=np.uint8).reshape(
-            len(self.outcomes), n) - ord("0")).astype(np.int64)
-        subsets = np.array(_estimator_masks(n))
-        signs = 1 - 2 * ((bits @ ((subsets[:, None] >> np.arange(n - 1, -1, -1)) & 1).T) & 1)
-        for name, value in (("subsets", subsets), ("signs", signs)):
+        masks = (_estimator_masks(len(self.participants)) if self.subsets is None
+                 else [int(m) for m in self.subsets])
+        values = [int(o, 2) for o in self.outcomes]
+        signs = np.array([1 - 2 * ((v & m).bit_count() & 1) for v in values for m in masks],
+                         dtype=np.int64)
+        for name, value in (("subsets", np.array(masks, dtype=np.int64)),
+                            ("signs", signs.reshape(len(self.outcomes), len(masks)))):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     def parity_rows(self) -> np.ndarray:
         """P[r, s], the sum over outcomes k of counts[r, k] (-1)^|outcome k &
-        subsets[s]|: one integer matmul on integer counts."""
+        subsets[s]|: one integer matmul on integer counts, exact where
+        float64 would lose bits past 2^53."""
         return self.counts @ self.signs
 
 
@@ -186,53 +218,64 @@ def _estimates(participants: Sequence[int], errors: np.ndarray, qx: float) -> Er
     return ErrorEstimates(pairwise, float(qber), qx, participants[int(alice)])
 
 
-def _error_rows(subsets: np.ndarray, type1: np.ndarray, type2: np.ndarray,
-                n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair errors[a, b, r], pair Q_X[a, b, r] and the full set's Q_X[r] off
-    rows r of type-1 and type-2 parities P of the sorted masks subsets (the
-    empty set, the pairs and the full set of n participants at least).
-
-    A pair error is (P_0 - P_ab)/(2 P_0) and the Q_X of a mask m is
-    (1 - P_m/P_0)/2, zero for a == b, NaN where P_0 = 0, clipped to [0, 1].
-    On integer counts these are odd/T and (1 - S/T)/2 for the total T, odd
-    count and signed sum S, bit for bit, and the README digests pin exactly
-    those bytes.  A table's P_0 is exactly 1.0, and analytic_estimates
-    divides an explicit state's rows by their P_0, so both forms there are
-    (1 - P/P_0)/2.
-    """
-    bits = 1 << np.arange(n - 1, -1, -1)
-    pairs = np.searchsorted(subsets, bits[:, None] ^ bits)
-    full = np.searchsorted(subsets, (1 << n) - 1)
-    t1, t2 = type1.T, type2.T
-
-    def ratio(sums: np.ndarray, totals: np.ndarray) -> np.ndarray:
-        return np.divide(sums, totals, out=np.full(sums.shape, np.nan), where=totals != 0)
-    errors = np.clip(ratio(t1[0] - t1, 2 * t1[0]), 0.0, 1.0)
-    qx = np.clip((1.0 - ratio(t2, t2[0])) / 2.0, 0.0, 1.0)
-    return errors[pairs], qx[pairs], qx[full]
+def _parities_at(subsets: np.ndarray, parities: np.ndarray,
+                 masks) -> tuple[np.ndarray, np.ndarray]:
+    """P_0[r] and P_m[..., r] at each of masks (any shape) off rows r of
+    parities of the sorted masks subsets; ValueError when the empty set or
+    a mask is not among subsets, so no parity is read that was not counted."""
+    at = np.searchsorted(subsets, masks)
+    if subsets[0] != 0 or not np.array_equal(subsets[np.minimum(at, len(subsets) - 1)], masks):
+        raise ValueError("parities are read at a subset that was not counted")
+    columns = parities.T
+    return columns[0], columns[at]
 
 
-def count_error_rows(type1: CountRows, type2: CountRows) -> tuple[np.ndarray, ...]:
-    """_error_rows on rows of type-1 and type-2 counts of one participant tuple."""
+def _ratio(sums: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    return np.divide(sums, totals, out=np.full(sums.shape, np.nan), where=totals != 0)
+
+
+def _pair_error_rows(subsets: np.ndarray, type1: np.ndarray, masks) -> np.ndarray:
+    """The error (P_0 - P_m)/(2 P_0) of each pair mask m of masks on rows of
+    type-1 parities, row axis last: zero at m = 0, NaN where P_0 = 0,
+    clipped to [0, 1].  On integer counts it is odd/T for the total T and
+    odd count, bit for bit, and the README digests pin those bytes."""
+    p0, pm = _parities_at(subsets, type1, masks)
+    return np.clip(_ratio(p0 - pm, 2 * p0), 0.0, 1.0)
+
+
+def _qx_rows(subsets: np.ndarray, type2: np.ndarray, masks) -> np.ndarray:
+    """Q_X = (1 - P_m/P_0)/2 of each mask m of masks on rows of type-2
+    parities, row axis last: NaN where P_0 = 0, clipped to [0, 1].  On
+    integer counts it is (1 - S/T)/2 for the signed sum S, bit for bit.  A
+    table's P_0 is exactly 1.0, and analytic_estimates divides an explicit
+    state's rows by their P_0, so there it is (1 - P/P_0)/2."""
+    p0, pm = _parities_at(subsets, type2, masks)
+    return np.clip((1.0 - _ratio(pm, p0)) / 2.0, 0.0, 1.0)
+
+
+def count_error_rows(type1: CountRows, type2: CountRows, pairs,
+                     qx_masks) -> tuple[np.ndarray, np.ndarray]:
+    """_pair_error_rows at the masks pairs on rows of type-1 counts and
+    _qx_rows at qx_masks on rows of type-2 counts of one participant tuple."""
     if type1.participants != type2.participants:
         raise ValueError("type-1 and type-2 counts list different participants")
-    return _error_rows(type1.subsets, type1.parity_rows(), type2.parity_rows(),
-                       len(type1.participants))
+    return (_pair_error_rows(type1.subsets, type1.parity_rows(), pairs),
+            _qx_rows(type2.subsets, type2.parity_rows(), qx_masks))
 
 
-def _one_batch(batch: RoundBatch) -> list[np.ndarray]:
-    """count_error_rows on one batch, as both round types, on its one row;
-    ValueError for an empty batch."""
-    rows = batch.rows()
-    values = count_error_rows(rows, rows)
-    if np.isnan(values[2]).any():
+def _one_batch(batch: RoundBatch) -> tuple[np.ndarray, float]:
+    """Every pair error and the full set's Q_X of one batch, as both round
+    types, on its one row; ValueError for an empty batch."""
+    rows, n = batch.rows(), len(batch.participants)
+    errors, qx = count_error_rows(rows, rows, _pair_masks(n), (1 << n) - 1)
+    if np.isnan(qx).any():
         raise ValueError("empty batch")
-    return [v[..., 0] for v in values]
+    return errors[..., 0], float(qx[0])
 
 
 def pairwise_error(batch: RoundBatch, i: int, j: int) -> float:
     """Empirical Pr(bit_i != bit_j) on one type-1 batch, the pair error of
-    _error_rows; equals (1-<ZZ>)/2."""
+    _pair_error_rows; equals (1-<ZZ>)/2."""
     if i == j:
         raise ValueError("pairwise error needs two distinct participants")
     errors = _one_batch(batch)[0]
@@ -250,7 +293,7 @@ def estimate_qber(batch: RoundBatch) -> ErrorEstimates:
 
 def estimate_qx(batch: RoundBatch) -> float:
     """Q_X = (1 - <X parity>)/2 of all participants on one type-2 batch."""
-    return float(_one_batch(batch)[2])
+    return _one_batch(batch)[1]
 
 
 def error_estimates(type1: RoundBatch, type2: RoundBatch) -> ErrorEstimates:
@@ -452,9 +495,10 @@ def table_estimate_rows(tables: Sequence[CorrelatorTable], model,
                         white_noise: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """QBER and Q_X of a plan's (type-1, type-2) tables, one per white-noise weight
     that replaces the model's; each equals analytic_estimates under it bit for bit."""
-    errors, _, qx = _error_rows(tables[0].subsets, *(
-        t.parity_rows(model, white_noise) for t in tables), len(tables[0].targets))
-    return _alice_min_max(errors)[0], qx
+    n = len(tables[0].targets)
+    type1, type2 = (t.parity_rows(model, white_noise) for t in tables)
+    return (_alice_min_max(_pair_error_rows(tables[0].subsets, type1, _pair_masks(n)))[0],
+            _qx_rows(tables[1].subsets, type2, (1 << n) - 1))
 
 
 def _state_parities(read: PlanRound, state) -> np.ndarray:
@@ -551,14 +595,15 @@ def analytic_estimates(plan: ExtractionPlan, state=None) -> ErrorEstimates:
     """Infinite-round QBER/Q_X of a plan on a (possibly noisy) network state.
 
     state is taken as by outcome_distribution.  Both are read off the
-    state's subset parities by _error_rows, each divided by its empty-set
-    parity first, with no distribution built.  The QBER is the min-max of
-    the pair errors over all of the plan's targets, so for a Bell plan that
-    casts several pairs it is 0.5 under any noise; use
+    state's subset parities by _pair_error_rows and _qx_rows, each divided
+    by its empty-set parity first, with no distribution built.  The QBER is
+    the min-max of the pair errors over all of the plan's targets, so for a
+    Bell plan that casts several pairs it is 0.5 under any noise; use
     analysis.pairwise_rates for per-pair rates of such a plan.
     """
     reads = [plan_round(plan, rt) for rt in ("type-1", "type-2")]
     type1, type2 = (p / p[0] for p in (_state_parities(read, state) for read in reads))
-    errors, _, qx = _error_rows(reads[0].table.subsets, type1[None], type2[None],
-                                len(plan.targets))
+    n = len(plan.targets)
+    errors = _pair_error_rows(reads[0].table.subsets, type1[None], _pair_masks(n))
+    qx = _qx_rows(reads[1].table.subsets, type2[None], (1 << n) - 1)
     return _estimates(plan.targets, errors[..., 0], float(qx[0]))

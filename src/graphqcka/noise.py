@@ -27,8 +27,9 @@ The Poisson Monte Carlo draws every resample at once into an integer count
 matrix, observed counts in row 0 (poisson_count_rows); a statistic gives one
 value per row, NaN where it is undefined, and monte_carlo_results reads the
 results off those values.  analysis.build_report evaluates its row
-statistics on the matrix; poisson_mc evaluates one Python statistic of
-RoundBatches row by row.
+statistics on the matrix of its batches pooled by the subset parities it
+reads, one draw per pooled class; poisson_mc evaluates one Python statistic
+of RoundBatches row by row and draws every outcome on its own.
 """
 
 from __future__ import annotations
@@ -288,7 +289,9 @@ def poisson_mc(batches: Mapping[str, RoundBatch],
 
     Every count is replaced by a Poisson draw with its observed value as the
     mean, all drawn at once by poisson_count_rows, so the result is fully
-    deterministic in the seed.  statistic is a Python function of
+    deterministic in the seed.  Each outcome is drawn on its own: the
+    statistic may read any function of the counts, so no outcomes can be
+    pooled as build_report pools them.  statistic is a Python function of
     RoundBatches, evaluated row by row: on the observed batches for row 0,
     and on a RoundBatch per batch built from each resampled row.  It is
     undefined (NaN) where it raises ValueError or ZeroDivisionError, and
@@ -313,15 +316,20 @@ def poisson_mc(batches: Mapping[str, RoundBatch],
                                n_samples, seed)["statistic"]
 
 
-def poisson_count_rows(batches: Mapping[str, RoundBatch], n_samples: int,
-                       seed: int) -> dict[str, CountRows]:
+def poisson_count_rows(batches: Mapping[str, RoundBatch], n_samples: int, seed: int,
+                       subsets: Mapping[str, Sequence[int]] | None = None,
+                       ) -> dict[str, CountRows]:
     """The observed counts and n_samples Poisson resamples of them, per batch.
 
     One integer matrix, row 0 the observed counts and rows 1..n_samples the
-    Poisson draws, split by columns into a keyrates.CountRows per
-    batch over its sorted outcomes.  Row 0 holds the counts as given; only
-    the Poisson means pass through float64.  With n_samples = 0 it is row 0
-    alone, drawn from no rng, and the counts need not be integers.
+    Poisson draws, one per column, split by columns into a keyrates.CountRows
+    per batch over its sorted outcomes, read at subsets[name] (the
+    estimator masks without subsets).  Row 0 holds the counts as given;
+    only the Poisson means pass through float64.  With n_samples = 0 it is
+    row 0 alone, drawn from no rng, and the counts need not be integers.
+    The draws are per outcome of the batches given: build_report passes
+    batches pooled by the subsets it reads (RoundBatch.pooled), so each of
+    its columns is a pooled class.
     """
     layout = [(name, sorted(batches[name].counts)) for name in sorted(batches)]
     observed = np.array([batches[name].counts[k] for name, outcomes in layout
@@ -339,7 +347,8 @@ def poisson_count_rows(batches: Mapping[str, RoundBatch], n_samples: int,
     rows, start = {}, 0
     for name, outcomes in layout:
         rows[name] = CountRows(batches[name].participants, tuple(outcomes),
-                               matrix[:, start:start + len(outcomes)])
+                               matrix[:, start:start + len(outcomes)],
+                               None if subsets is None else subsets[name])
         start += len(outcomes)
     return rows
 

@@ -7,8 +7,9 @@ import re
 
 import pytest
 
+from graphqcka import analysis
 from graphqcka.graphstate import Graph, GraphState
-from graphqcka.noise import NoiseModel
+from graphqcka.noise import NoiseModel, poisson_count_rows
 from graphqcka.pauli import ALL_CLIFFORDS, IDENTITY
 
 
@@ -61,6 +62,20 @@ def identity_state(g):
 @pytest.fixture
 def rng():
     return random.Random(20260825)
+
+
+@pytest.fixture
+def poisson_cells(monkeypatch):
+    """The Poisson cells, the count columns drawn, of each report that
+    analysis.build_report makes while the fixture is in use."""
+    cells = []
+
+    def spy(*args, **kwargs):
+        rows = poisson_count_rows(*args, **kwargs)
+        cells.append(sum(len(c.outcomes) for c in rows.values()))
+        return rows
+    monkeypatch.setattr(analysis, "poisson_count_rows", spy)
+    return cells
 
 
 def pytest_runtest_logreport(report):

@@ -1,15 +1,17 @@
 """Report assembly from simulated round batches."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from graphqcka import networks
-from graphqcka.analysis import _evaluate, build_report, pairwise_rates
+from graphqcka.analysis import _evaluate, _read_masks, build_report, pairwise_rates
 from graphqcka.graphstate import Graph, to_dense
-from graphqcka.keyrates import (CountRows, RoundBatch, _alice_min_max, akr_n,
+from graphqcka.keyrates import (CountRows, RoundBatch, _alice_min_max, _pair_masks, akr_n,
                                 count_error_rows, error_estimates, outcome_distribution,
                                 pairwise_conference_rate, simulate_protocol)
-from graphqcka.noise import NoiseModel, apply_noise
+from graphqcka.noise import NoiseModel, apply_noise, monte_carlo_results, poisson_count_rows
 from graphqcka.routing import find_ghz_plan
 
 from oracles import estimate_qber, estimate_qx, marginal
@@ -63,18 +65,48 @@ def scalar_statistics(ghz, bells):
     return stats
 
 
-def scalar_reference(ghz, bells, batches, n_samples, seed):
-    """Each statistic resampled on its own, one Poisson count at a time.
+def read_positions(ghz, bells, batches):
+    """Per batch, the participant positions of each subset whose parity the
+    report reads: every pair and all participants for the GHZ batches, each
+    link pair for both batches of a Bell plan."""
+    read = {}
+    if ghz is not None:
+        n = len(batches["nqkd/type-1"].participants)
+        read["nqkd/type-1"], read["nqkd/type-2"] = list(combinations(range(n), 2)), [range(n)]
+    for k, plan in enumerate(bells):
+        parts = batches[f"bell{k}/type-1"].participants
+        read[f"bell{k}/type-1"] = read[f"bell{k}/type-2"] = [
+            [parts.index(u) for u in pair] for pair in plan.pairs]
+    return read
 
-    Returns per-statistic standard deviations and rejection counts; this is
-    the loop build_report's single Monte Carlo pass must reproduce exactly.
+
+def oracle_pooled(batch, positions):
+    """The batch with outcome strings of equal parity on every read subset
+    of positions summed onto the least of them, grouped by string digits."""
+    classes = {}
+    for s, c in sorted(batch.counts.items()):
+        key = tuple(sum(int(s[i]) for i in subset) % 2 for subset in positions)
+        least, total = classes.get(key, (s, 0))
+        classes[key] = least, total + c
+    return RoundBatch(batch.setting, batch.participants, dict(classes.values()))
+
+
+def scalar_reference(ghz, bells, batches, n_samples, seed):
+    """Each statistic resampled on its own, one Poisson count at a time, on
+    the batches pooled by the subsets the report reads (oracle_pooled).
+
+    Returns per-statistic standard deviations and the set of rejected
+    resamples; this is the loop build_report's single Monte Carlo pass must
+    reproduce exactly.
     """
     stats = scalar_statistics(ghz, bells)
+    batches = {name: oracle_pooled(batches[name], positions)
+               for name, positions in read_positions(ghz, bells, batches).items()}
     stds, rejected = {}, {}
     for name, stat in stats.items():
         rng = np.random.default_rng(seed)
-        values = []
-        for _ in range(n_samples):
+        values, rejected[name] = [], set()
+        for r in range(n_samples):
             resampled = {}
             for key in sorted(batches):
                 b = batches[key]
@@ -83,9 +115,8 @@ def scalar_reference(ghz, bells, batches, n_samples, seed):
             try:
                 values.append(stat(resampled))
             except (ValueError, ZeroDivisionError):
-                pass
+                rejected[name].add(r)
         stds[name] = float(np.std(values, ddof=1))
-        rejected[name] = n_samples - len(values)
     return stds, rejected
 
 
@@ -172,9 +203,12 @@ class TestBuildReport:
         assert report.uncertainties == want
         if rounds == 10:
             # batches resampled to zero total, and resamples whose pairwise
-            # rate vanishes, are rejected per statistic
-            assert all(n > 0 for n in rejected.values())
-            assert rejected["ratio"] > rejected["akr_2"] > rejected["qber"]
+            # rate vanishes, are rejected per statistic: an empty nqkd batch
+            # rejects qber and the ratio but not akr_2, an empty Bell batch
+            # the reverse, and a vanished pairwise rate the ratio alone
+            assert all(rejected.values())
+            assert rejected["qber"] - rejected["akr_2"] and rejected["akr_2"] - rejected["qber"]
+            assert rejected["ratio"] > rejected["akr_2"] | rejected["qber"]
 
     def test_mc_disabled(self):
         ghz, bells, batches = ideal_batches()
@@ -230,7 +264,8 @@ def random_rows(rng, plan, round_type, n_rows):
 def qber_choices(rows, pair):
     """QBER and Alice on every row through the one estimator, over a pair
     or, for pair None, over all participants."""
-    errors = count_error_rows(rows, rows)[0]
+    n = len(rows.participants)
+    errors = count_error_rows(rows, rows, _pair_masks(n), (1 << n) - 1)[0]
     parts = [rows.participants.index(u) for u in pair or rows.participants]
     qber, alice = _alice_min_max(errors[np.ix_(parts, parts)])
     return qber, np.array(rows.participants)[parts][alice]
@@ -361,3 +396,74 @@ class TestReportRows:
         for name in want:
             assert np.array_equal(got[name], want[name], equal_nan=True), name
         assert np.isnan(got["qber"]).sum() == 2 and not np.isnan(got["qber"]).all()
+
+
+def oracle_parities(batch, positions):
+    """Each read subset's signed count sum, from the digits of the strings."""
+    return [sum(c * (-1) ** sum(int(s[i]) for i in subset) for s, c in batch.counts.items())
+            for subset in positions]
+
+
+class TestPooling:
+    """build_report draws one Poisson count per class of outcomes that agree
+    on every parity it reads."""
+
+    def test_pooling_keeps_every_read_parity(self):
+        """On random batches of the GHZ and Bell plans, over random outcome
+        sets with counts up to past 2^53, each pooled batch is the oracle's
+        grouping, keeps every read parity exactly and reads them alone."""
+        rng = np.random.default_rng(26)
+        setups = [(networks.ghz_plan(), [networks.bell_multicast_plan(),
+                                         networks.bell_bridge_plan()]),
+                  (eight_vertex_ghz_plan(), [])]
+        for trial in range(60):
+            ghz, bells = setups[trial % 2]
+            tagged = [("nqkd", ghz)] + [(f"bell{k}", p) for k, p in enumerate(bells)]
+            batches = {}
+            for tag, plan in tagged:
+                n = len(plan.targets)
+                for rt in ("type-1", "type-2"):
+                    keep = rng.random(1 << n) < rng.uniform(0.1, 1.0)
+                    scale = 2**53 + 1 if trial % 5 == 0 else 50
+                    batches[f"{tag}/{rt}"] = RoundBatch(None, plan.targets, {
+                        format(i, f"0{n}b"): int(rng.integers(0, scale))
+                        for i in np.flatnonzero(keep).tolist()})
+            masks = _read_masks(ghz, bells, batches)
+            positions = read_positions(ghz, bells, batches)
+            assert list(masks) == list(positions)
+            for name, subsets in masks.items():
+                batch, pooled = batches[name], batches[name].pooled(subsets)
+                assert pooled.counts == oracle_pooled(batch, positions[name]).counts
+                want = oracle_parities(batch, positions[name])
+                assert oracle_parities(pooled, positions[name]) == want
+                n = len(batch.participants)
+                want = {0: batch.total, **{sum(1 << (n - 1 - i) for i in subset): parity
+                                           for subset, parity in zip(positions[name], want)}}
+                outcomes = tuple(sorted(pooled.counts))
+                rows = CountRows(batch.participants, outcomes,
+                                 np.array([[pooled.counts[s] for s in outcomes]]), subsets)
+                assert rows.signs.shape == (len(outcomes), len(subsets))
+                assert dict(zip(rows.subsets.tolist(), rows.parity_rows()[0].tolist())) == want
+
+    def test_poisson_cells_per_report(self, poisson_cells):
+        """The eight-vertex GHZ report, with all 64 outcomes of each round
+        type observed, draws 32 + 2 counts per resample: one per class of
+        equal pair parities, and one per full-set parity."""
+        plan = eight_vertex_ghz_plan()
+        b1, b2 = simulate_protocol(plan, 20000, 4, state=NoiseModel(white_noise=0.3))
+        assert len(b1.counts) == len(b2.counts) == 64
+        build_report(plan, [], {"nqkd/type-1": b1, "nqkd/type-2": b2}, mc_samples=50)
+        assert poisson_cells == [34]
+
+    def test_pooled_matches_per_outcome_resampling(self):
+        """Pooled and per-outcome resampling draw the same distribution, so
+        4,000 resamples of each give every uncertainty within 8 %, five
+        standard errors of the difference of two such estimates."""
+        ghz, bells, batches = ideal_batches(4000, 3, state=noisy_state())
+        n_samples, seed = 4000, 7
+        pooled = build_report(ghz, bells, batches, mc_samples=n_samples, mc_seed=seed)
+        values = _evaluate(ghz, bells, poisson_count_rows(batches, n_samples, seed + 1))[0]
+        per_outcome = monte_carlo_results(values, n_samples, seed + 1)
+        assert set(pooled.uncertainties) == set(per_outcome)
+        for name, result in per_outcome.items():
+            assert pooled.uncertainties[name] == pytest.approx(result.std, rel=0.08), name

@@ -469,8 +469,20 @@ class TestReadmeRun:
         digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
                    for name in ("report.json", "sweep.csv")}
         assert digests == {
-            "report.json": "a7cc8662d5564dfa4866c6c0699221172abd97bd6b0f3654be0bc110eb709b42",
+            "report.json": "1fc6e56255d316aa171520c8ff63f36d0f2080c143ddda7b2baf0f5e8ae0b287",
             "sweep.csv": "84006dcc9222dd73f8091086456562fceabe6101f743620833e06761e9f23763"}
+
+    def test_report_draws_one_count_per_pooled_class(self, readme_artifacts, poisson_cells,
+                                                      tmp_path, monkeypatch):
+        """analyze on the README run draws 22 Poisson counts per resample, one
+        per class of outcomes that agree on every parity the report reads:
+        8 + 2 for the GHZ batches, 4 + 4 and 2 + 2 for the two Bell plans',
+        where one per observed outcome would be 72."""
+        shutil.copytree(readme_artifacts, tmp_path, dirs_exist_ok=True)
+        monkeypatch.chdir(tmp_path)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["analyze", "--config", "run.json"]) == 0
+        assert poisson_cells == [22]
 
     def test_extract_builds_no_dense_state(self, tmp_path, monkeypatch):
         """extract on the README config checks every plan in GF(2): with the

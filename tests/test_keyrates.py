@@ -282,7 +282,8 @@ class TestSimulation:
         m = marginal(b, (0, 2))
         assert m.counts == {"00": 40, "01": 30, "10": 30}
         rows = b.rows()
-        errors, qx, _ = keyrates.count_error_rows(rows, rows)
+        pairs = keyrates._pair_masks(3)
+        errors, qx = keyrates.count_error_rows(rows, rows, pairs, pairs)
         qber, alice = keyrates._alice_min_max(errors[np.ix_([0, 2], [0, 2])])
         est = oracles.estimate_qber(m)
         assert (qber[0], (0, 2)[alice[0]]) == (est.qber, est.alice_choice)
