@@ -3,8 +3,9 @@
 Bridges the estimators in keyrates with the Poisson Monte Carlo machinery
 in noise: given type-1/type-2 batches for the multipartite protocol and/or
 the pairwise protocol's Bell plans, it produces a KeyRateReport with
-per-field uncertainties.  The report reads a few participant-subset
-parities per batch (_read_masks), so each batch is pooled by them first
+per-field uncertainties.  Every participant-subset parity the report
+reads from a batch is an XOR of its resource's stabilizer generators
+(routing.generator_masks), so each batch is pooled by them first
 (RoundBatch.pooled) and noise.poisson_count_rows draws one Poisson count
 per pooled class.  The report's statistics are the row forms in keyrates,
 evaluated once per report on every row of that count matrix: row 0, the
@@ -12,7 +13,7 @@ observed counts, gives the values (qber, qx, the Alice choice, akr_n, the
 per-link rates, akr_2 and the ratio), and the resampled rows give the
 uncertainties, with NaN on the rows where a value is undefined.  Without
 Monte Carlo the matrix is that one row.  A Bell pair's error and Q_X are
-read at its pair mask.
+read at its pair mask, its generator.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .keyrates import (CountRows, KeyRateReport, RoundBatch, _alice_min_max, _pair_masks,
                        akr_n_rows, count_error_rows, pairwise_conference_rate_rows)
 from .noise import monte_carlo_results, poisson_count_rows
-from .routing import ExtractionPlan, network_use_accounting
+from .routing import ExtractionPlan, generator_masks, network_use_accounting
 
 
 def pairwise_rates(bell_plans: Sequence[ExtractionPlan],
@@ -45,29 +46,24 @@ def pairwise_rates(bell_plans: Sequence[ExtractionPlan],
     return {link: float(r[0]) for link, r in links.items()}, float(values["akr_2"][0])
 
 
-def _link_masks(plan: ExtractionPlan, participants: Sequence[int]) -> np.ndarray:
-    """Each of the plan's pairs as the mask of its two participants
-    (participant i at bit N-1-i), in plan order."""
-    n = len(participants)
-    return np.array([sum(1 << (n - 1 - participants.index(u)) for u in pair)
-                     for pair in plan.pairs], dtype=np.int64)
-
-
-def _read_masks(ghz_plan, bell_plans,
-                batches: Mapping[str, RoundBatch]) -> dict[str, list[int]]:
-    """The sorted participant-subset masks whose parities _evaluate reads
-    from each batch, each list with the empty set: every pair for
-    nqkd/type-1, the full set for nqkd/type-2, and the plan's link pairs
-    for both batches of each Bell plan."""
-    masks = {}
+def _report_masks(ghz_plan, bell_plans, batches: Mapping[str, RoundBatch],
+                  ) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+    """Per batch that _evaluate reads, the generator masks of its plan's
+    resource over the batch's participants (routing.generator_masks), and
+    the sorted masks whose parities _evaluate reads, each an XOR of them:
+    with the empty set, every pair for nqkd/type-1 and the generators for
+    the rest (the full set for nqkd/type-2, the plan's links for both
+    batches of each Bell plan)."""
+    plans = {"nqkd": ghz_plan} if ghz_plan is not None else {}
+    plans.update((f"bell{k}", plan) for k, plan in enumerate(bell_plans))
+    generators = {f"{tag}/{rt}": masks for tag, plan in plans.items() for rt, masks in
+                  generator_masks(plan.kind, batches[f"{tag}/type-1"].participants,
+                                  plan.pairs).items()}
+    read = {name: sorted({0, *masks}) for name, masks in generators.items()}
     if ghz_plan is not None:
         n = len(batches["nqkd/type-1"].participants)
-        masks["nqkd/type-1"] = sorted(set(_pair_masks(n).ravel().tolist()))
-        masks["nqkd/type-2"] = [0, (1 << n) - 1]
-    for k, plan in enumerate(bell_plans):
-        links = _link_masks(plan, batches[f"bell{k}/type-1"].participants)
-        masks[f"bell{k}/type-1"] = masks[f"bell{k}/type-2"] = sorted({0, *links.tolist()})
-    return masks
+        read["nqkd/type-1"] = sorted(set(_pair_masks(n).ravel().tolist()))
+    return generators, read
 
 
 def build_report(ghz_plan: ExtractionPlan | None,
@@ -82,17 +78,17 @@ def build_report(ghz_plan: ExtractionPlan | None,
     scalar that is defined; the ratio is undefined (None, with no
     uncertainty) when akr_2 is 0.  Raises ValueError for an empty batch.
 
-    Each batch is pooled by the masks the report reads from it
-    (_read_masks, RoundBatch.pooled), which leaves every point value's bits
-    as they are, and the statistics are evaluated once, on every row of
-    noise.poisson_count_rows over the pooled classes (a single row when
-    mc_samples is 0): row 0 gives the values, the other rows the
-    uncertainties.
+    Each batch is pooled by its resource's generator masks (_report_masks,
+    RoundBatch.pooled), which leaves every parity the report reads, and so
+    every point value's bits, as they are, and the statistics are evaluated
+    once, on every row of noise.poisson_count_rows over the pooled classes,
+    read at those parities alone (a single row when mc_samples is 0): row 0
+    gives the values, the other rows the uncertainties.
     """
     n_samples = max(mc_samples, 0)
-    masks = _read_masks(ghz_plan, bell_plans, batches)
-    rows = poisson_count_rows({name: batches[name].pooled(m) for name, m in masks.items()},
-                              n_samples, mc_seed, masks)
+    generators, read = _report_masks(ghz_plan, bell_plans, batches)
+    rows = poisson_count_rows({name: batches[name].pooled(masks)
+                               for name, masks in generators.items()}, n_samples, mc_seed, read)
     values, alice, link_rates = _evaluate(ghz_plan, bell_plans, rows)
     if any(name in values and math.isnan(values[name][0]) for name in ("qber", "akr_2")):
         raise ValueError("empty batch")
@@ -125,7 +121,8 @@ def _evaluate(ghz_plan, bell_plans, rows: Mapping[str, CountRows],
     Row by row the scalars are build_report's values: qber, qx and akr_n
     need both nqkd batches nonempty, akr_2 every Bell batch, and the ratio
     both rates with akr_2 positive.  A Bell pair's QBER is its pair error
-    and its Q_X that of its pair mask.  The GHZ (QBER, Q_X) rows and every
+    and its Q_X that of its pair mask, the plan's generator masks in pair
+    order (routing.generator_masks).  The GHZ (QBER, Q_X) rows and every
     link's go through one akr_n_rows call.
     """
     qber_rows, qx_rows, out, alice = [], [], {}, None
@@ -141,7 +138,7 @@ def _evaluate(ghz_plan, bell_plans, rows: Mapping[str, CountRows],
         qx_rows.append(qx[None])
     for k, plan in enumerate(bell_plans):
         type1 = rows[f"bell{k}/type-1"]
-        links = _link_masks(plan, type1.participants)
+        links = generator_masks(plan.kind, type1.participants, plan.pairs)["type-1"]
         errors, qx = count_error_rows(type1, rows[f"bell{k}/type-2"], links, links)
         qber_rows.append(errors)
         qx_rows.append(qx)

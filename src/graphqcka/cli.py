@@ -42,6 +42,11 @@ EXIT_CAP = 5
 USER_CAP = 12
 
 
+class CountsMismatchError(ValueError):
+    """A counts file that analyze needs is missing, does not match its plan's
+    basis string and participants, or holds no outcome rows."""
+
+
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
     overrides = {name: getattr(args, name, None)
@@ -148,21 +153,17 @@ def cmd_analyze(args) -> int:
         for rt, suffix in (("type-1", "type1"), ("type-2", "type2")):
             path = counts_dir / f"{tag}_{suffix}.counts"
             if not path.exists():
-                print(f"error: missing counts file for setting {tag}/{rt}: {path}",
-                      file=sys.stderr)
-                return EXIT_MISSING_SETTING
+                raise CountsMismatchError(f"missing counts file for setting {tag}/{rt}: {path}")
             batch = parse_counts(path)
             got = (batch.setting.basis_string(sorted(batch.setting.per_vertex_basis)),
                    [v + 1 for v in batch.participants])
             want = (compile_round_settings(plan, rt).basis_string(graph.vertices),
                     [v + 1 for v in plan.targets])
             if got != want:
-                print(f"error: {path}: basis {got[0]}, participants {got[1]} do not "
-                      f"match the plan's {want[0]}, {want[1]}", file=sys.stderr)
-                return EXIT_MISSING_SETTING
+                raise CountsMismatchError(f"{path}: basis {got[0]}, participants {got[1]} "
+                                          f"do not match the plan's {want[0]}, {want[1]}")
             if not batch.total:
-                print(f"error: {path}: no outcome rows", file=sys.stderr)
-                return EXIT_MISSING_SETTING
+                raise CountsMismatchError(f"{path}: no outcome rows")
             batches[f"{tag}/{rt}"] = batch
             hashes[path.name] = sha256_file(path)
     report = build_report(plans.get("nqkd", [None])[0], plans.get("2qkd", []), batches,
@@ -252,6 +253,9 @@ def main(argv=None) -> int:
     except NoPlanFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_PLAN
+    except CountsMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISSING_SETTING
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -166,13 +166,9 @@ def _dense_graph_vector(graph: Graph) -> np.ndarray:
     return vec
 
 
-def _apply_single_qubit(vec: np.ndarray, n: int, qubit: int, mat: np.ndarray) -> np.ndarray:
+def _apply_single_qubit(vec: np.ndarray, qubit: int, mat: np.ndarray) -> np.ndarray:
     """Apply a 2x2 matrix to the given qubit position (0 = most significant)."""
-    tensor = vec.reshape((2,) * n)
-    tensor = np.moveaxis(tensor, qubit, 0)
-    tensor = np.tensordot(mat, tensor, axes=([1], [0]))
-    tensor = np.moveaxis(tensor, 0, qubit)
-    return tensor.reshape(-1)
+    return (mat @ vec.reshape(1 << qubit, 2, -1)).reshape(-1)
 
 
 def to_dense(gs: GraphState) -> np.ndarray:
@@ -184,7 +180,7 @@ def to_dense(gs: GraphState) -> np.ndarray:
     for i, v in enumerate(gs.graph.vertices):
         c = gs.frame[v]
         if c != IDENTITY:
-            vec = _apply_single_qubit(vec, n, i, c.matrix)
+            vec = _apply_single_qubit(vec, i, c.matrix)
     return vec
 
 

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .routing import ExtractionPlan, RoundSetting, subset_strings
+from .routing import ExtractionPlan, RoundSetting, subset_parities, subset_strings
 
 
 @dataclass
@@ -65,22 +64,23 @@ class RoundBatch:
         return CountRows(self.participants, outcomes,
                          np.array([[self.counts[k] for k in outcomes]]))
 
-    def pooled(self, subsets: Sequence[int]) -> "RoundBatch":
-        """The batch with the outcomes of equal parity at every subset mask
-        (participant i at bit N-1-i) summed onto the least of them.
+    def pooled(self, generators: Sequence[int]) -> "RoundBatch":
+        """The batch with the outcomes of equal parity at every generator mask
+        (routing.subset_parities) summed onto the least of them.
 
-        Every parity at those subsets, and so every statistic of them, is
-        unchanged.  A sum of independent Poisson counts is a Poisson count
-        with the summed mean, so resampling the pooled batch gives such a
-        statistic its distribution with one draw per class.
+        The parity at any XOR of the generators, and so every statistic of
+        such parities, is unchanged.  A sum of independent Poisson counts is
+        a Poisson count with the summed mean, so resampling the pooled batch
+        gives such a statistic its distribution with one draw per class.
         """
+        outcomes = sorted(self.counts)
+        parities = subset_parities([int(o, 2) for o in outcomes], generators,
+                                   len(self.participants))
+        # one bit per generator: a plan on at most 24 vertices has at most 23
+        keys = parities @ (1 << np.arange(len(generators)))
         least: dict[int, str] = {}
         counts: dict[str, int] = {}
-        for outcome in sorted(self.counts):
-            # key: the outcome's parities at the subsets, one bit each
-            value, key = int(outcome, 2), 0
-            for m in subsets:
-                key = key << 1 | (value & m).bit_count() & 1
+        for outcome, key in zip(outcomes, keys.tolist()):
             rep = least.setdefault(key, outcome)
             counts[rep] = counts.get(rep, 0) + self.counts[outcome]
         return RoundBatch(self.setting, self.participants, counts)
@@ -151,7 +151,7 @@ def pairwise_conference_rate(plan_rates: Sequence[Sequence[float]]) -> float:
 
 def _estimator_masks(n: int) -> list[int]:
     """The empty set, the pairs and the full set of n participants, as sorted masks."""
-    return sorted({0, (1 << n) - 1, *(1 << a | 1 << b for a, b in combinations(range(n), 2))})
+    return sorted({(1 << n) - 1, *_pair_masks(n).ravel().tolist()})
 
 
 def _pair_masks(n: int) -> np.ndarray:
@@ -169,9 +169,8 @@ class CountRows:
     subset parities over the sorted masks subsets (the estimator masks
     unless given; they hold the empty set), the rows that _pair_error_rows
     and _qx_rows take.  The +-1 matrix signs[k, s] = (-1)^|outcome k &
-    subsets[s]| is built once, when the rows are made, from int.bit_count
-    of each outcome integer and mask: numpy 1.24 has no bitwise_count, and
-    rows pooled by RoundBatch.pooled hold few outcomes and masks.
+    subsets[s]| is one GF(2) product (routing.subset_parities), built once,
+    when the rows are made.
     """
 
     participants: tuple[int, ...]
@@ -181,13 +180,11 @@ class CountRows:
     signs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        masks = (_estimator_masks(len(self.participants)) if self.subsets is None
-                 else [int(m) for m in self.subsets])
-        values = [int(o, 2) for o in self.outcomes]
-        signs = np.array([1 - 2 * ((v & m).bit_count() & 1) for v in values for m in masks],
+        n = len(self.participants)
+        masks = np.array(_estimator_masks(n) if self.subsets is None else self.subsets,
                          dtype=np.int64)
-        for name, value in (("subsets", np.array(masks, dtype=np.int64)),
-                            ("signs", signs.reshape(len(self.outcomes), len(masks)))):
+        signs = 1 - 2 * subset_parities([int(o, 2) for o in self.outcomes], masks, n)
+        for name, value in (("subsets", masks), ("signs", signs)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -524,7 +521,7 @@ def _state_parities(read: PlanRound, state) -> np.ndarray:
         state = state.real
     j = np.arange(dim)
     # sign[k] = (-1)^|k|, so a string's signs over j are sign[j & z]
-    sign = 1.0 - 2.0 * (((j[:, None] >> np.arange(n)) & 1).sum(axis=1) & 1)
+    sign = 1.0 - 2.0 * subset_parities(j, [dim - 1], n)[:, 0]
     sums = np.zeros(len(read.table.subsets))
     block = max(1, (1 << 16) >> n)
     for odd in (False, True) if np.iscomplexobj(state) else (False,):

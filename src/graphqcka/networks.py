@@ -118,11 +118,11 @@ def fusion_circuit_state(normalize: bool = False) -> tuple[np.ndarray, float]:
     vec = np.kron(np.kron(phi_plus, plus_plus), phi_plus)
     vec = _parity_project(vec, 6, 1, 2)
     vec = _parity_project(vec, 6, 3, 4)
-    vec = _apply_single_qubit(vec, 6, 2, _H)
-    vec = _apply_single_qubit(vec, 6, 3, _H)
+    vec = _apply_single_qubit(vec, 2, _H)
+    vec = _apply_single_qubit(vec, 3, _H)
     vec = _parity_project(vec, 6, 2, 3)
     for q in (0, 2, 4):
-        vec = _apply_single_qubit(vec, 6, q, _Z)
+        vec = _apply_single_qubit(vec, q, _Z)
     prob = float(np.vdot(vec, vec).real)
     if normalize:
         vec = vec / np.sqrt(prob)
@@ -149,5 +149,5 @@ def rotate_to_graph_state(vec: np.ndarray) -> np.ndarray:
     """Apply H (x) Z (x) H (x) Z (x) H (x) Z to a six-mode state."""
     out = vec
     for q, mat in enumerate((_H, _Z, _H, _Z, _H, _Z)):
-        out = _apply_single_qubit(out, 6, q, mat)
+        out = _apply_single_qubit(out, q, mat)
     return out

@@ -27,8 +27,8 @@ The Poisson Monte Carlo draws every resample at once into an integer count
 matrix, observed counts in row 0 (poisson_count_rows); a statistic gives one
 value per row, NaN where it is undefined, and monte_carlo_results reads the
 results off those values.  analysis.build_report evaluates its row
-statistics on the matrix of its batches pooled by the subset parities it
-reads, one draw per pooled class; poisson_mc evaluates one Python statistic
+statistics on the matrix of its batches pooled by their generator masks,
+one draw per pooled class; poisson_mc evaluates one Python statistic
 of RoundBatches row by row and draws every outcome on its own.
 """
 
@@ -42,7 +42,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .graphstate import SizeCapError
-from .keyrates import (CorrelatorTable, CountRows, RoundBatch, akr_n_rows,
+from .keyrates import (CorrelatorTable, CountRows, RoundBatch, _pair_masks, akr_n_rows,
                        analytic_estimates, correlator_tables, table_estimate_rows)
 from .routing import ExtractionPlan
 
@@ -328,8 +328,8 @@ def poisson_count_rows(batches: Mapping[str, RoundBatch], n_samples: int, seed: 
     only the Poisson means pass through float64.  With n_samples = 0 it is
     row 0 alone, drawn from no rng, and the counts need not be integers.
     The draws are per outcome of the batches given: build_report passes
-    batches pooled by the subsets it reads (RoundBatch.pooled), so each of
-    its columns is a pooled class.
+    batches pooled by their generator masks (RoundBatch.pooled) and read at
+    the masks it reads, so each of its columns is a pooled class.
     """
     layout = [(name, sorted(batches[name].counts)) for name in sorted(batches)]
     observed = np.array([batches[name].counts[k] for name, outcomes in layout
@@ -525,15 +525,15 @@ def _log_systems(tables, names, targets, exponents):
         qx, qber = [], []
         for name in names:
             (type1, type2), (tq, tx) = tables[name], targets[name]
-            bits = [1 << k for k in range(len(type1.targets) - 1, -1, -1)]
-            row = _log_rows(type2, exponents(type2), [sum(bits)], tx, pins)
+            n = len(type1.targets)
+            row = _log_rows(type2, exponents(type2), [(1 << n) - 1], tx, pins)
             if tx != 0.5 and (row is None or not np.isfinite(row[1]).all()):
                 return None
             if row is not None:
                 qx.append(row)
             e1 = exponents(type1)
-            alices = [_log_rows(type1, e1, [a ^ b for b in bits if b != a], tq, pins)
-                      for a in bits]
+            alices = [_log_rows(type1, e1, [m for m in row if m], tq, pins)
+                      for row in _pair_masks(n).tolist()]
             complete = [rows for rows in alices if rows is not None]
             if tq != 0.5 and not any(np.isfinite(beta).all() for _, beta in complete):
                 return None

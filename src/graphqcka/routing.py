@@ -186,22 +186,11 @@ def _measure_branch(gs: GraphState, logical_bases: Mapping[int, str],
 
 def _logical_target_vector(plan_kind: str, targets: tuple[int, ...],
                            pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Dense logical resource: N-GHZ over targets, or a tensor of Bell pairs."""
-    n = len(targets)
-    if plan_kind == "ghz":
-        vec = np.zeros(1 << n, dtype=complex)
-        vec[0] = vec[-1] = 1 / np.sqrt(2)
-        return vec
-    pos = {v: i for i, v in enumerate(targets)}
-    full = np.zeros(1 << n, dtype=complex)
-    for idx in range(1 << n):
-        amp = 1.0
-        for a, b in pairs:
-            ba = (idx >> (n - 1 - pos[a])) & 1
-            bb = (idx >> (n - 1 - pos[b])) & 1
-            amp *= (1 / np.sqrt(2)) if ba == bb else 0.0
-        full[idx] = amp
-    return full
+    """Dense logical resource, N-GHZ over targets or a tensor of Bell pairs:
+    the equal superposition of the outcomes even at every Z Z generator."""
+    zz = generator_masks(plan_kind, targets, pairs)["type-1"]
+    support = ~subset_parities(range(1 << len(targets)), zz, len(targets)).any(axis=1)
+    return support / np.sqrt(support.sum()) + 0j
 
 
 def realize_plan(graph: Graph, kind: str, participants: Iterable[int],
@@ -290,19 +279,12 @@ def realize_plan(graph: Graph, kind: str, participants: Iterable[int],
 
 def verify_plan(plan: ExtractionPlan) -> bool:
     """Whether each outcome branch leaves the participants in the resource,
-    up to frames and byproducts: iff every stabilizer generator of it (Z Z
-    on consecutive targets and X on all for GHZ, Z Z and X X per Bell pair)
-    has corrected parity +1, the mean over branches, which is one Pauli
-    string on the network state (subset_strings; Anders and Briegel,
-    quant-ph/0504117).  No branch is walked."""
-    n = len(plan.targets)
-    if plan.kind == "ghz":
-        generators = {"type-1": [3 << k for k in range(n - 1)], "type-2": [(1 << n) - 1]}
-    else:
-        pairs = [sum(1 << n - 1 - plan.targets.index(u) for u in p) for p in plan.pairs]
-        generators = dict.fromkeys(("type-1", "type-2"), pairs)
-    return all((subset_strings(plan, round_type, masks)[3] == 1).all()
-               for round_type, masks in generators.items())
+    up to frames and byproducts: iff every stabilizer generator of it
+    (generator_masks) has corrected parity +1, the mean over branches, which
+    is one Pauli string on the network state (subset_strings; Anders and
+    Briegel, quant-ph/0504117).  No branch is walked."""
+    return all((subset_strings(plan, round_type, masks)[3] == 1).all() for round_type, masks
+               in generator_masks(plan.kind, plan.targets, plan.pairs).items())
 
 
 def network_vector(plan: ExtractionPlan) -> np.ndarray:
@@ -319,7 +301,6 @@ def verify_plan_dense(plan: ExtractionPlan, tol: float = 1e-10) -> bool:
     network = network_vector(plan)
     nonparts = plan.nonparticipants
     target_vec = _logical_target_vector(plan.kind, plan.targets, plan.pairs)
-    n_t = len(plan.targets)
     for combo in itertools.product((0, 1), repeat=len(nonparts)):
         settings = {v: (plan.nonparticipant_bases[v], bit)
                     for v, bit in zip(nonparts, combo)}
@@ -333,7 +314,7 @@ def verify_plan_dense(plan: ExtractionPlan, tol: float = 1e-10) -> bool:
             for v, bit in zip(nonparts, combo):
                 if bit:
                     e = compose(e, PAULI_GATES[plan.byproduct_terms[v][u]])
-            expect = _apply_single_qubit(expect, n_t, i, e.matrix)
+            expect = _apply_single_qubit(expect, i, e.matrix)
         fid = abs(np.vdot(proj, expect)) ** 2
         if abs(fid - 1) > tol:
             return False
@@ -503,19 +484,43 @@ def parity_strings(plan: ExtractionPlan, round_type: str) -> np.ndarray:
     return strings
 
 
+def subset_bits(masks, n: int) -> np.ndarray:
+    """bits[s, i] = 1 when participant i of n is in subset mask s, participant
+    i at bit n-1-i: the one layout of every participant mask and outcome."""
+    return np.asarray(masks, dtype=np.int64).reshape(-1, 1) >> np.arange(n - 1, -1, -1) & 1
+
+
+def subset_parities(values, masks, n: int) -> np.ndarray:
+    """parities[k, s] = |values[k] & masks[s]| mod 2 over n participants: one
+    GF(2) product of their subset_bits."""
+    return subset_bits(values, n) @ subset_bits(masks, n).T & 1
+
+
+def generator_masks(kind: str, participants: Sequence[int],
+                    pairs: Sequence[tuple[int, int]]) -> dict[str, list[int]]:
+    """Per round type, the participant-subset masks of the resource's
+    stabilizer generators, which every mask a round reads is an XOR of:
+    for GHZ, Z Z on consecutive participants (type-1) and X on all (type-2);
+    for Bell pairs, each pair's Z Z and X X, in pair order in both."""
+    n = len(participants)
+    if kind == "ghz":
+        return {"type-1": [3 << k for k in range(n - 1)], "type-2": [(1 << n) - 1]}
+    links = [sum(1 << n - 1 - participants.index(u) for u in pair) for pair in pairs]
+    return dict.fromkeys(("type-1", "type-2"), links)
+
+
 def subset_strings(plan: ExtractionPlan, round_type: str, masks: Sequence[int],
                    ) -> tuple[RoundSetting, np.ndarray, np.ndarray, np.ndarray]:
-    """The round's setting and, per participant-subset mask (participant i at
-    bit N-1-i), the string S whose <S> times sign is the subset's corrected
-    parity on any network state: S's letter codes per vertex (0 = I, 1 = X,
-    2 = Y, 3 = Z), its sign, and that parity on the plan's ideal state."""
+    """The round's setting and, per participant-subset mask (subset_bits),
+    the string S whose <S> times sign is the subset's corrected parity on
+    any network state: S's letter codes per vertex (0 = I, 1 = X, 2 = Y,
+    3 = Z), its sign, and that parity on the plan's ideal state."""
     setting = compile_round_settings(plan, round_type)
-    verts, n_parts = plan.graph.vertices, len(plan.targets)
-    subset_bits = (np.asarray(masks)[:, None] >> np.arange(n_parts - 1, -1, -1)) & 1
+    verts, members = plan.graph.vertices, subset_bits(masks, len(plan.targets))
     letters = np.array(["IXYZ".index(setting.per_vertex_basis[v]) for v in verts])
     negated = np.array([int(setting.sign_convention[u] < 0) for u in plan.targets])
-    codes = ((subset_bits @ parity_strings(plan, round_type)) & 1) * letters
-    signs = 1.0 - 2.0 * ((subset_bits @ negated) & 1)
+    codes = ((members @ parity_strings(plan, round_type)) & 1) * letters
+    signs = 1.0 - 2.0 * ((members @ negated) & 1)
     state = GraphState(plan.graph, dict(plan.preparation_frame))
     ideal = np.array([stabilizer_expectation(state, {v: "IXYZ"[c] for v, c in zip(verts, row)})
                       for row in codes.tolist()])

@@ -44,7 +44,7 @@ def expectation(vec: np.ndarray, obs: PauliObservable, vertices: Iterable[int]) 
     for i, v in enumerate(vertices):
         letter = obs.letters.get(v, "I")
         if letter != "I":
-            out = _apply_single_qubit(out, n, i, PAULI_MATRICES[letter])
+            out = _apply_single_qubit(out, i, PAULI_MATRICES[letter])
     val = obs.sign * np.vdot(vec, out)
     return float(val.real)
 
@@ -82,6 +82,31 @@ BASIS_ROTATIONS = {
     for letter in "ZXY"}
 
 
+def tensordot_single_qubit(vec: np.ndarray, n: int, qubit: int, mat: np.ndarray) -> np.ndarray:
+    """A 2x2 matrix on qubit position qubit (0 = most significant) of n, by
+    moving that axis of the 2 x ... x 2 tensor to the front and back."""
+    tensor = np.moveaxis(vec.reshape((2,) * n), qubit, 0)
+    tensor = np.tensordot(mat, tensor, axes=([1], [0]))
+    return np.moveaxis(tensor, 0, qubit).reshape(-1)
+
+
+def bit_count_parities(values: Sequence[int], masks: Sequence[int]) -> list[list[int]]:
+    """parities[k][s] = |values[k] & masks[s]| mod 2, one int.bit_count each."""
+    return [[(v & m).bit_count() & 1 for m in masks] for v in values]
+
+
+def bit_count_pooled(batch: RoundBatch, masks: Sequence[int]) -> RoundBatch:
+    """The batch with the outcomes of equal bit_count_parities at every mask
+    summed onto the least of them, one outcome at a time."""
+    least: dict[tuple[int, ...], str] = {}
+    counts: dict[str, int] = {}
+    for outcome in sorted(batch.counts):
+        key = tuple(bit_count_parities([int(outcome, 2)], masks)[0])
+        rep = least.setdefault(key, outcome)
+        counts[rep] = counts.get(rep, 0) + batch.counts[outcome]
+    return RoundBatch(batch.setting, batch.participants, counts)
+
+
 def rotate_density(rho: np.ndarray, n: int, qubit: int, u: np.ndarray) -> np.ndarray:
     """u rho u^+ with u acting on one qubit (0 = most significant)."""
     dim = 1 << n
@@ -106,7 +131,7 @@ def rotated_outcome_distribution(plan: ExtractionPlan, round_type: str,
     if state.ndim == 1:
         vec = state
         for i, v in enumerate(verts):
-            vec = _apply_single_qubit(vec, n, i, BASIS_ROTATIONS[setting.per_vertex_basis[v]])
+            vec = _apply_single_qubit(vec, i, BASIS_ROTATIONS[setting.per_vertex_basis[v]])
         probs = np.abs(vec) ** 2
     else:
         rho = state

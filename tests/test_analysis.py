@@ -5,8 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from graphqcka import networks
-from graphqcka.analysis import _evaluate, _read_masks, build_report, pairwise_rates
+from graphqcka import analysis, networks
+from graphqcka.analysis import _evaluate, build_report, pairwise_rates
 from graphqcka.graphstate import Graph, to_dense
 from graphqcka.keyrates import (CountRows, RoundBatch, _alice_min_max, _pair_masks, akr_n,
                                 count_error_rows, error_estimates, outcome_distribution,
@@ -408,10 +408,17 @@ class TestPooling:
     """build_report draws one Poisson count per class of outcomes that agree
     on every parity it reads."""
 
-    def test_pooling_keeps_every_read_parity(self):
+    def test_pooling_keeps_every_read_parity(self, monkeypatch):
         """On random batches of the GHZ and Bell plans, over random outcome
-        sets with counts up to past 2^53, each pooled batch is the oracle's
-        grouping, keeps every read parity exactly and reads them alone."""
+        sets with counts up to past 2^53, each batch that build_report pools
+        is the oracle's grouping by every read subset, keeps every read
+        parity exactly, and its count rows read them alone."""
+        built = []
+
+        def spy(pooled, *args):
+            built.append((pooled, poisson_count_rows(pooled, *args)))
+            return built[-1][1]
+        monkeypatch.setattr(analysis, "poisson_count_rows", spy)
         rng = np.random.default_rng(26)
         setups = [(networks.ghz_plan(), [networks.bell_multicast_plan(),
                                          networks.bell_bridge_plan()]),
@@ -428,22 +435,25 @@ class TestPooling:
                     batches[f"{tag}/{rt}"] = RoundBatch(None, plan.targets, {
                         format(i, f"0{n}b"): int(rng.integers(0, scale))
                         for i in np.flatnonzero(keep).tolist()})
-            masks = _read_masks(ghz, bells, batches)
+            try:
+                build_report(ghz, bells, batches, mc_samples=0)
+            except ValueError as exc:
+                assert str(exc) == "empty batch"
+                assert not all(batch.total for batch in batches.values())
+            pooled, rows = built.pop()
             positions = read_positions(ghz, bells, batches)
-            assert list(masks) == list(positions)
-            for name, subsets in masks.items():
-                batch, pooled = batches[name], batches[name].pooled(subsets)
-                assert pooled.counts == oracle_pooled(batch, positions[name]).counts
+            assert sorted(pooled) == sorted(rows) == sorted(positions)
+            for name in positions:
+                batch = batches[name]
+                assert pooled[name].counts == oracle_pooled(batch, positions[name]).counts
                 want = oracle_parities(batch, positions[name])
-                assert oracle_parities(pooled, positions[name]) == want
+                assert oracle_parities(pooled[name], positions[name]) == want
                 n = len(batch.participants)
                 want = {0: batch.total, **{sum(1 << (n - 1 - i) for i in subset): parity
                                            for subset, parity in zip(positions[name], want)}}
-                outcomes = tuple(sorted(pooled.counts))
-                rows = CountRows(batch.participants, outcomes,
-                                 np.array([[pooled.counts[s] for s in outcomes]]), subsets)
-                assert rows.signs.shape == (len(outcomes), len(subsets))
-                assert dict(zip(rows.subsets.tolist(), rows.parity_rows()[0].tolist())) == want
+                assert rows[name].signs.shape == (len(pooled[name].counts), len(want))
+                assert dict(zip(rows[name].subsets.tolist(),
+                                rows[name].parity_rows()[0].tolist())) == want
 
     def test_poisson_cells_per_report(self, poisson_cells):
         """The eight-vertex GHZ report, with all 64 outcomes of each round

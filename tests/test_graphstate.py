@@ -1,11 +1,13 @@
 """Graph-state engine tests against the dense-amplitude oracle."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphqcka import graphstate, networks, routing
 from graphqcka.graphstate import (Graph, GraphState, SizeCapError,
                                   build_graph_state, local_complement,
                                   measure_vertex, project_dense,
@@ -13,7 +15,7 @@ from graphqcka.graphstate import (Graph, GraphState, SizeCapError,
 from graphqcka.pauli import IDENTITY, from_name
 
 from conftest import all_graphs, connected_graphs, identity_state, random_frame, random_graph
-from oracles import PauliObservable, Tableau, expectation, states_equal
+from oracles import PauliObservable, Tableau, expectation, states_equal, tensordot_single_qubit
 
 
 class TestGraph:
@@ -116,6 +118,38 @@ class TestDenseOracle:
         vec = to_dense(build_graph_state(1, []))  # |+>
         with pytest.raises(ValueError):
             project_dense(vec, (0,), {0: ("X", 1)})
+
+    def test_single_qubit_form_matches_tensordot(self, monkeypatch):
+        """Seeded: every single-qubit application in to_dense,
+        verify_plan_dense and the networks circuit states equals the
+        moveaxis/tensordot form within 1e-12, and so does each to_dense."""
+        applied = []
+        direct = graphstate._apply_single_qubit
+
+        def checked(vec, qubit, mat):
+            out = direct(vec, qubit, mat)
+            n = vec.size.bit_length() - 1
+            assert np.abs(out - tensordot_single_qubit(vec, n, qubit, mat)).max() <= 1e-12
+            applied.append((n, qubit))
+            return out
+        for module in (graphstate, routing, networks):
+            monkeypatch.setattr(module, "_apply_single_qubit", checked)
+        rng = random.Random(27)
+        for _ in range(40):
+            g = random_graph(rng.randint(1, 8), rng)
+            gs = GraphState(g, random_frame(g, rng))
+            want = graphstate._dense_graph_vector(g)
+            for i, v in enumerate(g.vertices):
+                if gs.frame[v] != IDENTITY:
+                    want = tensordot_single_qubit(want, g.n, i, gs.frame[v].matrix)
+            assert np.abs(to_dense(gs) - want).max() <= 1e-12
+        for plan in (networks.ghz_plan(), networks.bell_multicast_plan(),
+                     networks.bell_bridge_plan()):
+            assert routing.verify_plan_dense(plan)
+        networks.fusion_circuit_state()
+        networks.rotate_to_graph_state(networks.eight_term_state())
+        assert {n for n, _ in applied} == set(range(1, 9))
+        assert {q for n, q in applied if n == 6} == set(range(6))
 
     def test_states_equal(self):
         path = build_graph_state(3, [(0, 1), (1, 2)])

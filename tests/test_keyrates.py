@@ -11,7 +11,7 @@ import pytest
 
 from graphqcka import keyrates, networks, routing
 from graphqcka.graphstate import Graph, GraphState, local_complement
-from graphqcka.keyrates import (RoundBatch,
+from graphqcka.keyrates import (CountRows, RoundBatch,
                                 akr_2, akr_n, akr_n_rows, analytic_estimates,
                                 binary_entropy, correlator_tables, error_estimates,
                                 estimate_qber, estimate_qx, outcome_distribution,
@@ -21,8 +21,8 @@ from graphqcka.keyrates import (RoundBatch,
 from graphqcka.noise import NoiseModel, apply_noise, calibrate_to_targets, pump_sweep
 from graphqcka.pauli import HADAMARD, IDENTITY, compose, pauli_layer, pauli_product
 from graphqcka.routing import (compile_round_settings, find_bell_multicast_plan,
-                               find_ghz_plan, network_vector, plan_from_json,
-                               plan_to_json, realize_plan, verify_plan_dense)
+                               find_ghz_plan, generator_masks, network_vector,
+                               plan_from_json, plan_to_json, realize_plan, verify_plan_dense)
 
 from conftest import random_frame, random_graph, random_model
 import oracles
@@ -592,6 +592,47 @@ class TestPlanCache:
         assert (repr(plan), plan_to_json(plan)) == before
         assert plan == twin and twin == plan
         assert plan_from_json(plan_to_json(plan)) == plan
+
+
+class TestGeneratorPooling:
+    """RoundBatch.pooled at the resource's generator masks, the way the
+    report pools its batches."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_generators_pool_as_every_read_mask(self, n):
+        """GHZ and Bell batches of n participants over random outcome sets:
+        pooled by generator_masks they have the classes, representatives and
+        counts of the int.bit_count pooling by every mask the report reads
+        (every pair or the full set for GHZ, each link pair for Bell), and
+        their CountRows signs are the bit_count parities at the estimator
+        masks."""
+        rng = np.random.default_rng(n)
+        parts = tuple(sorted(rng.choice(24, n, replace=False).tolist()))
+
+        def mask(members):
+            return sum(1 << (n - 1 - parts.index(u)) for u in members)
+
+        setups = [("ghz", (), {"type-1": [mask(p) for p in itertools.combinations(parts, 2)],
+                               "type-2": [mask(parts)]})]
+        if n % 2 == 0:
+            order = rng.permutation(parts).tolist()
+            pairs = tuple(tuple(sorted(order[i:i + 2])) for i in range(0, n, 2))
+            setups.append(("bell_multicast", pairs,
+                           dict.fromkeys(("type-1", "type-2"), [mask(p) for p in pairs])))
+        for kind, pairs, reads in setups:
+            generators = generator_masks(kind, parts, pairs)
+            for rt in ("type-1", "type-2"):
+                keep = np.flatnonzero(rng.random(1 << n) < rng.uniform(0.05, 1.0))
+                counts = {format(i, f"0{n}b"): int(rng.integers(0, 1000)) for i in keep.tolist()}
+                full = RoundBatch(None, parts, counts)
+                pooled = full.pooled(generators[rt])
+                want = oracles.bit_count_pooled(full, reads[rt])
+                assert list(pooled.counts.items()) == list(want.counts.items()), (kind, rt)
+                outcomes = tuple(pooled.counts)
+                rows = CountRows(parts, outcomes, np.array([list(pooled.counts.values())]))
+                signs = oracles.bit_count_parities([int(o, 2) for o in outcomes],
+                                                   rows.subsets.tolist())
+                assert rows.signs.tolist() == [[1 - 2 * p for p in row] for row in signs]
 
 
 class TestEstimatorSubsets:

@@ -7,6 +7,7 @@ from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -18,9 +19,10 @@ from graphqcka.pauli import (ALL_CLIFFORDS, HADAMARD, IDENTITY, PAULI_MATRICES, 
                              pauli_layer)
 from graphqcka.routing import (circuit_success_probability,
                                compile_round_settings, find_bell_multicast_plan,
-                               find_ghz_plan, find_pairwise_plan_set, lc_orbit,
-                               network_use_accounting, plan_from_json, plan_to_json,
-                               realize_plan, verify_plan, verify_plan_dense)
+                               find_ghz_plan, find_pairwise_plan_set, generator_masks,
+                               lc_orbit, network_use_accounting, plan_from_json,
+                               plan_to_json, realize_plan, subset_bits, subset_parities,
+                               verify_plan, verify_plan_dense)
 
 NETWORK = networks.six_vertex_graph()
 PREP = networks.six_vertex_preparation_frame()
@@ -677,6 +679,60 @@ class TestVerifier:
             for variant in (plan, *(v for _, v in _corrupted(plan, rng))):
                 assert tableau_verdict(variant) == verify_plan_dense(variant)
                 checked += 1
+
+
+class TestParticipantMasks:
+    """The one mask layout: participant i of n at bit n-1-i."""
+
+    def test_subset_bits_layout(self):
+        """Row s holds mask s's binary digits, most significant first, for
+        random masks of up to 24 bits."""
+        rng = np.random.default_rng(27)
+        for n in range(1, 25):
+            masks = rng.integers(0, 1 << n, 30).tolist()
+            assert subset_bits(masks, n).tolist() == [
+                [int(d) for d in format(m, f"0{n}b")] for m in masks]
+
+    def test_parities_match_bit_count(self):
+        """The GF(2) product equals one int.bit_count per outcome and mask on
+        random outcomes and masks of up to 24 bits, the empty and full masks
+        among them."""
+        rng = np.random.default_rng(28)
+        for n in range(1, 25):
+            values = rng.integers(0, 1 << n, 200).tolist()
+            masks = [0, (1 << n) - 1, *rng.integers(0, 1 << n, 40).tolist()]
+            assert subset_parities(values, masks, n).tolist() == \
+                oracles.bit_count_parities(values, masks)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_generator_masks(self, n):
+        """GHZ: Z Z on consecutive participants for type-1, X on all for
+        type-2; Bell: each pair in pair order for both, at the positions of
+        participants listed in any order.  Each mask the report reads is in
+        the GF(2) span of its round's generators."""
+        rng = random.Random(n)
+        parts = tuple(sorted(rng.sample(range(24), n)))
+
+        def mask(members):
+            return sum(1 << (n - 1 - parts.index(u)) for u in members)
+
+        ghz = generator_masks("ghz", parts, ())
+        assert ghz == {"type-1": [mask(parts[i:i + 2]) for i in range(n - 2, -1, -1)],
+                       "type-2": [mask(parts)]}
+        reads = {"type-1": [mask(p) for p in itertools.combinations(parts, 2)],
+                 "type-2": [mask(parts)]}
+        if n % 2 == 0:
+            order = rng.sample(parts, n)
+            pairs = tuple(tuple(sorted(order[i:i + 2])) for i in range(0, n, 2))
+            parts = tuple(rng.sample(parts, n))
+            links = [mask(p) for p in pairs]
+            assert generator_masks("bell_multicast", parts, pairs) == dict.fromkeys(
+                ("type-1", "type-2"), links)
+        for rt, masks in ghz.items():
+            span = {0}
+            for m in masks:
+                span |= {s ^ m for s in span}
+            assert set(reads[rt]) <= span and len(span) == 1 << len(masks)
 
 
 class TestCompilation:
