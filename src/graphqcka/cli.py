@@ -5,11 +5,11 @@ the plans are searched on the graph state with
 networks.photonic_preparation_frame (H on odd, Z on even 1-based
 vertices), and there is no option to change it.
 
-Exit codes: 0 success, 2 parse error (and sweep under protocol 2qkd, which
-has no AKR_2 sweep), 3 no plan found by an exhaustive search, 4 a counts
-file missing, not matching its plan's basis string and participants, or
-holding no outcome rows, 5 a size cap or search budget exceeded (1 for
-anything else).
+Exit codes: 0 success, 2 parse error (also an output directory that
+cannot be made, and sweep under protocol 2qkd, which has no AKR_2 sweep),
+3 no plan found by an exhaustive search, 4 a counts file missing, not
+matching its plan's basis string and participants, or holding no outcome
+rows, 5 a size cap or search budget exceeded (1 for anything else).
 """
 
 from __future__ import annotations
@@ -64,6 +64,15 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+def _out_dir(cfg: RunConfig) -> Path:
+    """cfg.out made as a directory with its parents, or a ParseError naming it."""
+    try:
+        Path(cfg.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"output directory {cfg.out}: {exc.strerror}") from None
+    return Path(cfg.out)
+
+
 def _extract_plans(cfg: RunConfig):
     graph = parse_graph(cfg.graph)
     parts = cfg.participants()
@@ -106,8 +115,7 @@ def cmd_orbit(args) -> int:
 def cmd_extract(args) -> int:
     cfg = _load_config(args)
     graph, plans = _extract_plans(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     for proto, planset in plans.items():
         for k, plan in enumerate(planset):
             path = out / f"plan_{proto}_{k}.json"
@@ -126,8 +134,7 @@ def cmd_simulate(args) -> int:
         raise ParseError("simulation requires a seed")
     graph, plans = _extract_plans(cfg)
     model = cfg.noise_model()
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     for proto, planset in plans.items():
         for k, plan in enumerate(planset):
             tag = proto if proto == "nqkd" else f"bell{k}"
@@ -170,8 +177,7 @@ def cmd_analyze(args) -> int:
                           mc_samples=cfg.mc_samples,
                           mc_seed=cfg.seed if cfg.seed is not None else 0)
     text = report_to_json(report, hashes, config_echo=vars(cfg))
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     (out / "report.json").write_text(text)
     print(text, end="")
     return 0
@@ -189,8 +195,7 @@ def cmd_sweep(args) -> int:
         result = pump_sweep(plan, model, np.linspace(*cfg.sweep_powers))
     except ValueError as exc:
         raise ParseError(f"sweep_powers: {exc}") from None
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     lines = ["p_mW,akr,rate_hz,keyrate_hz"]
     for p, a, r, k in zip(result.powers, result.akr, result.raw_rates,
                           result.key_rates):

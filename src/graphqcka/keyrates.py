@@ -15,13 +15,14 @@ views of _entropy_rows, akr_n_rows and pairwise_conference_rate_rows.
 Exact states go through the plan's parity strings: the parity of each
 participant subset of the corrected bits is the expectation of one Pauli
 string, from routing.subset_strings as in routing.verify_plan.  Each of
-two readers keeps one PlanRound (strings and CorrelatorTable) per plan
-instance and round type, built on first use with only the subsets it
-reads: the outcome distribution reads all 2^N, the estimators the empty
-set, the pairs and the full set.  Under a noise model the table evaluates
-the strings in closed form, with no dense state; an explicit amplitude
-vector or density matrix is read by one real sum per string, in float64
-when its imaginary part is zero.  A Walsh-Hadamard transform of the
+two readers keeps one CorrelatorTable (setting, strings, signs and ideal
+parities) per plan instance and round type, built on first use with only
+the subsets it reads: the outcome distribution reads all 2^N, the
+estimators the empty set, the pairs and the full set.  Under a noise
+model the table evaluates the strings in closed form, with no dense
+state; an explicit amplitude vector or density matrix is read by one real
+sum per string, its masks taken from the table's letters, in float64 when
+its imaginary part is zero.  A Walsh-Hadamard transform of the
 distribution reader's parities gives the outcome distribution.
 """
 
@@ -183,7 +184,9 @@ class CountRows:
         n = len(self.participants)
         masks = np.array(_estimator_masks(n) if self.subsets is None else self.subsets,
                          dtype=np.int64)
-        signs = 1 - 2 * subset_parities([int(o, 2) for o in self.outcomes], masks, n)
+        signs = subset_parities([int(o, 2) for o in self.outcomes], masks, n)
+        signs *= -2
+        signs += 1
         for name, value in (("subsets", masks), ("signs", signs)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -407,22 +410,36 @@ def _walsh(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CorrelatorTable:
-    """The Pauli correlators behind one plan's corrected outcome distribution.
+    """What one reader reads off one plan for one round type: the round's
+    setting and the Pauli strings of the participant subsets it asks for
+    (routing.subset_strings), built once per plan instance, round type and
+    reader (plan_round), with read-only arrays.
 
-    Every channel of a noise model is a Pauli channel and the network is a
-    stabilizer state, so each subset parity of PlanRound is its string's
-    ideal value (+-1 or 0) scaled by the channels.  Row t holds the string
-    of one subset its reader asks for, in the reader's order: its subset
-    mask, its letter codes per network vertex (0 = I, 1 = X, 2 = Y, 3 = Z)
-    and its weight, the sign times the ideal value, 0 where the ideal value
-    is.  plan_round builds it once per plan instance and reader, read-only.
+    Row t holds the string of one subset, in the reader's order: its subset
+    mask (participant i at bit N-1-i), its letter codes per network vertex
+    (0 = I, 1 = X, 2 = Y, 3 = Z), its sign, and its weight, the subset's
+    corrected parity on the plan's ideal state (the sign times the string's
+    ideal value, +-1 or 0).  Every channel of a noise model is a Pauli
+    channel and the network is a stabilizer state, so under a model each
+    parity is its weight scaled by the channels.
     """
 
+    setting: RoundSetting
     targets: tuple[int, ...]
     vertices: tuple[int, ...]
     subsets: np.ndarray
-    weights: np.ndarray
     letters: np.ndarray
+    signs: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def build(cls, plan: ExtractionPlan, round_type: str,
+              masks: Sequence[int]) -> CorrelatorTable:
+        setting, letters, signs, weights = subset_strings(plan, round_type, masks)
+        arrays = (np.array(masks), letters, signs, weights)
+        for array in arrays:
+            array.flags.writeable = False
+        return cls(setting, plan.targets, plan.graph.vertices, *arrays)
 
     def parity_rows(self, model, white_noise: Sequence[float]) -> np.ndarray:
         """The parities of the table's subsets, one row per white-noise weight
@@ -441,51 +458,20 @@ class CorrelatorTable:
         return self.parity_rows(model, [0.0 if model is None else model.white_noise])[0]
 
 
-@dataclass(frozen=True)
-class PlanRound:
-    """What one reader reads off one plan for one round type: the strings of
-    the participant subsets it asks for (routing.subset_strings), built once
-    per plan instance and reader (plan_round), with read-only arrays.
-
-    table.subsets holds the masks, participant i at bit N-1-i, and every
-    array is in their order.  Per string the explicit-state read keeps its
-    X/Y and Y/Z masks (vertex i at bit n-1-i), the parity of #Y, and the
-    sign times the real factor +-1 of i^#Y.
-    """
-
-    setting: RoundSetting
-    x_masks: np.ndarray
-    z_masks: np.ndarray
-    odd_y: np.ndarray
-    read_signs: np.ndarray
-    table: CorrelatorTable
-
-    @classmethod
-    def build(cls, plan: ExtractionPlan, round_type: str, masks: Sequence[int]) -> "PlanRound":
-        setting, codes, signs, values = subset_strings(plan, round_type, masks)
-        n_y, place = (codes == 2).sum(axis=1), 1 << np.arange(codes.shape[1] - 1, -1, -1)
-        arrays = (((codes == 1) | (codes == 2)) @ place, (codes >= 2) @ place,
-                  n_y % 2 == 1, signs * np.array([1.0, -1.0, -1.0, 1.0])[n_y % 4],
-                  np.array(masks), values, codes)
-        for array in arrays:
-            array.flags.writeable = False
-        return cls(setting, *arrays[:4],
-                   CorrelatorTable(plan.targets, plan.graph.vertices, *arrays[4:]))
-
-
-def plan_round(plan: ExtractionPlan, round_type: str, reader: str = "estimates") -> PlanRound:
-    """The plan's PlanRound for the reader "distribution" (all 2^N subsets) or
-    "estimates" (the empty set, the pairs, the full set), kept in round_cache."""
+def plan_round(plan: ExtractionPlan, round_type: str,
+               reader: str = "estimates") -> CorrelatorTable:
+    """The plan's CorrelatorTable for the reader "distribution" (all 2^N subsets)
+    or "estimates" (the empty set, the pairs, the full set), kept in round_cache."""
     cache, n = plan.round_cache, len(plan.targets)
     if (round_type, reader) not in cache:
         masks = range(1 << n) if reader == "distribution" else _estimator_masks(n)
-        cache[round_type, reader] = PlanRound.build(plan, round_type, masks)
+        cache[round_type, reader] = CorrelatorTable.build(plan, round_type, masks)
     return cache[round_type, reader]
 
 
 def correlator_tables(plan: ExtractionPlan) -> tuple[CorrelatorTable, CorrelatorTable]:
     """The plan's type-1 and type-2 estimator tables, built once per plan instance."""
-    return plan_round(plan, "type-1").table, plan_round(plan, "type-2").table
+    return plan_round(plan, "type-1"), plan_round(plan, "type-2")
 
 
 def table_estimate_rows(tables: Sequence[CorrelatorTable], model,
@@ -498,41 +484,46 @@ def table_estimate_rows(tables: Sequence[CorrelatorTable], model,
             _qx_rows(tables[1].subsets, type2, (1 << n) - 1))
 
 
-def _state_parities(read: PlanRound, state) -> np.ndarray:
-    """The parities of the reader's subsets (read.table.subsets) on a state
-    taken as by outcome_distribution.
+def _state_parities(table: CorrelatorTable, state) -> np.ndarray:
+    """The parities of the table's subsets on a state taken as by
+    outcome_distribution.
 
     Vertex i is bit n-1-i of a basis index j, and a string with X/Y mask x
     and Y/Z mask z maps |j> to i^#Y (-1)^|j & z| |j ^ x>.  So <S> is i^#Y
     times the sum over j of (-1)^|j & z| rho[j, j ^ x], or on a vector of
     (-1)^|j & z| conj(psi[j ^ x]) psi[j]: one real sum per string, of the
-    real parts for even #Y and the imaginary parts for odd #Y.  A state with
-    a zero imaginary part is read as its real part (odd-#Y strings read 0).
+    real parts for even #Y and the imaginary parts for odd #Y, times the
+    string's sign and the real factor +-1 of i^#Y.  The masks and factors
+    come from the table's letters on each read.  A state with a zero
+    imaginary part is read as its real part (odd-#Y strings read 0).
     Blocks of strings keep the index gather near 2^16 entries.
     """
     if not isinstance(state, np.ndarray):
-        return read.table.parities(state)
-    n = len(read.table.vertices)
+        return table.parities(state)
+    n = len(table.vertices)
     dim = 1 << n
     if state.shape not in ((dim,), (dim, dim)):
         raise ValueError(f"explicit state has shape {state.shape}; the plan's {n} "
                          f"vertices need ({dim},) or ({dim}, {dim})")
     if np.iscomplexobj(state) and not state.imag.any():
         state = state.real
+    codes, place = table.letters, 1 << np.arange(n - 1, -1, -1)
+    x_masks, z_masks = ((codes == 1) | (codes == 2)) @ place, (codes >= 2) @ place
+    n_y = (codes == 2).sum(axis=1)
     j = np.arange(dim)
     # sign[k] = (-1)^|k|, so a string's signs over j are sign[j & z]
     sign = 1.0 - 2.0 * subset_parities(j, [dim - 1], n)[:, 0]
-    sums = np.zeros(len(read.table.subsets))
+    sums = np.zeros(len(table.subsets))
     block = max(1, (1 << 16) >> n)
     for odd in (False, True) if np.iscomplexobj(state) else (False,):
-        rows = np.flatnonzero(read.odd_y == odd)
+        rows = np.flatnonzero(n_y % 2 == odd)
         for start in range(0, len(rows), block):
             r = rows[start:start + block]
-            flipped = j ^ read.x_masks[r, None]
+            flipped = j ^ x_masks[r, None]
             terms = state[j, flipped] if state.ndim == 2 else state[flipped].conj() * state
-            z_sign = sign[j & read.z_masks[r, None]]
+            z_sign = sign[j & z_masks[r, None]]
             sums[r] = ((terms.imag if odd else terms.real) * z_sign).sum(axis=1)
-    return read.read_signs * sums
+    return table.signs * np.array([1.0, -1.0, -1.0, 1.0])[n_y % 4] * sums
 
 
 def outcome_distribution(plan: ExtractionPlan, round_type: str,
@@ -546,11 +537,11 @@ def outcome_distribution(plan: ExtractionPlan, round_type: str,
     state.  An explicit state is read through the same subset parities: each
     subset's Pauli string is evaluated on it directly, with no rotation into
     the measurement bases; stored complex with a zero imaginary part it
-    gives the bits of its real part.  Both read the plan's PlanRound, whose
-    subsets are 0..2^N-1 in order, and end in one Walsh-Hadamard transform,
-    which inverts parity[a] = E[(-1)^(a . b)] over outcomes b; outcomes below 1e-15 are dropped and
-    the rest renormalized.  Raises ValueError for an explicit state of
-    another shape.
+    gives the bits of its real part.  Both read the plan's distribution
+    table, whose subsets are 0..2^N-1 in order, and end in one
+    Walsh-Hadamard transform, which inverts parity[a] = E[(-1)^(a . b)] over
+    outcomes b; outcomes below 1e-15 are dropped and the rest renormalized.
+    Raises ValueError for an explicit state of another shape.
     """
     parities = _state_parities(plan_round(plan, round_type, "distribution"), state)
     probs = _walsh(parities) / parities.size
@@ -598,9 +589,9 @@ def analytic_estimates(plan: ExtractionPlan, state=None) -> ErrorEstimates:
     Bell plan that casts several pairs it is 0.5 under any noise; use
     analysis.pairwise_rates for per-pair rates of such a plan.
     """
-    reads = [plan_round(plan, rt) for rt in ("type-1", "type-2")]
-    type1, type2 = (p / p[0] for p in (_state_parities(read, state) for read in reads))
+    tables = correlator_tables(plan)
+    type1, type2 = (p / p[0] for p in (_state_parities(table, state) for table in tables))
     n = len(plan.targets)
-    errors = _pair_error_rows(reads[0].table.subsets, type1[None], _pair_masks(n))
-    qx = _qx_rows(reads[1].table.subsets, type2[None], (1 << n) - 1)
+    errors = _pair_error_rows(tables[0].subsets, type1[None], _pair_masks(n))
+    qx = _qx_rows(tables[1].subsets, type2[None], (1 << n) - 1)
     return _estimates(plan.targets, errors[..., 0], float(qx[0]))

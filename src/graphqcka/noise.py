@@ -301,7 +301,8 @@ def poisson_mc(batches: Mapping[str, RoundBatch],
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rows = poisson_count_rows(batches, n_samples, seed)
+    # the statistic reads RoundBatches, not parities: sign only the empty set
+    rows = poisson_count_rows(batches, n_samples, seed, {name: [0] for name in batches})
     values = []
     for r in range(n_samples + 1):
         resampled = batches if r == 0 else {

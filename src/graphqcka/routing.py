@@ -112,7 +112,7 @@ class ExtractionPlan:
 
     @cached_property
     def round_cache(self) -> dict:
-        """Per round type and reader, data derived from this instance (keyrates.plan_round);
+        """Per round type and reader, this instance's keyrates.CorrelatorTable (plan_round);
         outside ==, repr and plan_to_json, and empty on a replaced plan."""
         return {}
 

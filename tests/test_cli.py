@@ -196,13 +196,19 @@ EXIT_CODE_TABLE = [
     # a second participants header after the rows, one user short
     (["analyze", "--graph", "{graph}", *ROLES, "--counts", "{repeated_header_counts}"],
      EXIT_PARSE),
+    # an output directory where a regular file is, or beneath one (ERROR_LINES)
+    (["extract", "--config", "{out_file_config}"], EXIT_PARSE),
+    (["sweep", "--config", "{out_under_file_config}"], EXIT_PARSE),
 ]
-# the exact error line of some rows, by the row's test id
+# the exact error line of some rows, by the row's test id; {name} as in the row
 ERROR_LINES = {
     "extract --graph {path16} --protocol nqkd --alice 1 --bobs 16":
         "error: GHZ plan search stopped at the search budget of 6561 candidates\n",
     "extract --graph {g13} --protocol 2qkd --alice 1 --bobs 2,3,4,5,6,7,8,9,10,11,12":
         "error: pairwise cover search stopped at the search budget of 6561 candidates\n",
+    "extract --config {out_file_config}": "error: output directory {out_file}: File exists\n",
+    "sweep --config {out_under_file_config}":
+        "error: output directory {out_file}/sub: Not a directory\n",
 }
 # G(13, 1/2) drawn with random.Random(3), each pair an edge with probability 1/2
 G13_EDGES = ("1-2 1-4 1-7 1-8 1-10 1-11 1-13 2-4 2-6 2-12 3-5 3-6 3-8 3-13 4-6 4-9 "
@@ -247,11 +253,15 @@ def cli_inputs(tmp_path, graph_file):
                         ("infinite_sweep_config", {"sweep_powers": [5, float("inf"), 3]}),
                         ("overflow_sweep_config", {"sweep_powers": [0, 1e308, 3]}),
                         ("infinite_pump_config",
-                         {"noise": {"pump_contamination_coefficient": float("inf")}})):
+                         {"noise": {"pump_contamination_coefficient": float("inf")}}),
+                        ("out_file_config", {"out": str(tmp_path / "out_file")}),
+                        ("out_under_file_config", {"out": str(tmp_path / "out_file" / "sub")})):
         texts[name] = json.dumps({"graph": str(graph_file), "alice": 1,
                                   "bobs": [2, 5, 6], "out": str(tmp_path / "out"),
                                   **extra})
-    paths = {"graph": str(graph_file), "missing": str(tmp_path / "absent.txt")}
+    paths = {"graph": str(graph_file), "missing": str(tmp_path / "absent.txt"),
+             "out_file": str(tmp_path / "out_file")}
+    (tmp_path / "out_file").write_text("not a directory\n")
     for name, text in texts.items():
         path = tmp_path / f"{name}.txt"
         path.write_text(text)
@@ -431,7 +441,7 @@ class TestCommands:
             # one line, no traceback, and no sweep written
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not (tmp_path / "out" / "sweep.csv").exists()
-        assert error_line in (None, err)
+        assert error_line is None or error_line.format(**cli_inputs) == err
 
     def test_sweep_outputs(self, tmp_path, graph_file):
         out = tmp_path / "sweep"

@@ -338,7 +338,7 @@ class TestPauliEngine:
                 assert_matches_density_path(plan, random_model(rng, plan.graph.vertices))
             # a GHZ state's all-Z correlators are the even-size subsets, each +-1
             if plan.kind == "ghz":
-                table = plan_round(plan, "type-1", "distribution").table
+                table = plan_round(plan, "type-1", "distribution")
                 n = len(plan.targets)
                 kept = table.weights != 0
                 assert table.subsets[kept].tolist() == [a for a in range(1 << n)
@@ -465,6 +465,28 @@ class TestExplicitStates:
                         outcome_distribution(plan, rt, state),
                         rotated_outcome_distribution(plan, rt, state))
 
+    def test_network_vector_reads_the_table_weights(self, rng):
+        """On the plan's own network vector, every explicit read equals its
+        table's weights, the ideal parities of routing.subset_strings, row
+        by row and zero weights included: the X/Y and Y/Z masks and the
+        i^#Y factor that _state_parities derives from the letters are the
+        strings' own."""
+        plans = TestPauliEngine.random_plans(rng, 30)
+        assert {p.kind for p in plans} == {"ghz", "bell_multicast"}
+        zero_rows = odd_y_rows = 0
+        for plan in plans:
+            vec = network_vector(plan)
+            for rt in ("type-1", "type-2"):
+                for reader in ("distribution", "estimates"):
+                    table = plan_round(plan, rt, reader)
+                    got = keyrates._state_parities(table, vec)
+                    assert got.shape == table.weights.shape
+                    assert np.abs(got - table.weights).max() <= 1e-12, (rt, reader)
+                    zero_rows += int((table.weights == 0).sum())
+                    odd_y = (table.letters == 2).sum(axis=1) % 2 == 1
+                    odd_y_rows += int((odd_y & (table.weights != 0)).sum())
+        assert zero_rows and odd_y_rows
+
     def test_ten_vertex_vector_in_blocks(self):
         """Ten vertices: the 2^8 strings are evaluated in several blocks."""
         g = Graph.from_edges(10, [(0, v) for v in range(1, 8)] + [(1, 8), (2, 9)])
@@ -507,8 +529,8 @@ class TestExplicitStates:
 
 
 class TestPlanCache:
-    """Each plan instance builds its PlanRounds (strings and tables) once per
-    round type and reader."""
+    """Each plan instance builds its CorrelatorTable (setting, strings, signs
+    and ideal parities) once per round type and reader."""
 
     READERS = ("distribution", "estimates")
 
@@ -572,15 +594,13 @@ class TestPlanCache:
 
     def test_cached_arrays_are_read_only(self):
         plan = networks.bell_multicast_plan()
-        for read in (plan_round(plan, rt, reader) for rt in ("type-1", "type-2")
-                     for reader in self.READERS):
-            table = read.table
-            for array in (read.x_masks, read.z_masks, read.odd_y,
-                          read.read_signs, table.subsets, table.weights, table.letters):
+        for table in (plan_round(plan, rt, reader) for rt in ("type-1", "type-2")
+                      for reader in self.READERS):
+            for array in (table.subsets, table.letters, table.signs, table.weights):
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 0
-        assert correlator_tables(plan) == (plan_round(plan, "type-1").table,
-                                           plan_round(plan, "type-2").table)
+        assert correlator_tables(plan) == (plan_round(plan, "type-1"),
+                                           plan_round(plan, "type-2"))
 
     def test_filled_cache_leaves_the_plan_as_it_was(self):
         plan, twin = networks.ghz_plan(), networks.ghz_plan()
@@ -641,7 +661,7 @@ class TestEstimatorSubsets:
 
     @staticmethod
     def all_subset_twin(plan):
-        """A copy of plan whose estimators read its all-subset PlanRounds."""
+        """A copy of plan whose estimators read its all-subset tables."""
         twin = replace(plan)
         for rt in ("type-1", "type-2"):
             twin.round_cache[(rt, "estimates")] = plan_round(twin, rt, "distribution")
@@ -687,7 +707,7 @@ class TestEstimatorSubsets:
         powers = np.linspace(5.0, 400.0, 7)
         for plan in plans:
             twin = self.all_subset_twin(plan)
-            assert len(plan_round(twin, "type-2").table.subsets) == 1 << len(plan.targets)
+            assert len(plan_round(twin, "type-2").subsets) == 1 << len(plan.targets)
             model = random_model(rng, plan.graph.vertices)
             vec = network_vector(plan)
             rho = apply_noise(vec, plan.graph.vertices, model).matrix
